@@ -257,6 +257,9 @@ def _cmd_rmt(args):
     out = _resolve(args, cfg, "out", str, None)
     if group not in rmt.GROUPS:
         raise UsageError("group must be one of %s" % (rmt.GROUPS,))
+    if len(betas) > 3:
+        raise UsageError("rmt predicts at most 3-level statistics, got %d "
+                         "--beta values" % len(betas))
     spec = rmt.EnsembleSpec(group=group, size=size, samples=samples,
                             seed=seed)
     phis = [kernels.fejer_test_function(b) for b in betas]

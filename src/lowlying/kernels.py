@@ -12,13 +12,18 @@ Two independent evaluation routes are kept deliberately separate:
 
 Their agreement is a theorem, and the test suite checks it numerically;
 neither route borrows intermediate results from the other.
+
+The determinant route's box quadratures are BLAS matrix products, whose
+last bits can follow the BLAS thread count.  The CLI pins it to one before
+numpy loads; a library caller that wants bit-identical results across
+hosts must do the same (OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.special import sici
@@ -403,38 +408,36 @@ def _kmat(nodes, eps):
     return k
 
 
-def _j2_value(phi_a, phi_b, eps, half_width, order):
-    nodes, (wa, wb) = _grid_weights((phi_a, phi_b), half_width, order)
+def _j2_table(phis, eps, half_width, order):
+    """T[a][b] = sum_xy w_a[x] K(x,y)^2 w_b[y] for every pair of phis."""
+    nodes, weights = _grid_weights(phis, half_width, order)
     k = _kmat(nodes, eps)
-    inner = np.sum(k * k * wb[None, :], axis=1)
-    return math.fsum((wa * inner).tolist())
+    inner = (k * k) @ np.column_stack(weights)
+    # correctly rounded outer sums, as in _j3_value
+    return [[math.fsum((wa * col).tolist()) for col in inner.T]
+            for wa in weights]
 
 
-def _j2(phi_a, phi_b, eps):
-    """double integral of phi_a phi_b K^2 over the plane (box quadrature)."""
-    key = ("j2", phi_a, phi_b, eps)
-    if key in _J_CACHE:
-        return _J_CACHE[key]
-    t, order = _BOX2
-    value = _j2_value(phi_a, phi_b, eps, t, order)
-    err = abs(value - _j2_value(phi_a, phi_b, eps, t, order - 2)) \
-        + abs(value - _j2_value(phi_a, phi_b, eps, 0.8 * t, order))
-    result = (value, err)
-    _J_CACHE[key] = result
-    return result
+def _j2_pairs(phis, eps):
+    """(value, error) of the double integral of phi_a phi_b K^2 over the
+    plane for every pair a < b of phis, from one kernel matrix per grid."""
+    keys = {(a, b): ("j2", phis[a], phis[b], eps)
+            for a, b in combinations(range(len(phis)), 2)}
+    if any(key not in _J_CACHE for key in keys.values()):
+        t, order = _BOX2
+        v, coarse, short = (_j2_table(phis, eps, *box) for box in
+                            ((t, order), (t, order - 2), (0.8 * t, order)))
+        for (a, b), key in keys.items():
+            err = abs(v[a][b] - coarse[a][b]) + abs(v[a][b] - short[a][b])
+            _J_CACHE.setdefault(key, (v[a][b], err))
+    return {ab: _J_CACHE[key] for ab, key in keys.items()}
 
 
-def _j3_value(phis, eps, half_width, order, zchunk=8):
+def _j3_value(phis, eps, half_width, order):
     nodes, (w1, w2, w3) = _grid_weights(phis, half_width, order)
     k = _kmat(nodes, eps)
-    n = nodes.size
-    p = k * w1[:, None]
-    # G[y, z] = sum_x w1[x] K[x,y] K[x,z]; chunked elementwise reduction
-    # keeps the result independent of BLAS threading
-    g = np.empty((n, n))
-    for z0 in range(0, n, zchunk):
-        z1 = min(z0 + zchunk, n)
-        g[:, z0:z1] = np.sum(p[:, :, None] * k[:, None, z0:z1], axis=0)
+    # G[y, z] = sum_x w1[x] K[x,y] K[x,z]
+    g = (k * w1[:, None]).T @ k
     inner = np.sum(g * k * w3[None, :], axis=1)
     return math.fsum((w2 * inner).tolist())
 
@@ -460,14 +463,15 @@ def _continuous_prediction(eps, phis):
     if n == 2:
         j1a, e1a = _j1(phis[0], eps)
         j1b, e1b = _j1(phis[1], eps)
-        j2, e2 = _j2(phis[0], phis[1], eps)
+        j2, e2 = _j2_pairs(phis, eps)[0, 1]
         value = j1a * j1b - j2
         err = abs(j1b) * e1a + abs(j1a) * e1b + e2
         return value, err
     if n == 3:
         j1 = [_j1(p, eps) for p in phis]
         pairs = [(1, 2), (0, 2), (0, 1)]
-        j2 = [_j2(phis[i], phis[j], eps) for i, j in pairs]
+        table = _j2_pairs(phis, eps)
+        j2 = [table[ab] for ab in pairs]
         j3, e3 = _j3(tuple(phis), eps)
         value = j1[0][0] * j1[1][0] * j1[2][0]
         err = 3.0 * max(e[1] for e in j1) * max(1.0, max(abs(e[0]) for e in j1)) ** 2

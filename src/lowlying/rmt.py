@@ -444,6 +444,8 @@ def ensemble_average(spec: EnsembleSpec, phis, include_zero: bool,
                      beta_n=None) -> EnsembleReport:
     """Mean, standard error, and z-score of the n-level statistic."""
     phis = list(phis)
+    # validates n and the supports before any matrix is sampled
+    prediction = prediction_for(spec.group, phis, include_zero, beta_n)
     spectra = _spectra(spec)
     values = [d_n_statistic(s, phis, include_zero) for s in spectra]
     count = len(values)
@@ -453,7 +455,6 @@ def ensemble_average(spec: EnsembleSpec, phis, include_zero: bool,
         stderr = math.sqrt(var / count)
     else:
         stderr = 0.0
-    prediction = prediction_for(spec.group, phis, include_zero, beta_n)
     z = (mean - prediction) / stderr if stderr > 0 else 0.0
     return EnsembleReport(
         statistic="D%d" % len(phis),

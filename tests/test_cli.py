@@ -206,6 +206,36 @@ class TestRmt:
                          "--out", str(tmp_path / "r.json")])
         assert code == 2
 
+    @staticmethod
+    def _forbid_sampling(monkeypatch):
+        from lowlying import rmt
+
+        def sampled(spec):
+            raise AssertionError("matrices sampled before validation")
+        monkeypatch.setattr(rmt, "_spectra", sampled)
+
+    def test_support_violation_exits_2_before_sampling(self, tmp_path,
+                                                       monkeypatch, capsys):
+        self._forbid_sampling(monkeypatch)
+        code = cli.main(["rmt", "--group", "USp", "--beta", "0.9,0.9",
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_four_level_exits_2_before_sampling(self, tmp_path,
+                                                monkeypatch, capsys):
+        self._forbid_sampling(monkeypatch)
+        code = cli.main(["rmt", "--group", "SOeven",
+                         "--beta", "0.2,0.2,0.2,0.2",
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_tiny_zmax_exits_1(self, tmp_path):
         out = tmp_path / "r.json"
         code = cli.main(["rmt", "--group", "U", "--size", "5",

@@ -309,3 +309,65 @@ def test_prediction_deterministic():
     K._J_CACHE.clear()
     b = K.n_level_prediction(K.SOEVEN, [tf(0.45), tf(0.45)])
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# determinant-route cycle integrals against direct sums
+
+
+def _small_box(phis, eps, half_width=6, order=8):
+    # independent of the module: unit panels, Gauss-Legendre per panel
+    g, w = np.polynomial.legendre.leggauss(order)
+    lo = np.arange(-half_width, half_width, dtype=float)[:, None]
+    x = (lo + 0.5 * (g[None, :] + 1.0)).ravel()
+    wq = np.tile(0.5 * w, 2 * half_width)
+    kmat = np.sinc(x[:, None] - x[None, :]) \
+        + eps * np.sinc(x[:, None] + x[None, :])
+    return kmat, [wq * phi.value(x) for phi in phis]
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+def test_j3_matches_direct_triple_sum(eps):
+    phis = (tf(0.3), tf(0.28), tf(0.25))
+    kmat, (w1, w2, w3) = _small_box(phis, eps)
+    direct = np.einsum("x,y,z,xy,yz,zx->", w1, w2, w3, kmat, kmat, kmat)
+    got = K._j3_value(phis, eps, 6.0, 8)
+    assert got == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+def test_j2_table_matches_direct_double_sums(eps):
+    phis = (tf(0.3), tf(0.28), tf(0.25))
+    kmat, weights = _small_box(phis, eps)
+    table = np.array(K._j2_table(phis, eps, 6.0, 8))
+    assert table.shape == (3, 3)
+    for a in range(3):
+        for b in range(3):
+            direct = np.einsum("x,y,xy->", weights[a], weights[b],
+                               kmat * kmat)
+            assert table[a, b] == pytest.approx(direct, rel=1e-12)
+    np.testing.assert_allclose(table, table.T, rtol=1e-13)
+
+
+def test_j2_pairs_of_a_sublist_come_from_the_cache(monkeypatch):
+    phis = [tf(0.3), tf(0.28), tf(0.25)]
+    full = K._j2_pairs(phis, 1)
+
+    def rebuilt(nodes, eps):
+        raise AssertionError("pair integrated twice")
+    monkeypatch.setattr(K, "_kmat", rebuilt)
+    for a, b in full:
+        assert K._j2_pairs([phis[a], phis[b]], 1)[0, 1] == full[a, b]
+
+
+@pytest.mark.parametrize("betas, soeven, sp", [
+    ((0.45, 0.4), 0.786296331649534, 0.29629633164824604),
+    ((0.3, 0.28, 0.25), 0.42832489241083815, 0.16529344426527548),
+])
+def test_determinant_route_pins(betas, soeven, sp):
+    # values of the elementwise-reduction implementation that preceded
+    # the matrix-product one; a rewrite may move them by rounding only
+    phis = [tf(b) for b in betas]
+    assert K.n_level_prediction(K.SOEVEN, phis) == pytest.approx(
+        soeven, abs=1e-12)
+    assert K.n_level_prediction(K.SP, phis) == pytest.approx(sp, abs=1e-12)
