@@ -13,22 +13,18 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import measures
-from .hecke import (FormShape, SpinSatake, _factorize, multiplicative_coeff,
-                    spin_coeff_grid, spin_root_number_level_one,
-                    std_coeff_grid)
-from .measures import SatakePoint
+from .hecke import (FormShape, _factorize, spin_coeff_grid,
+                    spin_root_number_level_one, std_coeff_grid)
 
 __all__ = [
     "EPSILON_RULES",
     "FamilySpec",
-    "SyntheticForm",
     "Family",
     "AverageReport",
     "StdMainTerm",
@@ -37,7 +33,6 @@ __all__ = [
     "SplitReport",
     "generate_family",
     "coefficient_values",
-    "coefficient",
     "average_coefficient",
     "main_term_spin",
     "main_term_std",
@@ -80,18 +75,8 @@ class FamilySpec:
                              % (EPSILON_RULES,))
 
 
-@dataclass(frozen=True)
-class SyntheticForm:
-    """One simulated form: local data per prime plus its sign."""
-
-    id: int
-    satake: dict
-    shape: FormShape
-    spin_epsilon: int
-
-
-class Family(Sequence):
-    """Sampled family; array-backed, indexable as SyntheticForm records.
+class Family:
+    """Sampled family, stored as arrays.
 
     `points[p]` is the (forms, 2) array of eigenvalue coordinates at
     prime p and `epsilons` the per-form sign array; treat both as
@@ -125,29 +110,6 @@ class Family(Sequence):
     def __len__(self):
         return self._spec.forms
 
-    def __getitem__(self, i):
-        n = len(self)
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(n))]
-        i = int(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("form index out of range")
-        satake = {p: SatakePoint(float(arr[i, 0]), float(arr[i, 1]))
-                  for p, arr in sorted(self._points.items())}
-        return SyntheticForm(id=i, satake=satake, shape=self._spec.shape,
-                             spin_epsilon=int(self._eps[i]))
-
-
-_VM_CACHE: dict = {}
-
-
-def _vertical(p):
-    if p not in _VM_CACHE:
-        _VM_CACHE[p] = measures.vertical_measure(p)
-    return _VM_CACHE[p]
-
 
 def _epsilons(spec: FamilySpec):
     if spec.epsilon_rule == "level_one_parity":
@@ -163,8 +125,8 @@ def generate_family(spec: FamilySpec) -> Family:
     each form its own per-index substream, so the result is independent
     of batching or evaluation order.
     """
-    points = {p: measures.sample_array(_vertical(p), (spec.seed, p),
-                                       spec.forms)
+    points = {p: measures.sample_array(measures.vertical_measure(p),
+                                       (spec.seed, p), spec.forms)
               for p in spec.primes}
     return Family(spec, points, _epsilons(spec))
 
@@ -191,13 +153,6 @@ def coefficient_values(family: Family, m: int, which: str = "spin"):
                 else std_coeff_grid(a, b, v))
         vals = vals * grid[v]
     return vals
-
-
-def coefficient(form: SyntheticForm, m: int, which: str = "spin") -> float:
-    """Coefficient at m of a single form, via the per-prime assignment."""
-    assignment = {p: SpinSatake.from_point(pt)
-                  for p, pt in form.satake.items()}
-    return multiplicative_coeff(assignment, m, which)
 
 
 def _mean_stderr(values):
@@ -310,7 +265,8 @@ def _prime_moment(p, e, f):
     if key not in _MOMENT_CACHE:
         _, ke, kf = key[0], key[1], key[2]
         _MOMENT_CACHE[key] = float(measures.integrate(
-            _vertical(p), lambda x, y: x ** ke * y ** kf, tol=1e-9))
+            measures.vertical_measure(p), lambda x, y: x ** ke * y ** kf,
+            tol=1e-9))
     return _MOMENT_CACHE[key]
 
 

@@ -2,9 +2,8 @@
 
 Satake angles at a prime determine a degree-4 local factor (through the
 pair of unit-circle parameter pairs) and a degree-5 factor (through sum
-and difference angles plus a trivial parameter).  Everything downstream
-— Dirichlet coefficients, the shifted eigenvalue transform, and
-log-derivative power sums — is computed with real recurrences in
+and difference angles plus a trivial parameter).  Their Dirichlet
+coefficients at prime powers are computed with real recurrences in
 a = 2cos(theta1), b = 2cos(theta2); complex arithmetic appears only in
 test oracles.
 """
@@ -13,31 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .measures import SatakePoint, check_prime
-
 __all__ = [
     "SpinSatake",
-    "EulerFactor",
-    "CoeffTable",
     "FormShape",
-    "GammaFactor",
-    "spin_euler_factor",
-    "std_euler_factor",
     "spin_dirichlet_coeff",
     "spin_coeff_grid",
     "std_coeff_grid",
-    "coeff_table",
-    "hecke_from_dirichlet",
-    "logderiv_coeffs",
-    "multiplicative_coeff",
     "analytic_conductor",
     "spin_root_number_level_one",
     "std_root_number",
-    "gamma_shifts",
 ]
 
 
@@ -61,10 +47,6 @@ class SpinSatake:
                 "non-tempered coordinates (%r, %r): need [-2,2]" % (a, b))
         return cls(math.acos(a / 2.0), math.acos(b / 2.0))
 
-    @classmethod
-    def from_point(cls, pt: SatakePoint) -> "SpinSatake":
-        return cls.from_pair(pt.a, pt.b)
-
     @property
     def a(self) -> float:
         return 2.0 * math.cos(self.theta1)
@@ -72,88 +54,6 @@ class SpinSatake:
     @property
     def b(self) -> float:
         return 2.0 * math.cos(self.theta2)
-
-
-@dataclass(frozen=True)
-class EulerFactor:
-    """Local polynomial Q(t) = 1 + c1 t + ... + c_deg t^deg.
-
-    `coeffs` holds (c1, ..., c_deg); the constant 1 is implicit.  Roots
-    are checked to lie on the unit circle on construction.
-    """
-
-    degree: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if self.degree not in (4, 5):
-            raise ValueError("degree must be 4 or 5, got %r" % (self.degree,))
-        if len(self.coeffs) != self.degree:
-            raise ValueError("need %d coefficients, got %d"
-                             % (self.degree, len(self.coeffs)))
-        _assert_unit_roots(self.degree, self.full_coeffs)
-
-    @property
-    def full_coeffs(self):
-        return (1.0,) + tuple(float(c) for c in self.coeffs)
-
-
-def _quartic_palindrome_on_circle(c1, c2, tol):
-    # t^2 shift: Q(t)/t^2 = (t + 1/t)^2 + c1 (t + 1/t) + (c2 - 2), so roots
-    # lie on the unit circle iff w^2 + c1 w + (c2 - 2) has real roots in
-    # [-2, 2]: nonnegative discriminant, nonnegative values at w = +-2,
-    # vertex inside.  Phrased without square roots on purpose: a sqrt of
-    # the discriminant would turn rounding noise into O(sqrt(eps)) root
-    # error when roots cluster at the boundary.
-    disc = c1 * c1 - 4.0 * (c2 - 2.0)
-    at_plus = c2 + 2.0 * c1 + 2.0
-    at_minus = c2 - 2.0 * c1 + 2.0
-    return (disc >= -tol and at_plus >= -tol and at_minus >= -tol
-            and abs(c1) <= 4.0 + tol)
-
-
-def _assert_unit_roots(degree, full, tol=1e-9):
-    """Reject coefficient lists whose roots leave the unit circle.
-
-    Real polynomials with all roots on the circle are palindromic up to
-    sign; those cases reduce exactly to a quadratic in t + 1/t, which
-    stays well-conditioned under root clustering (companion-matrix root
-    finding does not).  Anything non-palindromic falls back to np.roots.
-    """
-    ok = None
-    if degree == 4 and abs(full[4] - 1.0) <= tol and abs(full[3] - full[1]) <= tol:
-        ok = _quartic_palindrome_on_circle(full[1], full[2], tol)
-    elif degree == 5 and abs(full[5] + 1.0) <= tol \
-            and abs(full[4] + full[1]) <= tol and abs(full[3] + full[2]) <= tol:
-        # strip the forced root at t = 1, then test the palindromic quartic
-        b = [1.0]
-        for k in range(1, 5):
-            b.append(full[k] + b[-1])
-        rem = full[5] + b[4]
-        if abs(rem) <= tol and abs(b[4] - 1.0) <= tol and abs(b[3] - b[1]) <= tol:
-            ok = _quartic_palindrome_on_circle(b[1], b[2], tol)
-        else:
-            ok = False
-    if ok is None:
-        roots = np.roots(full[::-1])
-        ok = float(np.max(np.abs(np.abs(roots) - 1.0))) <= tol
-    if not ok:
-        raise ValueError(
-            "roots off the unit circle (non-tempered coefficient list %s)"
-            % (full,))
-
-
-def spin_euler_factor(s: SpinSatake) -> EulerFactor:
-    """Degree-4 factor with parameter multiset {e^{+-i theta1}, e^{+-i theta2}}."""
-    a, b = s.a, s.b
-    return EulerFactor(4, (-(a + b), 2.0 + a * b, -(a + b), 1.0))
-
-
-def std_euler_factor(s: SpinSatake) -> EulerFactor:
-    """Degree-5 factor with parameters {1, e^{+-i(t1+t2)}, e^{+-i(t1-t2)}}."""
-    a, b = s.a, s.b
-    e2 = a * a + a * b + b * b - 2.0
-    return EulerFactor(5, (-(1.0 + a * b), e2, -e2, 1.0 + a * b, -1.0))
 
 
 def _coeff_recurrence(c, a, b, n_max):
@@ -207,93 +107,6 @@ def spin_dirichlet_coeff(s: SpinSatake, n: int) -> float:
     return float(spin_coeff_grid(s.a, s.b, n)[n])
 
 
-def _std_dirichlet_coeff(s: SpinSatake, n: int) -> float:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return float(std_coeff_grid(s.a, s.b, n)[n])
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Per-prime coefficient ladder.
-
-    dirichlet[n] is the series coefficient at the n-th power,
-    hecke[n] the shifted eigenvalue (filled by hecke_from_dirichlet),
-    logderiv[k-1] the k-th power sum of inverse roots.
-    """
-
-    p: int
-    n_max: int
-    dirichlet: tuple
-    hecke: tuple | None = None
-    logderiv: tuple | None = None
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if len(self.dirichlet) != self.n_max + 1:
-            raise ValueError("dirichlet must hold entries 0..n_max")
-        if abs(self.dirichlet[0] - 1.0) > 1e-12:
-            raise ValueError("coefficient at power 0 must be 1")
-        if self.n_max >= 1 and abs(self.dirichlet[1]) > 4.0 + 1e-9:
-            raise ValueError("first coefficient violates the tempered bound")
-
-    def to_json_dict(self):
-        return {
-            "p": self.p,
-            "n_max": self.n_max,
-            "dirichlet": list(self.dirichlet),
-            "hecke": list(self.hecke) if self.hecke is not None else None,
-            "logderiv": list(self.logderiv) if self.logderiv is not None else None,
-        }
-
-
-def coeff_table(s: SpinSatake, p, n_max=20, which="spin") -> CoeffTable:
-    """Build the full coefficient ladder at prime p for one parameter set."""
-    p = check_prime(p)
-    if which == "spin":
-        grid = spin_coeff_grid(s.a, s.b, n_max)
-        factor = spin_euler_factor(s)
-    elif which == "std":
-        grid = std_coeff_grid(s.a, s.b, n_max)
-        factor = std_euler_factor(s)
-    else:
-        raise ValueError("which must be 'spin' or 'std'")
-    table = CoeffTable(p, n_max, tuple(float(v) for v in grid),
-                       logderiv=tuple(logderiv_coeffs(factor, p, n_max)))
-    return hecke_from_dirichlet(table, p)
-
-
-def hecke_from_dirichlet(table: CoeffTable, p) -> CoeffTable:
-    """Fill the shifted eigenlevels: value(n) = dirichlet(n) - dirichlet(n-2)/p."""
-    p = check_prime(p)
-    if p != table.p:
-        raise ValueError("table is at prime %d, got %d" % (table.p, p))
-    lam = table.dirichlet
-    shifted = []
-    for n in range(table.n_max + 1):
-        prev = lam[n - 2] if n >= 2 else 0.0
-        shifted.append(lam[n] - prev / p)
-    return CoeffTable(table.p, table.n_max, table.dirichlet,
-                      hecke=tuple(shifted), logderiv=table.logderiv)
-
-
-def logderiv_coeffs(factor: EulerFactor, p, k_max: int):
-    """Power sums of the factor's inverse roots via Newton's identities."""
-    check_prime(p)
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    full = factor.full_coeffs
-    sums = []
-    for k in range(1, k_max + 1):
-        ck = full[k] if k <= factor.degree else 0.0
-        acc = -k * ck
-        for j in range(1, k):
-            cj = full[j] if j <= factor.degree else 0.0
-            acc -= cj * sums[k - 1 - j]
-        sums.append(acc)
-    return [float(v) for v in sums]
-
-
 def _factorize(m: int):
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -307,26 +120,6 @@ def _factorize(m: int):
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
-
-
-def multiplicative_coeff(assignment, m: int, which="spin") -> float:
-    """Coefficient at m from per-prime parameter assignments.
-
-    `assignment` maps primes to SpinSatake values; every prime dividing
-    m must be covered.
-    """
-    if which not in ("spin", "std"):
-        raise ValueError("which must be 'spin' or 'std'")
-    result = 1.0
-    for p, v in sorted(_factorize(int(m)).items()):
-        if p not in assignment:
-            raise KeyError("no parameter assignment for prime %d dividing %d"
-                           % (p, m))
-        s = assignment[p]
-        local = spin_dirichlet_coeff(s, v) if which == "spin" \
-            else _std_dirichlet_coeff(s, v)
-        result *= local
-    return result
 
 
 @dataclass(frozen=True)
@@ -362,31 +155,3 @@ def spin_root_number_level_one(k2: int) -> int:
 def std_root_number() -> int:
     """The degree-5 functional-equation sign is always +1."""
     return 1
-
-
-@dataclass(frozen=True)
-class GammaFactor:
-    """One archimedean factor: kind 'R' or 'C' with a rational shift."""
-
-    kind: str
-    shift: Fraction
-
-    def __post_init__(self):
-        if self.kind not in ("R", "C"):
-            raise ValueError("kind must be 'R' or 'C'")
-
-
-def gamma_shifts(shape: FormShape, which: str):
-    """Archimedean factor list for the degree-4 or degree-5 function."""
-    if which == "spin":
-        return [
-            GammaFactor("C", Fraction(shape.k1 + shape.k2 - 3, 2)),
-            GammaFactor("C", Fraction(shape.k1 - shape.k2 + 1, 2)),
-        ]
-    if which == "std":
-        return [
-            GammaFactor("R", Fraction(0)),
-            GammaFactor("C", Fraction(shape.k1 - 1)),
-            GammaFactor("C", Fraction(shape.k2 - 2)),
-        ]
-    raise ValueError("which must be 'spin' or 'std'")

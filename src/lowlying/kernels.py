@@ -401,10 +401,22 @@ def _grid_weights(phis, half_width, order):
     return nodes, [weights * phi.value(nodes) for phi in phis]
 
 
+def _sinc_outer(op, nodes):
+    """np.sinc(op.outer(nodes, nodes)), built in place to hold fewer
+    node-by-node temporaries."""
+    y = op.outer(nodes, nodes)
+    y *= np.pi
+    # np.sinc's guard: sin(y) / y is then exactly 1 where y was 0
+    y[y == 0.0] = np.finfo(float).eps
+    k = np.sin(y)
+    k /= y
+    return k
+
+
 def _kmat(nodes, eps):
-    k = np.sinc(nodes[:, None] - nodes[None, :])
+    k = _sinc_outer(np.subtract, nodes)
     if eps:
-        k = k + eps * np.sinc(nodes[:, None] + nodes[None, :])
+        k += eps * _sinc_outer(np.add, nodes)
     return k
 
 

@@ -19,7 +19,6 @@ from . import rng as _rng
 from .quadrature import QuadratureError, adaptive_tensor
 
 __all__ = [
-    "SatakePoint",
     "MeasureSpec",
     "EnvelopeViolation",
     "RejectionBudgetError",
@@ -30,7 +29,6 @@ __all__ = [
     "density_st_inf",
     "density_mu_p",
     "integrate",
-    "sample",
     "sample_array",
 ]
 
@@ -54,25 +52,6 @@ def check_prime(p):
             raise ValueError("p must be prime, got %d = %d * %d" % (n, d, n // d))
         d += 1
     return n
-
-
-@dataclass(frozen=True)
-class SatakePoint:
-    """Unordered pair of normalized eigenvalue coordinates in [-2,2].
-
-    Consumers must treat (a, b) and (b, a) as the same point.
-    """
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (-2.0 <= self.a <= 2.0 and -2.0 <= self.b <= 2.0):
-            raise ValueError("coordinates must lie in [-2,2], got (%r, %r)"
-                             % (self.a, self.b))
-
-    def swapped(self) -> "SatakePoint":
-        return SatakePoint(self.b, self.a)
 
 
 @dataclass(frozen=True)
@@ -264,9 +243,3 @@ def sample_array(spec: MeasureSpec, rng, count, max_attempts=4096):
         pending = pending[~acc]
         attempt += 1
     return out
-
-
-def sample(spec: MeasureSpec, rng, count):
-    """Rejection-sample `count` unordered eigenvalue pairs."""
-    pts = sample_array(spec, rng, count)
-    return [SatakePoint(float(a), float(b)) for a, b in pts]

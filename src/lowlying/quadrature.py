@@ -53,9 +53,16 @@ def panel_grid(a, b, n_panels, order):
     return nodes, weights
 
 
-def _tensor_estimates(f, x0, x1, y0, y1, order_lo, order_hi):
+# panels per side of the starting grid, and the two Gauss-Legendre
+# orders whose difference is a panel's error estimate
+_INIT = 4
+_ORDER_LO = 8
+_ORDER_HI = 14
+
+
+def _tensor_estimates(f, x0, x1, y0, y1):
     vals = []
-    for order in (order_lo, order_hi):
+    for order in (_ORDER_LO, _ORDER_HI):
         x, w = gauss_legendre(order)
         sx = 0.5 * (x1 - x0)
         sy = 0.5 * (y1 - y0)
@@ -67,8 +74,7 @@ def _tensor_estimates(f, x0, x1, y0, y1, order_lo, order_hi):
     return vals[1], abs(vals[1] - vals[0])
 
 
-def adaptive_tensor(f, box, tol, max_panels=20000, init=4,
-                    order_lo=8, order_hi=14):
+def adaptive_tensor(f, box, tol, max_panels=20000):
     """Integrate f over a rectangle to absolute tolerance `tol`.
 
     f must accept flat arrays (x, y) and return values of the same
@@ -76,14 +82,14 @@ def adaptive_tensor(f, box, tol, max_panels=20000, init=4,
     QuadratureError when max_panels panels cannot reach the tolerance.
     """
     x0, x1, y0, y1 = box
-    xs = np.linspace(x0, x1, init + 1)
-    ys = np.linspace(y0, y1, init + 1)
+    xs = np.linspace(x0, x1, _INIT + 1)
+    ys = np.linspace(y0, y1, _INIT + 1)
     heap = []
     seq = 0
-    for i in range(init):
-        for j in range(init):
+    for i in range(_INIT):
+        for j in range(_INIT):
             val, err = _tensor_estimates(
-                f, xs[i], xs[i + 1], ys[j], ys[j + 1], order_lo, order_hi)
+                f, xs[i], xs[i + 1], ys[j], ys[j + 1])
             heapq.heappush(heap, (-err, seq, xs[i], xs[i + 1], ys[j], ys[j + 1], val))
             seq += 1
     err_run = math.fsum(-item[0] for item in heap)
@@ -106,8 +112,7 @@ def adaptive_tensor(f, box, tol, max_panels=20000, init=4,
         ym = 0.5 * (py0 + py1)
         for cx0, cx1 in ((px0, xm), (xm, px1)):
             for cy0, cy1 in ((py0, ym), (ym, py1)):
-                val, err = _tensor_estimates(
-                    f, cx0, cx1, cy0, cy1, order_lo, order_hi)
+                val, err = _tensor_estimates(f, cx0, cx1, cy0, cy1)
                 heapq.heappush(heap, (-err, seq, cx0, cx1, cy0, cy1, val))
                 err_run += err
                 seq += 1

@@ -7,6 +7,7 @@ environments and compare output bytes.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -331,6 +332,12 @@ def run_subprocess(args, threads, cwd):
 
 
 class TestReproducibility:
+    def test_main_pins_blas_threads(self, tmp_path, monkeypatch):
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, "8")
+        assert cli.main(["dims", "--out", str(tmp_path / "t.csv")]) == 0
+        assert [os.environ[var] for var in cli._THREAD_VARS] == ["1"] * 4
+
     def test_rerun_in_process_is_byte_identical(self, tmp_path):
         out = tmp_path / "r.json"
         args = ["rmt", "--group", "SOeven", "--size", "6",

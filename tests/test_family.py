@@ -110,25 +110,6 @@ class TestGeneration:
         f2 = _family(forms=100, seed=6)
         assert not np.array_equal(f1.points[2], f2.points[2])
 
-    def test_sequence_interface(self):
-        fam = _family(forms=10)
-        assert len(fam) == 10
-        form = fam[3]
-        assert form.id == 3
-        assert sorted(form.satake) == [2, 3, 5]
-        assert form.spin_epsilon == -1
-        assert form.shape == hecke.FormShape(4, 3, 1)
-        assert fam[-1].id == 9
-        assert [f.id for f in fam[2:5]] == [2, 3, 4]
-        with pytest.raises(IndexError):
-            fam[10]
-
-    def test_forms_carry_sampled_points(self):
-        fam = _family(forms=5)
-        form = fam[2]
-        assert form.satake[3].a == fam.points[3][2, 0]
-        assert form.satake[3].b == fam.points[3][2, 1]
-
 
 class TestCoefficients:
     def test_vectorized_matches_per_form_route(self):
@@ -137,8 +118,21 @@ class TestCoefficients:
                           ("std", (1, 4, 9, 30))):
             for m in ms:
                 grid = family.coefficient_values(fam, m, which)
-                direct = [family.coefficient(fam[i], m, which)
-                          for i in range(len(fam))]
+                direct = []
+                for i in range(len(fam)):
+                    # one scalar local value per prime power p^v || m
+                    value = 1.0
+                    for p in (2, 3, 5):
+                        v = 0
+                        while m % p ** (v + 1) == 0:
+                            v += 1
+                        a, b = fam.points[p][i]
+                        if which == "spin":
+                            value *= hecke.spin_dirichlet_coeff(
+                                hecke.SpinSatake.from_pair(a, b), v)
+                        else:
+                            value *= float(hecke.std_coeff_grid(a, b, v)[v])
+                    direct.append(value)
                 assert_allclose(grid, direct, rtol=1e-12, atol=1e-12)
 
     def test_uncovered_prime(self):

@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,12 +21,6 @@ def _std_params(s):
             np.exp(1j * (t1 - t2)), np.exp(-1j * (t1 - t2))]
 
 
-def _poly_from_params(params):
-    # coefficients of prod (1 - alpha t): identical to the monic
-    # elementary-symmetric expansion with alternating signs
-    return np.real(np.poly(params))
-
-
 def _h_brute(params, n):
     # complete homogeneous symmetric function by monomial enumeration
     total = 0.0 + 0j
@@ -37,39 +30,6 @@ def _h_brute(params, n):
             prod *= params[i]
         total += prod
     return total.real
-
-
-def test_spin_euler_examples():
-    f = H.spin_euler_factor(H.SpinSatake(0.0, 0.0))
-    assert np.allclose(f.full_coeffs, [1, -4, 6, -4, 1], atol=1e-12)
-    f = H.spin_euler_factor(H.SpinSatake(math.pi / 2, math.pi / 2))
-    assert np.allclose(f.full_coeffs, [1, 0, 2, 0, 1], atol=1e-12)
-
-
-def test_std_euler_examples():
-    f = H.std_euler_factor(H.SpinSatake(0.0, 0.0))
-    assert np.allclose(f.full_coeffs, [1, -5, 10, -10, 5, -1], atol=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(ANGLE, ANGLE)
-def test_euler_coeffs_match_complex_expansion(t1, t2):
-    s = H.SpinSatake(t1, t2)
-    spin = H.spin_euler_factor(s)
-    assert np.allclose(spin.full_coeffs, _poly_from_params(_spin_params(s)),
-                       atol=1e-10)
-    assert abs(spin.coeffs[0] + (s.a + s.b)) < 1e-12
-    std = H.std_euler_factor(s)
-    assert np.allclose(std.full_coeffs, _poly_from_params(_std_params(s)),
-                       atol=1e-10)
-    assert abs(std.coeffs[0] + (1.0 + s.a * s.b)) < 1e-12
-
-
-def test_root_moduli_checked():
-    with pytest.raises(ValueError):
-        H.EulerFactor(4, (-5.0, 2.0, -5.0, 1.0))
-    with pytest.raises(ValueError):
-        H.EulerFactor(3, (1.0, 1.0, 1.0))
 
 
 def test_spin_dirichlet_examples():
@@ -117,74 +77,6 @@ def test_tempered_bounds(t1, t2, n):
         <= math.comb(n + 4, 4) + 1e-9
 
 
-def test_hecke_from_dirichlet_small_cases():
-    s = H.SpinSatake.from_pair(0.7, -1.1)
-    t = H.coeff_table(s, 3, n_max=8)
-    lam = t.dirichlet
-    assert t.hecke[1] == pytest.approx(lam[1], abs=1e-14)
-    assert t.hecke[2] == pytest.approx(lam[2] - 1.0 / 3.0, abs=1e-14)
-
-
-def test_forward_recursion_round_trip():
-    # rebuild the series coefficients from the shifted values by the
-    # forward recursion sum_{2j <= n} p^{-j} * shifted(n - 2j)
-    s = H.SpinSatake.from_pair(-0.4, 1.3)
-    p = 5
-    t = H.coeff_table(s, p, n_max=12)
-    for n in range(t.n_max + 1):
-        acc = sum(t.hecke[n - 2 * j] / p ** j for j in range(n // 2 + 1))
-        assert acc == pytest.approx(t.dirichlet[n], abs=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(ANGLE, ANGLE)
-def test_generating_function_identity(t1, t2):
-    s = H.SpinSatake(t1, t2)
-    p = 2
-    t = H.coeff_table(s, p, n_max=20)
-    # (1 - t^2/p) * sum dirichlet t^n must reproduce the shifted series
-    for n in range(t.n_max + 1):
-        lhs = t.dirichlet[n] - (t.dirichlet[n - 2] / p if n >= 2 else 0.0)
-        assert abs(lhs - t.hecke[n]) < 1e-10
-
-
-def test_logderiv_examples():
-    s = H.SpinSatake(math.pi / 2, math.pi / 2)
-    vals = H.logderiv_coeffs(H.spin_euler_factor(s), 2, 2)
-    assert vals[1] == pytest.approx(-4.0, abs=1e-12)
-    s2 = H.SpinSatake(0.0, 0.0)
-    vals5 = H.logderiv_coeffs(H.std_euler_factor(s2), 2, 1)
-    assert vals5[0] == pytest.approx(5.0, abs=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ANGLE, ANGLE, st.integers(min_value=1, max_value=10))
-def test_logderiv_matches_power_sums(t1, t2, k):
-    s = H.SpinSatake(t1, t2)
-    for factor, params in ((H.spin_euler_factor(s), _spin_params(s)),
-                           (H.std_euler_factor(s), _std_params(s))):
-        got = H.logderiv_coeffs(factor, 3, k)[k - 1]
-        want = sum(np.asarray(params) ** k).real
-        assert abs(got - want) < 1e-10
-        assert abs(got) <= factor.degree + 1e-9
-
-
-def test_multiplicative_coeff():
-    s2 = H.SpinSatake.from_pair(0.3, -0.8)
-    s3 = H.SpinSatake.from_pair(-1.2, 0.1)
-    amap = {2: s2, 3: s3}
-    assert H.multiplicative_coeff(amap, 1) == 1.0
-    want = H.spin_dirichlet_coeff(s2, 2) * H.spin_dirichlet_coeff(s3, 1)
-    assert H.multiplicative_coeff(amap, 12) == pytest.approx(want, abs=1e-14)
-    assert H.multiplicative_coeff(amap, 9) == pytest.approx(
-        H.spin_dirichlet_coeff(s3, 2), abs=1e-14)
-    with pytest.raises(KeyError):
-        H.multiplicative_coeff(amap, 10)
-    want_std = float(H.std_coeff_grid(s2.a, s2.b, 3)[3])
-    assert H.multiplicative_coeff(amap, 8, which="std") == pytest.approx(
-        want_std, abs=1e-14)
-
-
 def test_conductor_examples():
     assert H.analytic_conductor(H.FormShape(10, 10, 1)) == 400
     assert H.analytic_conductor(H.FormShape(12, 10, 1)) == 4356
@@ -199,19 +91,6 @@ def test_root_numbers():
         assert H.spin_root_number_level_one(k2 + 1) == \
             -H.spin_root_number_level_one(k2)
     assert H.std_root_number() == 1
-
-
-def test_gamma_shifts():
-    spin = H.gamma_shifts(H.FormShape(4, 4), "spin")
-    assert [(g.kind, g.shift) for g in spin] == [
-        ("C", Fraction(5, 2)), ("C", Fraction(1, 2))]
-    std = H.gamma_shifts(H.FormShape(4, 4), "std")
-    assert [(g.kind, g.shift) for g in std] == [
-        ("R", Fraction(0)), ("C", Fraction(3)), ("C", Fraction(2))]
-    for k1 in range(3, 9):
-        for k2 in range(3, k1 + 1):
-            assert all(g.shift > 0 for g in
-                       H.gamma_shifts(H.FormShape(k1, k2), "spin"))
 
 
 def test_non_tempered_rejected():
@@ -234,13 +113,3 @@ def test_shape_validation():
         H.FormShape(4, 2)
     with pytest.raises(ValueError):
         H.FormShape(4, 4, 0)
-
-
-def test_coeff_table_json():
-    s = H.SpinSatake.from_pair(0.5, 0.5)
-    t = H.coeff_table(s, 7, n_max=6)
-    d = t.to_json_dict()
-    assert d["p"] == 7 and d["n_max"] == 6
-    assert len(d["dirichlet"]) == 7 and len(d["hecke"]) == 7
-    assert len(d["logderiv"]) == 6
-    assert d["dirichlet"][0] == 1.0

@@ -304,9 +304,9 @@ def test_default_betas():
     assert K.default_betas(3) == pytest.approx(0.3)
 
 
-def test_prediction_deterministic():
+def test_prediction_deterministic(monkeypatch):
     a = K.n_level_prediction(K.SOEVEN, [tf(0.45), tf(0.45)])
-    K._J_CACHE.clear()
+    monkeypatch.setattr(K, "_J_CACHE", {})
     b = K.n_level_prediction(K.SOEVEN, [tf(0.45), tf(0.45)])
     assert a == b
 

@@ -60,8 +60,6 @@ def test_input_validation():
         M.density_g(2, 0, 0, 2)
     with pytest.raises(ValueError):
         M.density_st_inf(2.5, 0)
-    with pytest.raises(ValueError):
-        M.SatakePoint(3.0, 0.0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 11, 101])
@@ -126,9 +124,6 @@ def test_sample_support_and_determinism():
     assert np.all(np.abs(a) <= 2.0)
     first = M.sample_array(spec, 7, 100)
     assert np.array_equal(a[:100], first)  # batch-size invariance
-    pts = M.sample(spec, 7, 5)
-    assert all(isinstance(q, M.SatakePoint) for q in pts)
-    assert pts[0].a == a[0, 0] and pts[0].b == a[0, 1]
 
 
 def test_sample_mean_matches_quadrature():
