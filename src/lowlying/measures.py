@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as _rng
-from .quadrature import QuadratureError, adaptive_tensor
+from .quadrature import adaptive_tensor
 
 __all__ = [
     "MeasureSpec",

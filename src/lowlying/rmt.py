@@ -15,6 +15,15 @@ Test functions are evaluated through their circle harmonics (the
 transform sampled at multiples of 1/period), which is exact for the
 band-limited functions used here and avoids truncating their slowly
 decaying x-space tails at the fold boundary.
+
+Orthogonal and symplectic spectra come from two batched singular value
+decompositions per chunk: for a unitary M with eigenangles t, the
+singular values of I - M and I + M are 2|sin(t/2)| and 2|cos(t/2)|,
+each accurate to machine epsilon in absolute terms, so 2 atan2 of the
+pair gives |t| without the digit loss of arccos near 0 and pi.  Unitary
+spectra need signed angles and keep a general eigensolver per matrix.
+Special orthogonal draws with determinant -1 are redrawn at the next
+attempt address.
 """
 
 from __future__ import annotations
@@ -182,60 +191,95 @@ def _symplectic_batch(size, seed, indices):
     return z @ inv_root
 
 
+def _sample_batch(group, size, seed, indices):
+    if group in ("SOeven", "SOodd"):
+        return _special_orthogonal_batch(group, size, seed, indices)
+    if group == "U":
+        return _unitary_batch(size, seed, indices)
+    return _symplectic_batch(size, seed, indices)
+
+
 def haar_sample(spec: EnsembleSpec, index: int):
     """Haar-distributed matrix, deterministic in (seed, group, index)."""
     if not 0 <= index < spec.samples:
         raise ValueError("index out of range")
-    group = spec.group
-    if group == "O":
-        group = "SOeven" if index % 2 == 0 else "SOodd"
-    if group in ("SOeven", "SOodd"):
-        return _special_orthogonal_batch(group, spec.size, spec.seed,
-                                         [index])[0]
-    if group == "U":
-        return _unitary_batch(spec.size, spec.seed, [index])[0]
-    return _symplectic_batch(spec.size, spec.seed, [index])[0]
+    return _sample_batch(_sample_group_for_index(spec, index), spec.size,
+                         spec.seed, [index])[0]
 
 
 # ---------------------------------------------------------------------------
 # spectra
 
 
-def _fold_pairs(abs_angles):
-    pairs = abs_angles.reshape(-1, 2)
-    return 0.5 * (pairs[:, 0] + pairs[:, 1])
+def _fail_rows(bad, what, indices):
+    if np.any(bad):
+        where = ""
+        if indices is not None:
+            where = "sample index %d: " % indices[int(np.argmax(bad))]
+        raise EigenSolverError(where + what)
+
+
+def _spectrum(folded, forced, period, group):
+    scale = period / (2.0 * math.pi)
+    return ScaledSpectrum(angles=tuple(folded.tolist()),
+                          scaled=tuple((folded * scale).tolist()),
+                          forced_zero=forced,
+                          period=period,
+                          group=group)
+
+
+def _abs_angles(mats, indices=None):
+    """|eigenangles| of each matrix of a unitary stack, ascending.
+
+    From the SVD pair of the module docstring; `indices` label the rows
+    in error messages.
+    """
+    dim = mats.shape[-1]
+    eye = np.eye(dim)
+    gram = np.conj(mats).swapaxes(-1, -2) @ mats
+    # a unitary matrix has its eigenvalues on the unit circle
+    _fail_rows(np.max(np.abs(gram - eye), axis=(-2, -1)) > 1e-9,
+               "matrix is not unitary, so its eigenvalues leave the unit "
+               "circle", indices)
+    # contiguous operands: numpy's arctan2 takes another loop, with other
+    # last bits, for a reversed view, and the view's layout varies with
+    # the stack size
+    sin_half = np.linalg.svd(eye - mats, compute_uv=False)[..., ::-1].copy()
+    cos_half = np.linalg.svd(eye + mats, compute_uv=False)
+    return 2.0 * np.arctan2(sin_half, cos_half)
+
+
+def _reflected_spectra(mats, group, indices=None):
+    """Spectra of a stack of orthogonal or symplectic matrices.
+
+    Eigenangles come in conjugate pairs, so the ascending |t| hold each
+    pair twice; neighbours are folded into one angle in [0, pi].
+    """
+    abs_ang = _abs_angles(mats, indices)
+    forced = group == "SOodd"
+    if forced:
+        _fail_rows(abs_ang[:, 0] > 1e-7,
+                   "odd special orthogonal matrix lost its unit eigenvalue",
+                   indices)
+        abs_ang = abs_ang[:, 1:]
+    folded = 0.5 * (abs_ang[:, 0::2] + abs_ang[:, 1::2])
+    period = _period(group, mats.shape[-1] // 2)
+    return [_spectrum(row, forced, period, group) for row in folded]
 
 
 def scaled_spectrum(M, group: str) -> ScaledSpectrum:
     """Eigenangles of M folded and rescaled for the given group tag."""
     if group not in ("SOeven", "SOodd", "USp", "U"):
         raise ValueError("spectrum group must name a concrete ensemble")
-    ev = np.linalg.eigvals(np.asarray(M))
+    M = np.asarray(M)
+    if group != "U":
+        return _reflected_spectra(M[None], group)[0]
+    ev = np.linalg.eigvals(M)
     if np.max(np.abs(np.abs(ev) - 1.0)) > 1e-9:
         raise EigenSolverError("eigenvalues left the unit circle")
-    dim = M.shape[-1]
-    size = dim if group == "U" else dim // 2
-    period = _period(group, size)
-    scale = period / (2.0 * math.pi)
-    forced = False
-    if group == "U":
-        ang = np.angle(ev)
-        ang = np.where(ang < 0.0, ang + 2.0 * math.pi, ang)
-        folded = np.sort(ang)
-    else:
-        abs_ang = np.sort(np.abs(np.angle(ev)))
-        if group == "SOodd":
-            if abs_ang[0] > 1e-7:
-                raise EigenSolverError(
-                    "odd special orthogonal matrix lost its unit eigenvalue")
-            abs_ang = abs_ang[1:]
-            forced = True
-        folded = _fold_pairs(abs_ang)
-    return ScaledSpectrum(angles=tuple(folded.tolist()),
-                          scaled=tuple((folded * scale).tolist()),
-                          forced_zero=forced,
-                          period=period,
-                          group=group)
+    ang = np.angle(ev)
+    ang = np.where(ang < 0.0, ang + 2.0 * math.pi, ang)
+    return _spectrum(np.sort(ang), False, _period(group, M.shape[-1]), group)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +381,9 @@ def _d_n_slow(vals, zeros, m, n, with_zero, mult):
 
 _SPECTRUM_CACHE: dict = {}
 
-_CHUNK = 512
+# matrices per sampling batch; per-matrix LAPACK calls make every
+# spectrum independent of it, and the USp temporaries scale with it
+_CHUNK = 128
 
 
 def clear_spectrum_cache():
@@ -350,43 +396,33 @@ def _sample_group_for_index(spec, index):
     return spec.group
 
 
+def _batch_spectra(group, spec, indices):
+    mats = _sample_batch(group, spec.size, spec.seed, indices)
+    if group != "U":
+        return _reflected_spectra(mats, group, indices)
+    out = []
+    for i, mat in zip(indices, mats):
+        try:
+            out.append(scaled_spectrum(mat, group))
+        except EigenSolverError as exc:
+            raise EigenSolverError("sample index %d: %s" % (i, exc)) from exc
+    return out
+
+
 def _spectra(spec: EnsembleSpec):
     key = (spec.group, spec.size, spec.samples, spec.seed)
     if key in _SPECTRUM_CACHE:
         return _SPECTRUM_CACHE[key]
-    out = []
+    by_index = {}
     for start in range(0, spec.samples, _CHUNK):
-        indices = list(range(start, min(start + _CHUNK, spec.samples)))
-        if spec.group == "O":
-            even = [i for i in indices if i % 2 == 0]
-            odd = [i for i in indices if i % 2 == 1]
-            mats = {}
-            if even:
-                got = _special_orthogonal_batch("SOeven", spec.size,
-                                                spec.seed, even)
-                mats.update(zip(even, got))
-            if odd:
-                got = _special_orthogonal_batch("SOodd", spec.size,
-                                                spec.seed, odd)
-                mats.update(zip(odd, got))
-            batch = [(i, mats[i]) for i in indices]
-        elif spec.group in ("SOeven", "SOodd"):
-            got = _special_orthogonal_batch(spec.group, spec.size,
-                                            spec.seed, indices)
-            batch = list(zip(indices, got))
-        elif spec.group == "U":
-            batch = list(zip(indices,
-                             _unitary_batch(spec.size, spec.seed, indices)))
-        else:
-            batch = list(zip(indices,
-                             _symplectic_batch(spec.size, spec.seed, indices)))
-        for i, mat in batch:
-            try:
-                out.append(scaled_spectrum(mat, _sample_group_for_index(spec, i)))
-            except EigenSolverError as exc:
-                raise EigenSolverError(
-                    "sample index %d: %s" % (i, exc)) from exc
-    result = tuple(out)
+        chunk = range(start, min(start + _CHUNK, spec.samples))
+        groups = {}
+        for i in chunk:
+            groups.setdefault(_sample_group_for_index(spec, i), []).append(i)
+        for group, indices in groups.items():
+            by_index.update(zip(indices,
+                                _batch_spectra(group, spec, indices)))
+    result = tuple(by_index[i] for i in range(spec.samples))
     _SPECTRUM_CACHE[key] = result
     return result
 

@@ -2,7 +2,6 @@
 
 import io
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest

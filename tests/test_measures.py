@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowlying import measures as M
-from lowlying.quadrature import adaptive_tensor
+from lowlying.quadrature import QuadratureError, adaptive_tensor
 
 COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -111,7 +111,7 @@ def test_integrate_dual_route_against_sampler():
 
 def test_integrate_reports_nonconvergence():
     spec = M.vertical_measure(2)
-    with pytest.raises(M.QuadratureError):
+    with pytest.raises(QuadratureError):
         M.integrate(spec, lambda x, y: np.cos(3000.0 * x * y), tol=1e-12,
                     max_panels=40)
 

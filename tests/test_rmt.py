@@ -88,6 +88,18 @@ class TestHaarSampling:
         with pytest.raises(ValueError):
             rmt.haar_sample(spec, 2)
 
+    @pytest.mark.parametrize("group,size", [("SOodd", 2), ("SOeven", 3)])
+    def test_special_orthogonal_trace_moments(self, group, size):
+        # Haar on SO(5) and SO(6): the trace is the character of an
+        # irreducible representation, so E[tr M] = 0 and E[(tr M)^2] = 1
+        samples = 4000
+        mats = rmt._special_orthogonal_batch(group, size, 5150,
+                                             range(samples))
+        tr = np.trace(mats, axis1=-2, axis2=-1)
+        for values, want in ((tr, 0.0), (tr ** 2, 1.0)):
+            se = np.std(values, ddof=1) / math.sqrt(samples)
+            assert abs(np.mean(values) - want) < 4.0 * se
+
 
 class TestEnsembleSpec:
     def test_rejects_unknown_group(self):
@@ -154,6 +166,60 @@ class TestScaledSpectrum:
     def test_mixture_tag_rejected(self):
         with pytest.raises(ValueError):
             rmt.scaled_spectrum(np.eye(4), "O")
+
+    @pytest.mark.parametrize("group", ["SOeven", "USp"])
+    def test_non_unitary_input_detected(self, group):
+        c, sn = math.cos(0.3), math.sin(0.3)
+        block = np.array([[c, -sn], [sn, c]])
+        m = np.zeros((4, 4))
+        m[:2, :2] = block
+        m[2:, 2:] = block
+        with pytest.raises(rmt.EigenSolverError):
+            rmt.scaled_spectrum(1.001 * m, group)
+
+
+class TestBatchedAngles:
+    @pytest.mark.parametrize("size", [4, 15])
+    @pytest.mark.parametrize("group", ["SOeven", "SOodd", "USp"])
+    def test_match_folded_eigvals(self, group, size):
+        # matrices of dimension 8 (9 for SOodd) and 30 (31)
+        indices = list(range(200))
+        mats = rmt._sample_batch(group, size, 77, indices)
+        got = rmt._reflected_spectra(mats, group, indices)
+        for mat, spectrum in zip(mats, got):
+            ang = np.sort(np.abs(np.angle(np.linalg.eigvals(mat))))
+            if group == "SOodd":
+                ang = ang[1:]
+            want = 0.5 * (ang[0::2] + ang[1::2])
+            assert_allclose(spectrum.angles, want, rtol=0, atol=1e-12)
+
+    def test_odd_forced_zero_is_exact(self):
+        mats = rmt._sample_batch("SOodd", 15, 78, range(200))
+        assert np.max(rmt._abs_angles(mats)[:, 0]) < 1e-12
+
+    def test_error_names_the_sample_index(self):
+        mats = rmt._sample_batch("SOeven", 3, 79, range(4))
+        mats[2] *= 1.001
+        with pytest.raises(rmt.EigenSolverError, match="sample index 12"):
+            rmt._reflected_spectra(mats, "SOeven", [10, 11, 12, 13])
+
+    def test_single_matrix_matches_stack(self):
+        spec = _spec("USp", 4, 9)
+        stack = rmt._spectra(spec)
+        rmt.clear_spectrum_cache()
+        for i in (0, 5, 8):
+            assert rmt.scaled_spectrum(rmt.haar_sample(spec, i),
+                                       "USp") == stack[i]
+
+    @pytest.mark.parametrize("group", ["SOodd", "USp", "O"])
+    def test_chunk_size_does_not_change_spectra(self, group, monkeypatch):
+        spec = _spec(group, 6, 40)
+        default = rmt._spectra(spec)
+        rmt.clear_spectrum_cache()
+        monkeypatch.setattr(rmt, "_CHUNK", 7)
+        assert rmt._spectra(spec) == default
+        rmt.clear_spectrum_cache()
+
 
 
 class TestPeriodizedValue:
