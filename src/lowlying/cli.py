@@ -212,6 +212,11 @@ def _cmd_moments(args):
     out = _resolve(args, cfg, "out", str, None)
     if nmax < 1:
         raise UsageError("nmax must be at least 1")
+    for p in primes:
+        try:
+            measures.check_prime(p)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     rows = []
     all_ok = True
     for p in sorted(primes):
@@ -277,6 +282,17 @@ def _cmd_rmt(args):
     return 0 if ok else 1
 
 
+def _check_in_window(what, m, primes):
+    """Reject m unless it is a positive product of the given primes."""
+    rest = m
+    for p in primes:
+        while rest > 0 and rest % p == 0:
+            rest //= p
+    if rest != 1:
+        raise UsageError("%s must be a positive product of the family "
+                         "primes %s, got %d" % (what, primes, m))
+
+
 def _cmd_family(args):
     from lowlying import family as family_mod
 
@@ -295,6 +311,16 @@ def _cmd_family(args):
     out = _resolve(args, cfg, "out", str, None)
     spec = family_mod.FamilySpec(primes=tuple(primes), forms=forms,
                                  seed=seed, epsilon_rule=rule)
+    for m in m_list:
+        _check_in_window("m", m, primes)
+    if len(set(joint_primes)) != len(joint_primes) \
+            or not set(joint_primes) <= set(primes):
+        raise UsageError("joint primes must be distinct primes of the "
+                         "family window %s, got %s" % (primes, joint_primes))
+    if not 1 <= joint_degree <= 4:
+        raise UsageError("joint degree must be in 1..4, got %d" % joint_degree)
+    if rule == "balanced":
+        _check_in_window("split m", split_m, primes)
     fam = family_mod.generate_family(spec)
     averages = [family_mod.average_coefficient(fam, m) for m in m_list]
     joint = family_mod.joint_sato_tate_test(fam, joint_primes, joint_degree)

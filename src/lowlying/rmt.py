@@ -21,15 +21,21 @@ decompositions per chunk: for a unitary M with eigenangles t, the
 singular values of I - M and I + M are 2|sin(t/2)| and 2|cos(t/2)|,
 each accurate to machine epsilon in absolute terms, so 2 atan2 of the
 pair gives |t| without the digit loss of arccos near 0 and pi.  Unitary
-spectra need signed angles and keep a general eigensolver per matrix.
-Special orthogonal draws with determinant -1 are redrawn at the next
-attempt address.
+spectra need signed angles and take one batched general eigensolver call
+per chunk.  Special orthogonal draws with determinant -1 are redrawn at
+the next attempt address.
+
+An ensemble is held as arrays: per concrete group, one (samples, m) array
+of scaled angles and the group's period.  Only the latest ensemble stays
+cached.  The n-level statistic of every n is one exact fsum over a term
+list built from masked outer products of the test-function values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,32 +84,21 @@ class EnsembleSpec:
 
 
 def _dimension(group: str, n: int) -> int:
-    if group == "SOeven":
-        return 2 * n
-    if group == "SOodd":
-        return 2 * n + 1
-    if group == "USp":
-        return 2 * n
-    if group == "U":
-        return n
-    raise ValueError("no single matrix dimension for group %r" % (group,))
+    return {"SOeven": 2 * n, "SOodd": 2 * n + 1, "USp": 2 * n, "U": n}[group]
 
 
-def _period(group: str, n: int) -> float:
-    dim = _dimension(group, n)
-    if group in ("SOeven", "SOodd"):
-        return float(dim - 1)
-    if group == "USp":
-        return float(dim + 1)
-    return float(dim)
+def _period(group: str, dim: int) -> float:
+    # the effective circumference of the module docstring
+    return float(dim + {"USp": 1, "U": 0}.get(group, -1))
 
 
 @dataclass(frozen=True)
 class ScaledSpectrum:
     """Folded eigenangles of one matrix, rescaled to unit mean spacing.
 
-    `angles` are the independent eigenangles in [0, pi] (forced zero
-    angles excluded), `scaled` the same multiplied by period/(2 pi).
+    `angles` are the independent eigenangles in [0, pi], or [0, 2 pi)
+    for U (forced zero angles excluded), `scaled` the same multiplied by
+    period/(2 pi).
     `reflect` records whether each angle stands for a conjugate pair.
     """
 
@@ -219,15 +214,6 @@ def _fail_rows(bad, what, indices):
         raise EigenSolverError(where + what)
 
 
-def _spectrum(folded, forced, period, group):
-    scale = period / (2.0 * math.pi)
-    return ScaledSpectrum(angles=tuple(folded.tolist()),
-                          scaled=tuple((folded * scale).tolist()),
-                          forced_zero=forced,
-                          period=period,
-                          group=group)
-
-
 def _abs_angles(mats, indices=None):
     """|eigenangles| of each matrix of a unitary stack, ascending.
 
@@ -249,22 +235,28 @@ def _abs_angles(mats, indices=None):
     return 2.0 * np.arctan2(sin_half, cos_half)
 
 
-def _reflected_spectra(mats, group, indices=None):
-    """Spectra of a stack of orthogonal or symplectic matrices.
+def _angles(mats, group, indices=None):
+    """Eigenangles of each matrix of a stack, one ascending row each.
 
-    Eigenangles come in conjugate pairs, so the ascending |t| hold each
-    pair twice; neighbours are folded into one angle in [0, pi].
+    Orthogonal and symplectic angles come in conjugate pairs, so the
+    ascending |t| hold each pair twice; neighbours are folded into one
+    angle in [0, pi], and the SOodd forced zero is dropped.  Unitary
+    angles are the eigenvalue phases in [0, 2 pi).  `indices` label the
+    rows in error messages.
     """
+    if group == "U":
+        ev = np.linalg.eigvals(mats)
+        _fail_rows(np.max(np.abs(np.abs(ev) - 1.0), axis=-1) > 1e-9,
+                   "eigenvalues left the unit circle", indices)
+        ang = np.angle(ev)
+        return np.sort(np.where(ang < 0.0, ang + 2.0 * math.pi, ang))
     abs_ang = _abs_angles(mats, indices)
-    forced = group == "SOodd"
-    if forced:
+    if group == "SOodd":
         _fail_rows(abs_ang[:, 0] > 1e-7,
                    "odd special orthogonal matrix lost its unit eigenvalue",
                    indices)
         abs_ang = abs_ang[:, 1:]
-    folded = 0.5 * (abs_ang[:, 0::2] + abs_ang[:, 1::2])
-    period = _period(group, mats.shape[-1] // 2)
-    return [_spectrum(row, forced, period, group) for row in folded]
+    return 0.5 * (abs_ang[:, 0::2] + abs_ang[:, 1::2])
 
 
 def scaled_spectrum(M, group: str) -> ScaledSpectrum:
@@ -272,30 +264,25 @@ def scaled_spectrum(M, group: str) -> ScaledSpectrum:
     if group not in ("SOeven", "SOodd", "USp", "U"):
         raise ValueError("spectrum group must name a concrete ensemble")
     M = np.asarray(M)
-    if group != "U":
-        return _reflected_spectra(M[None], group)[0]
-    ev = np.linalg.eigvals(M)
-    if np.max(np.abs(np.abs(ev) - 1.0)) > 1e-9:
-        raise EigenSolverError("eigenvalues left the unit circle")
-    ang = np.angle(ev)
-    ang = np.where(ang < 0.0, ang + 2.0 * math.pi, ang)
-    return _spectrum(np.sort(ang), False, _period(group, M.shape[-1]), group)
+    angles = _angles(M[None], group)[0]
+    period = _period(group, M.shape[-1])
+    scaled = angles * (period / (2.0 * math.pi))
+    return ScaledSpectrum(angles=tuple(angles.tolist()),
+                          scaled=tuple(scaled.tolist()),
+                          forced_zero=group == "SOodd",
+                          period=period,
+                          group=group)
 
 
 # ---------------------------------------------------------------------------
 # statistic evaluation
 
 
-_HARMONIC_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _harmonics(phi, period):
-    key = (phi, round(period, 9))
-    if key not in _HARMONIC_CACHE:
-        kmax = int(math.floor(phi.beta * period - 1e-12))
-        ks = np.arange(kmax + 1)
-        _HARMONIC_CACHE[key] = (ks, phi.fourier(ks / period) / period)
-    return _HARMONIC_CACHE[key]
+    kmax = int(math.floor(phi.beta * period - 1e-12))
+    ks = np.arange(kmax + 1)
+    return ks, phi.fourier(ks / period) / period
 
 
 def periodized_value(phi, period, x):
@@ -316,11 +303,35 @@ def periodized_value(phi, period, x):
     return vals.reshape(shape)
 
 
-def _phi_values(spectrum, phis):
-    xs = np.asarray(spectrum.scaled, dtype=float)
-    vals = [periodized_value(phi, spectrum.period, xs) for phi in phis]
-    zeros = [periodized_value(phi, spectrum.period, 0.0) for phi in phis]
-    return vals, zeros
+@lru_cache(maxsize=8)
+def _distinct(size, n):
+    """Mask of the n-tuples over range(size) with pairwise distinct entries."""
+    axes = np.ix_(*[np.arange(size)] * n)
+    keep = np.ones((size,) * n, dtype=bool)
+    for a in range(n):
+        for b in range(a):
+            keep &= axes[a] != axes[b]
+    return keep
+
+
+def _d_n(vals, zeros, with_zero, mult):
+    """Exact fsum of the starred n-level term list of one spectrum.
+
+    vals[slot, j] is the slot's test function at point j.  Scaling by
+    `mult` (2 when each point stands for a conjugate pair) is exact, so
+    it counts both signed indices at once.  The structural zero, when
+    it takes part, is one more point, valued zeros[slot] and unscaled.
+    Each term is a product in slot order over distinct points, hence
+    the same float as its brute-force counterpart times a power of 2.
+    """
+    cols = mult * vals
+    if with_zero:
+        cols = np.column_stack([cols, zeros])
+    n, size = cols.shape
+    prod = cols[0]
+    for row in cols[1:]:
+        prod = np.multiply.outer(prod, row)
+    return math.fsum(prod[_distinct(size, n)].tolist())
 
 
 def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
@@ -332,62 +343,23 @@ def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
     explicit term list, so it equals brute-force enumeration bit for
     bit.
     """
-    n = len(phis)
-    if n < 1:
+    if len(phis) < 1:
         raise ValueError("need at least one test function")
-    vals, zeros = _phi_values(spectrum, phis)
-    m = len(spectrum.scaled)
-    with_zero = include_zero and spectrum.forced_zero
-    mult = 2.0 if spectrum.reflect else 1.0
-    if n == 1:
-        terms = (mult * vals[0]).tolist()
-        if with_zero:
-            terms.append(zeros[0])
-        return math.fsum(terms)
-    if n == 2:
-        outer = np.outer(vals[0], vals[1]) * (mult * mult)
-        if m:
-            np.fill_diagonal(outer, 0.0)
-        terms = outer.ravel().tolist()
-        if with_zero:
-            terms.extend((mult * (zeros[0] * vals[1])).tolist())
-            terms.extend((mult * (vals[0] * zeros[1])).tolist())
-        return math.fsum(terms)
-    return _d_n_slow(vals, zeros, m, n, with_zero, mult)
-
-
-def _d_n_slow(vals, zeros, m, n, with_zero, mult):
-    # general n by explicit recursion over slots; diagnostic use only
-    terms = []
-
-    def grow(slot, used, prod, zero_used):
-        if slot == n:
-            factor = mult ** (n - (1 if zero_used else 0))
-            terms.append(factor * prod)
-            return
-        if with_zero and not zero_used:
-            grow(slot + 1, used, prod * zeros[slot], True)
-        for j in range(m):
-            if j not in used:
-                grow(slot + 1, used | {j}, prod * vals[slot][j], zero_used)
-
-    grow(0, frozenset(), 1.0, False)
-    return math.fsum(terms)
+    xs = np.asarray(spectrum.scaled, dtype=float)
+    vals = np.array([periodized_value(phi, spectrum.period, xs)
+                     for phi in phis]).reshape(len(phis), len(xs))
+    zeros = [periodized_value(phi, spectrum.period, 0.0) for phi in phis]
+    return _d_n(vals, zeros, include_zero and spectrum.forced_zero,
+                2.0 if spectrum.reflect else 1.0)
 
 
 # ---------------------------------------------------------------------------
 # ensemble pipeline
 
 
-_SPECTRUM_CACHE: dict = {}
-
-# matrices per sampling batch; per-matrix LAPACK calls make every
-# spectrum independent of it, and the USp temporaries scale with it
+# matrices per sampling batch and spectra per statistic block; no result
+# depends on it (per-matrix LAPACK calls), the USp temporaries scale with it
 _CHUNK = 128
-
-
-def clear_spectrum_cache():
-    _SPECTRUM_CACHE.clear()
 
 
 def _sample_group_for_index(spec, index):
@@ -396,35 +368,32 @@ def _sample_group_for_index(spec, index):
     return spec.group
 
 
-def _batch_spectra(group, spec, indices):
-    mats = _sample_batch(group, spec.size, spec.seed, indices)
-    if group != "U":
-        return _reflected_spectra(mats, group, indices)
-    out = []
-    for i, mat in zip(indices, mats):
-        try:
-            out.append(scaled_spectrum(mat, group))
-        except EigenSolverError as exc:
-            raise EigenSolverError("sample index %d: %s" % (i, exc)) from exc
+@lru_cache(maxsize=1)
+def _spectra(spec: EnsembleSpec):
+    """{group: (scaled, period)} for every concrete group of the ensemble.
+
+    `scaled` holds one row of folded angles times period/(2 pi) per
+    sample, in index order; the O mixture puts its even indices in the
+    SOeven rows and its odd indices in the SOodd rows.
+    """
+    blocks = {}
+    for start in range(0, spec.samples, _CHUNK):
+        by_group = {}
+        for i in range(start, min(start + _CHUNK, spec.samples)):
+            by_group.setdefault(_sample_group_for_index(spec, i), []).append(i)
+        for group, indices in by_group.items():
+            mats = _sample_batch(group, spec.size, spec.seed, indices)
+            blocks.setdefault(group, []).append(_angles(mats, group, indices))
+    out = {}
+    for group, parts in blocks.items():
+        period = _period(group, _dimension(group, spec.size))
+        scaled = np.concatenate(parts) * (period / (2.0 * math.pi))
+        scaled.flags.writeable = False  # every cache hit shares it
+        out[group] = (scaled, period)
     return out
 
 
-def _spectra(spec: EnsembleSpec):
-    key = (spec.group, spec.size, spec.samples, spec.seed)
-    if key in _SPECTRUM_CACHE:
-        return _SPECTRUM_CACHE[key]
-    by_index = {}
-    for start in range(0, spec.samples, _CHUNK):
-        chunk = range(start, min(start + _CHUNK, spec.samples))
-        groups = {}
-        for i in chunk:
-            groups.setdefault(_sample_group_for_index(spec, i), []).append(i)
-        for group, indices in groups.items():
-            by_index.update(zip(indices,
-                                _batch_spectra(group, spec, indices)))
-    result = tuple(by_index[i] for i in range(spec.samples))
-    _SPECTRUM_CACHE[key] = result
-    return result
+clear_spectrum_cache = _spectra.cache_clear
 
 
 @dataclass(frozen=True)
@@ -482,15 +451,21 @@ def ensemble_average(spec: EnsembleSpec, phis, include_zero: bool,
     phis = list(phis)
     # validates n and the supports before any matrix is sampled
     prediction = prediction_for(spec.group, phis, include_zero, beta_n)
-    spectra = _spectra(spec)
-    values = [d_n_statistic(s, phis, include_zero) for s in spectra]
+    values = []
+    for group, (scaled, period) in _spectra(spec).items():
+        zeros = [periodized_value(phi, period, 0.0) for phi in phis]
+        with_zero = include_zero and group == "SOodd"
+        mult = 1.0 if group == "U" else 2.0
+        for start in range(0, len(scaled), _CHUNK):
+            block = scaled[start:start + _CHUNK]
+            vals = np.stack([periodized_value(phi, period, block)
+                             for phi in phis], axis=1)
+            values.extend(_d_n(v, zeros, with_zero, mult) for v in vals)
     count = len(values)
     mean = math.fsum(values) / count
-    if count > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
-        stderr = math.sqrt(var / count)
-    else:
-        stderr = 0.0
+    # one sample has no spread: its sum of squares is exactly 0
+    var = math.fsum((v - mean) ** 2 for v in values) / max(count - 1, 1)
+    stderr = math.sqrt(var / count)
     z = (mean - prediction) / stderr if stderr > 0 else 0.0
     return EnsembleReport(
         statistic="D%d" % len(phis),
@@ -514,10 +489,6 @@ def mean_scaled_spacing(spec: EnsembleSpec) -> float:
     percent below 1 at moderate matrix size; it converges to 1 as the size
     grows.  This is a diagnostic, not a calibration target.
     """
-    gaps = []
-    for s in _spectra(spec):
-        pts = s.scaled
-        gaps.extend(pts[j + 1] - pts[j] for j in range(len(pts) - 1))
-    if not gaps:
-        return 0.0
-    return math.fsum(gaps) / len(gaps)
+    gaps = np.concatenate([np.diff(scaled).ravel()
+                           for scaled, _ in _spectra(spec).values()])
+    return math.fsum(gaps.tolist()) / len(gaps)

@@ -167,6 +167,18 @@ class TestMoments:
                          "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    def test_non_prime_exits_2_before_quadrature(self, tmp_path,
+                                                 monkeypatch, capsys):
+        def integrated(*args, **kwargs):
+            raise AssertionError("quadrature ran before validation")
+        monkeypatch.setattr("lowlying.measures.integrate", integrated)
+        code = cli.main(["moments", "--primes", "2,3,5,4",
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
 
 # ---------------------------------------------------------------------------
 # rmt
@@ -287,6 +299,33 @@ class TestFamily:
         code = cli.main(["family", "--primes", "2,2", "--forms", "10",
                          "--out", str(tmp_path / "f.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--m", "7"], ["--m", "1,0"], ["--joint-primes", "7"],
+        ["--joint-primes", "2,2"], ["--joint-degree", "9"],
+        ["--split-m", "0"], ["--split-m", "14"]],
+        ids=lambda flags: "=".join(flags).lstrip("-"))
+    def test_bad_report_input_exits_2_before_sampling(self, flags, tmp_path,
+                                                      monkeypatch, capsys):
+        def sampled(spec):
+            raise AssertionError("family sampled before validation")
+        monkeypatch.setattr("lowlying.family.generate_family", sampled)
+        code = cli.main(["family", "--out", str(tmp_path / "f.json")]
+                        + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'" not in err
+        assert not (tmp_path / "f.json").exists()
+
+    def test_split_m_is_not_checked_without_the_split(self, tmp_path):
+        out = tmp_path / "f.json"
+        code = cli.main(["family", "--primes", "2", "--forms", "200",
+                         "--seed", "7", "--rule", "level_one_parity",
+                         "--m", "1", "--split-m", "0", "--zmax", "50",
+                         "--out", str(out)])
+        assert code == 0
+        assert read_json(out)["split"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -185,41 +185,52 @@ class TestBatchedAngles:
         # matrices of dimension 8 (9 for SOodd) and 30 (31)
         indices = list(range(200))
         mats = rmt._sample_batch(group, size, 77, indices)
-        got = rmt._reflected_spectra(mats, group, indices)
-        for mat, spectrum in zip(mats, got):
+        got = rmt._angles(mats, group, indices)
+        assert got.shape == (200, size)
+        for mat, row in zip(mats, got):
             ang = np.sort(np.abs(np.angle(np.linalg.eigvals(mat))))
             if group == "SOodd":
                 ang = ang[1:]
             want = 0.5 * (ang[0::2] + ang[1::2])
-            assert_allclose(spectrum.angles, want, rtol=0, atol=1e-12)
+            assert_allclose(row, want, rtol=0, atol=1e-12)
 
     def test_odd_forced_zero_is_exact(self):
         mats = rmt._sample_batch("SOodd", 15, 78, range(200))
         assert np.max(rmt._abs_angles(mats)[:, 0]) < 1e-12
 
     def test_error_names_the_sample_index(self):
-        mats = rmt._sample_batch("SOeven", 3, 79, range(4))
-        mats[2] *= 1.001
-        with pytest.raises(rmt.EigenSolverError, match="sample index 12"):
-            rmt._reflected_spectra(mats, "SOeven", [10, 11, 12, 13])
+        for group in ("SOeven", "U"):
+            mats = rmt._sample_batch(group, 3, 79, range(4))
+            mats[2] *= 1.001
+            with pytest.raises(rmt.EigenSolverError,
+                               match="sample index 12"):
+                rmt._angles(mats, group, [10, 11, 12, 13])
 
     def test_single_matrix_matches_stack(self):
-        spec = _spec("USp", 4, 9)
-        stack = rmt._spectra(spec)
-        rmt.clear_spectrum_cache()
-        for i in (0, 5, 8):
-            assert rmt.scaled_spectrum(rmt.haar_sample(spec, i),
-                                       "USp") == stack[i]
+        for group in ("USp", "U"):
+            spec = _spec(group, 4, 9)
+            scaled, period = rmt._spectra(spec)[group]
+            rmt.clear_spectrum_cache()
+            for i in (0, 5, 8):
+                single = rmt.scaled_spectrum(rmt.haar_sample(spec, i), group)
+                assert single.scaled == tuple(scaled[i].tolist())
+                assert single.period == period
 
     @pytest.mark.parametrize("group", ["SOodd", "USp", "O"])
     def test_chunk_size_does_not_change_spectra(self, group, monkeypatch):
         spec = _spec(group, 6, 40)
+        phis = [FEJER(0.3)] * 3
         default = rmt._spectra(spec)
+        mean = rmt.ensemble_average(spec, phis, True).mc_mean
         rmt.clear_spectrum_cache()
         monkeypatch.setattr(rmt, "_CHUNK", 7)
-        assert rmt._spectra(spec) == default
+        small = rmt._spectra(spec)
+        assert rmt.ensemble_average(spec, phis, True).mc_mean == mean
         rmt.clear_spectrum_cache()
-
+        assert list(small) == list(default)
+        for g, (scaled, period) in default.items():
+            assert np.array_equal(small[g][0], scaled)
+            assert small[g][1] == period
 
 
 class TestPeriodizedValue:
@@ -280,6 +291,22 @@ class TestStatistic:
             phis = [FEJER(0.45), FEJER(0.3), FEJER(0.2)]
             got = rmt.d_n_statistic(spectrum, phis, True)
             assert got == brute_d_n(spectrum, phis, True)
+
+    def test_four_level_matches_enumeration(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            spectrum = random_small_spectrum(rng)
+            phis = [FEJER(rng.choice([0.1, 0.2, 0.25])) for _ in range(4)]
+            for include in (True, False):
+                assert (rmt.d_n_statistic(spectrum, phis, include)
+                        == brute_d_n(spectrum, phis, include))
+        for m in range(5):
+            spectrum = _soodd_spectrum(
+                sorted(rng.uniform(0.1, 4.5) for _ in range(m)), 10.0)
+            phis = [FEJER(0.2), FEJER(0.1), FEJER(0.25), FEJER(0.2)]
+            for include in (True, False):
+                assert (rmt.d_n_statistic(spectrum, phis, include)
+                        == brute_d_n(spectrum, phis, include))
 
     def test_empty_spectrum(self):
         s = rmt.ScaledSpectrum(angles=(), scaled=(), forced_zero=False,
@@ -357,9 +384,34 @@ class TestEnsembleAverage:
         assert payload["statistic"] == "D1"
 
     def test_mixture_alternates_groups(self):
-        spectra = rmt._spectra(_spec("O", 4, 6))
-        assert [s.group for s in spectra] == ["SOeven", "SOodd"] * 3
-        assert [s.forced_zero for s in spectra] == [False, True] * 3
+        spec = _spec("O", 4, 6)
+        spectra = rmt._spectra(spec)
+        rmt.clear_spectrum_cache()
+        assert list(spectra) == ["SOeven", "SOodd"]
+        for group, indices in (("SOeven", (0, 2, 4)), ("SOodd", (1, 3, 5))):
+            scaled, _ = spectra[group]
+            assert scaled.shape == (3, 4)
+            assert not scaled.flags.writeable
+            for row, i in zip(scaled, indices):
+                single = rmt.scaled_spectrum(rmt.haar_sample(spec, i), group)
+                assert single.scaled == tuple(row.tolist())
+
+    @pytest.mark.parametrize("include_zero", [True, False])
+    def test_mixture_mean_matches_one_spectrum_path(self, include_zero,
+                                                    monkeypatch):
+        # the array path against the public one-spectrum path, with
+        # blocks of 7 and 3 rows per group
+        monkeypatch.setattr(rmt, "_CHUNK", 7)
+        spec = _spec("O", 5, 20)
+        phis = [FEJER(0.3), FEJER(0.25), FEJER(0.2)]
+        report = rmt.ensemble_average(spec, phis, include_zero)
+        rmt.clear_spectrum_cache()
+        values = [rmt.d_n_statistic(
+                      rmt.scaled_spectrum(rmt.haar_sample(spec, i),
+                                          ("SOeven", "SOodd")[i % 2]),
+                      phis, include_zero)
+                  for i in range(spec.samples)]
+        assert report.mc_mean == math.fsum(values) / len(values)
 
 
 class TestEnsembleStatistics:
