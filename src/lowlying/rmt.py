@@ -347,7 +347,7 @@ def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
         raise ValueError("need at least one test function")
     xs = np.asarray(spectrum.scaled, dtype=float)
     vals = np.array([periodized_value(phi, spectrum.period, xs)
-                     for phi in phis]).reshape(len(phis), len(xs))
+                     for phi in phis])
     zeros = [periodized_value(phi, spectrum.period, 0.0) for phi in phis]
     return _d_n(vals, zeros, include_zero and spectrum.forced_zero,
                 2.0 if spectrum.reflect else 1.0)
