@@ -89,6 +89,13 @@ def _to_float(raw):
         raise UsageError("expected a number, got %r" % (raw,))
 
 
+def _to_positive(raw):
+    value = _to_float(raw)
+    if not value > 0.0:  # NaN fails this too
+        raise UsageError("expected a positive number, got %s" % (raw,))
+    return value
+
+
 def _to_bool(raw):
     text = str(raw).strip().lower()
     if text in ("1", "true", "yes", "on"):
@@ -169,7 +176,7 @@ def _cmd_density(args):
     cfg = _load(args)
     p = _resolve(args, cfg, "p", _to_int, 2)
     grid = _resolve(args, cfg, "grid", _to_int, 41)
-    tol = _resolve(args, cfg, "tol", _to_float, 1e-8)
+    tol = _resolve(args, cfg, "tol", _to_positive, 1e-8)
     out = _resolve(args, cfg, "out", str, None)
     if grid < 2:
         raise UsageError("grid must be at least 2")
@@ -208,7 +215,7 @@ def _cmd_moments(args):
     cfg = _load(args)
     primes = _resolve(args, cfg, "primes", _to_int_list, [2, 3, 5])
     nmax = _resolve(args, cfg, "nmax", _to_int, 6)
-    tol = _resolve(args, cfg, "tol", _to_float, 1e-6)
+    tol = _resolve(args, cfg, "tol", _to_positive, 1e-6)
     out = _resolve(args, cfg, "out", str, None)
     if nmax < 1:
         raise UsageError("nmax must be at least 1")
@@ -258,7 +265,7 @@ def _cmd_rmt(args):
     seed = _resolve(args, cfg, "seed", _to_int, 20260822)
     betas = _resolve(args, cfg, "beta", _to_float_list, [0.9])
     include_zero = _resolve(args, cfg, "include_zero", _to_bool, True)
-    zmax = _resolve(args, cfg, "zmax", _to_float, 3.0)
+    zmax = _resolve(args, cfg, "zmax", _to_positive, 3.0)
     out = _resolve(args, cfg, "out", str, None)
     if group not in rmt.GROUPS:
         raise UsageError("group must be one of %s" % (rmt.GROUPS,))
@@ -306,7 +313,7 @@ def _cmd_family(args):
                             primes[:2])
     joint_degree = _resolve(args, cfg, "joint_degree", _to_int, 2)
     split_m = _resolve(args, cfg, "split_m", _to_int, 4)
-    zmax = _resolve(args, cfg, "zmax", _to_float, 3.0)
+    zmax = _resolve(args, cfg, "zmax", _to_positive, 3.0)
     csv_path = _resolve(args, cfg, "csv", str, "")
     out = _resolve(args, cfg, "out", str, None)
     spec = family_mod.FamilySpec(primes=tuple(primes), forms=forms,

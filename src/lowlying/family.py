@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -256,18 +257,15 @@ def main_term_std(m: int) -> StdMainTerm:
 # joint equidistribution
 
 
-_MOMENT_CACHE: dict = {}
-
-
 def _prime_moment(p, e, f):
     """Quadrature moment of x^e y^f at prime p; symmetric in (e, f)."""
-    key = (p, e, f) if e >= f else (p, f, e)
-    if key not in _MOMENT_CACHE:
-        _, ke, kf = key[0], key[1], key[2]
-        _MOMENT_CACHE[key] = float(measures.integrate(
-            measures.vertical_measure(p), lambda x, y: x ** ke * y ** kf,
-            tol=1e-9))
-    return _MOMENT_CACHE[key]
+    return _ordered_moment(p, max(e, f), min(e, f))
+
+
+@lru_cache(maxsize=64)
+def _ordered_moment(p, e, f):
+    return float(measures.integrate(measures.vertical_measure(p),
+                                    lambda x, y: x ** e * y ** f, tol=1e-9))
 
 
 @dataclass(frozen=True)

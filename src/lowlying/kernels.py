@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -369,18 +370,14 @@ def density_W(G: SymmetryType, xs):
 # ---------------------------------------------------------------------------
 # determinant-route predictions via cycle integrals
 
-_J_CACHE: dict = {}
-
 _CORE_HALF_WIDTH = 24.0
 _BOX2 = (100.0, 12)  # half-width and per-unit order for the double integral
 _BOX3 = (56.0, 12)   # same for the triple integral
 
 
+@lru_cache(maxsize=64)
 def _j1(phi: TestFunction, eps: int):
     """int phi(x) K_eps(x,x) dx with exact trigonometric tails."""
-    key = ("j1", phi, eps)
-    if key in _J_CACHE:
-        return _J_CACHE[key]
     a = _CORE_HALF_WIDTH
     nodes, weights = panel_grid(0.0, a, int(2 * a), 16)
     vals = phi.value(nodes) * (1.0 + eps * np.sinc(2.0 * nodes))
@@ -390,9 +387,7 @@ def _j1(phi: TestFunction, eps: int):
         tail_sum = tail_sum.plus((phi.tail_terms() * _SINC2X).scaled(eps))
     tail = tail_sum.integral_from(a)
     value = 2.0 * (core + tail)
-    result = (value, 1e-13 * (1.0 + abs(value)))
-    _J_CACHE[key] = result
-    return result
+    return value, 1e-13 * (1.0 + abs(value))
 
 
 def _grid_weights(phis, half_width, order):
@@ -430,19 +425,16 @@ def _j2_table(phis, eps, half_width, order):
             for wa in weights]
 
 
-def _j2_pairs(phis, eps):
+@lru_cache(maxsize=64)
+def _j2_pairs(phis: tuple, eps):
     """(value, error) of the double integral of phi_a phi_b K^2 over the
     plane for every pair a < b of phis, from one kernel matrix per grid."""
-    keys = {(a, b): ("j2", phis[a], phis[b], eps)
+    t, order = _BOX2
+    v, coarse, short = (_j2_table(phis, eps, *box) for box in
+                        ((t, order), (t, order - 2), (0.8 * t, order)))
+    return {(a, b): (v[a][b], abs(v[a][b] - coarse[a][b])
+                     + abs(v[a][b] - short[a][b]))
             for a, b in combinations(range(len(phis)), 2)}
-    if any(key not in _J_CACHE for key in keys.values()):
-        t, order = _BOX2
-        v, coarse, short = (_j2_table(phis, eps, *box) for box in
-                            ((t, order), (t, order - 2), (0.8 * t, order)))
-        for (a, b), key in keys.items():
-            err = abs(v[a][b] - coarse[a][b]) + abs(v[a][b] - short[a][b])
-            _J_CACHE.setdefault(key, (v[a][b], err))
-    return {ab: _J_CACHE[key] for ab, key in keys.items()}
 
 
 def _j3_value(phis, eps, half_width, order):
@@ -454,47 +446,45 @@ def _j3_value(phis, eps, half_width, order):
     return math.fsum((w2 * inner).tolist())
 
 
-def _j3(phis, eps):
+@lru_cache(maxsize=64)
+def _j3(phis: tuple, eps):
     """triple integral of phi1 phi2 phi3 K(x,y)K(y,z)K(z,x)."""
-    key = ("j3", tuple(phis), eps)
-    if key in _J_CACHE:
-        return _J_CACHE[key]
     t, order = _BOX3
     value = _j3_value(phis, eps, t, order)
-    err = abs(value - _j3_value(phis, eps, 0.8 * t, order))
-    result = (value, err)
-    _J_CACHE[key] = result
-    return result
+    return value, abs(value - _j3_value(phis, eps, 0.8 * t, order))
 
 
-def _continuous_prediction(eps, phis):
-    """int prod phi_i  det(K_eps) over R^n for n <= 3, via cycle integrals."""
-    n = len(phis)
-    if n == 1:
-        return _j1(phis[0], eps)
-    if n == 2:
-        j1a, e1a = _j1(phis[0], eps)
-        j1b, e1b = _j1(phis[1], eps)
-        j2, e2 = _j2_pairs(phis, eps)[0, 1]
+def _continuous_prediction(eps, phis: tuple, idx=None):
+    """int prod phi_i  det(K_eps) over R^n for n <= 3, via cycle integrals.
+
+    `idx` (ascending) picks a sub-list of phis, whose pair integrals come
+    from the table of the whole list: a sub-list builds no kernel matrix.
+    """
+    idx = tuple(range(len(phis))) if idx is None else idx
+    if len(idx) > 3:
+        raise NotImplementedError(
+            "determinant-route predictions are implemented for n <= 3")
+    j1 = [_j1(phis[i], eps) for i in idx]
+    if len(idx) == 1:
+        return j1[0]
+    table = _j2_pairs(phis, eps)
+    if len(idx) == 2:
+        (j1a, e1a), (j1b, e1b) = j1
+        j2, e2 = table[idx]
         value = j1a * j1b - j2
         err = abs(j1b) * e1a + abs(j1a) * e1b + e2
         return value, err
-    if n == 3:
-        j1 = [_j1(p, eps) for p in phis]
-        pairs = [(1, 2), (0, 2), (0, 1)]
-        table = _j2_pairs(phis, eps)
-        j2 = [table[ab] for ab in pairs]
-        j3, e3 = _j3(tuple(phis), eps)
-        value = j1[0][0] * j1[1][0] * j1[2][0]
-        err = 3.0 * max(e[1] for e in j1) * max(1.0, max(abs(e[0]) for e in j1)) ** 2
-        for fix, (i, j) in enumerate(pairs):
-            value -= j1[fix][0] * j2[fix][0]
-            err += abs(j1[fix][0]) * j2[fix][1] + j1[fix][1] * abs(j2[fix][0])
-        value += 2.0 * j3
-        err += 2.0 * e3
-        return value, err
-    raise NotImplementedError(
-        "determinant-route predictions are implemented for n <= 3")
+    pairs = [(1, 2), (0, 2), (0, 1)]
+    j2 = [table[ab] for ab in pairs]
+    j3, e3 = _j3(phis, eps)
+    value = j1[0][0] * j1[1][0] * j1[2][0]
+    err = 3.0 * max(e[1] for e in j1) * max(1.0, max(abs(e[0]) for e in j1)) ** 2
+    for fix in range(3):
+        value -= j1[fix][0] * j2[fix][0]
+        err += abs(j1[fix][0]) * j2[fix][1] + j1[fix][1] * abs(j2[fix][0])
+    value += 2.0 * j3
+    err += 2.0 * e3
+    return value, err
 
 
 def _check_supports(phis, beta_n):
@@ -507,7 +497,7 @@ def _check_supports(phis, beta_n):
 
 def prediction_with_error(G: SymmetryType, phis, beta_n=None):
     """n-level prediction and its quadrature error estimate."""
-    phis = list(phis)
+    phis = tuple(phis)
     n = len(phis)
     if n < 1:
         raise ValueError("need at least one test function")
@@ -523,9 +513,9 @@ def prediction_with_error(G: SymmetryType, phis, beta_n=None):
     if G.tag == "SOodd":
         value, err = _continuous_prediction(-1, phis)
         for nu in range(n):
-            rest = phis[:nu] + phis[nu + 1:]
+            rest = tuple(i for i in range(n) if i != nu)
             if rest:
-                sub, sub_err = _continuous_prediction(-1, rest)
+                sub, sub_err = _continuous_prediction(-1, phis, rest)
             else:
                 sub, sub_err = 1.0, 0.0
             value += phis[nu].value_at_zero * sub
@@ -731,7 +721,10 @@ def _rubinstein_eval(sign, phis, h):
     return math.fsum(partition_terms)
 
 
-def rubinstein_with_error(sign, phis, grid_step=1e-3, beta_n=None):
+_GRID_STEP = 1e-3
+
+
+def rubinstein_with_error(sign, phis, beta_n=None):
     """Combinatorial expansion value with a Richardson error estimate."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -746,13 +739,13 @@ def rubinstein_with_error(sign, phis, grid_step=1e-3, beta_n=None):
         raise SupportViolation(
             "total Fourier support %.6f reaches the working window [-1,1]"
             % math.fsum(p.beta for p in phis))
-    h = _aligned_step([p.beta for p in phis], grid_step)
+    h = _aligned_step([p.beta for p in phis], _GRID_STEP)
     coarse = _rubinstein_eval(sign, phis, h)
     fine = _rubinstein_eval(sign, phis, h / 2.0)
     value = (4.0 * fine - coarse) / 3.0
     return value, abs(value - fine) + 1e-12
 
 
-def rubinstein_rhs(sign, phis, grid_step=1e-3, beta_n=None) -> float:
+def rubinstein_rhs(sign, phis, beta_n=None) -> float:
     """Sum over set partitions, even block subsets, and pairings."""
-    return rubinstein_with_error(sign, phis, grid_step, beta_n)[0]
+    return rubinstein_with_error(sign, phis, beta_n)[0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -154,16 +155,10 @@ def _angle_integral(kind, p, integrand, normalization, tol, max_panels):
                            max_panels=max_panels)
 
 
-_MASS_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _raw_mass(kind, p):
-    key = (kind, p)
-    if key not in _MASS_CACHE:
-        val, _, _ = _angle_integral(kind, p, lambda x, y: np.ones_like(x),
-                                    1.0, 1e-9, 40000)
-        _MASS_CACHE[key] = val
-    return _MASS_CACHE[key]
+    return _angle_integral(kind, p, lambda x, y: np.ones_like(x),
+                           1.0, 1e-9, 40000)[0]
 
 
 def vertical_measure(p) -> MeasureSpec:
@@ -189,17 +184,11 @@ def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8,
     return val
 
 
-_ENVELOPE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _envelope(spec: MeasureSpec):
-    key = (spec.kind, spec.p)
-    if key not in _ENVELOPE_CACHE:
-        g = np.linspace(-2.0, 2.0, 401)
-        xx, yy = np.meshgrid(g, g, indexing="ij")
-        d = density_mu_p(spec, xx.ravel(), yy.ravel())
-        _ENVELOPE_CACHE[key] = 1.05 * float(np.max(d))
-    return _ENVELOPE_CACHE[key]
+    g = np.linspace(-2.0, 2.0, 401)
+    xx, yy = np.meshgrid(g, g, indexing="ij")
+    return 1.05 * float(np.max(density_mu_p(spec, xx.ravel(), yy.ravel())))
 
 
 def _stream_address(spec: MeasureSpec, rng):
@@ -209,7 +198,10 @@ def _stream_address(spec: MeasureSpec, rng):
     return int(rng), (spec.p if spec.kind == "vertical" else 1)
 
 
-def sample_array(spec: MeasureSpec, rng, count, max_attempts=4096):
+_MAX_ATTEMPTS = 4096
+
+
+def sample_array(spec: MeasureSpec, rng, count):
     """Rejection-sample `count` points; returns an array of shape (count, 2).
 
     Each draw consumes its own (index, attempt) substream, so the result
@@ -224,10 +216,10 @@ def sample_array(spec: MeasureSpec, rng, count, max_attempts=4096):
     pending = np.arange(count, dtype=np.uint64)
     attempt = 0
     while pending.size:
-        if attempt >= max_attempts:
+        if attempt >= _MAX_ATTEMPTS:
             raise RejectionBudgetError(
                 "rejection budget %d exhausted with %d draws pending"
-                % (max_attempts, pending.size))
+                % (_MAX_ATTEMPTS, pending.size))
         u = _rng.uniforms(seed, stream, pending, attempt, 3)
         x = 4.0 * u[:, 0] - 2.0
         y = 4.0 * u[:, 1] - 2.0

@@ -427,30 +427,30 @@ class EnsembleReport:
         }
 
 
-def prediction_for(group: str, phis, include_zero: bool, beta_n=None) -> float:
+def prediction_for(group: str, phis, include_zero: bool) -> float:
     """Kernel-side prediction matching an ensemble statistic."""
     if group == "SOeven":
-        return float(kernels.n_level_prediction(kernels.SOEVEN, phis, beta_n))
+        return float(kernels.n_level_prediction(kernels.SOEVEN, phis))
     if group == "USp":
-        return float(kernels.n_level_prediction(kernels.SP, phis, beta_n))
+        return float(kernels.n_level_prediction(kernels.SP, phis))
     if group == "U":
-        return float(kernels.n_level_prediction(kernels.U, phis, beta_n))
+        return float(kernels.n_level_prediction(kernels.U, phis))
     if group == "SOodd":
         which = kernels.SOODD if include_zero else kernels.SP
-        return float(kernels.n_level_prediction(which, phis, beta_n))
+        return float(kernels.n_level_prediction(which, phis))
     if group == "O":
-        even = float(kernels.n_level_prediction(kernels.SOEVEN, phis, beta_n))
-        odd = prediction_for("SOodd", phis, include_zero, beta_n)
+        even = float(kernels.n_level_prediction(kernels.SOEVEN, phis))
+        odd = prediction_for("SOodd", phis, include_zero)
         return 0.5 * (even + odd)
     raise ValueError("unknown group %r" % (group,))
 
 
-def ensemble_average(spec: EnsembleSpec, phis, include_zero: bool,
-                     beta_n=None) -> EnsembleReport:
+def ensemble_average(spec: EnsembleSpec, phis,
+                     include_zero: bool) -> EnsembleReport:
     """Mean, standard error, and z-score of the n-level statistic."""
     phis = list(phis)
     # validates n and the supports before any matrix is sampled
-    prediction = prediction_for(spec.group, phis, include_zero, beta_n)
+    prediction = prediction_for(spec.group, phis, include_zero)
     values = []
     for group, (scaled, period) in _spectra(spec).items():
         zeros = [periodized_value(phi, period, 0.0) for phi in phis]

@@ -137,6 +137,20 @@ class TestDensity:
                          "--out", str(tmp_path / "d.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_bad_tol_exits_2_before_quadrature(self, tol, tmp_path,
+                                               monkeypatch, capsys):
+        def integrated(*args, **kwargs):
+            raise AssertionError("quadrature ran before validation")
+        # the mass behind vertical_measure is a quadrature too
+        monkeypatch.setattr("lowlying.measures.adaptive_tensor", integrated)
+        code = cli.main(["density", "--tol", tol,
+                         "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "d.csv").exists()
+
 
 # ---------------------------------------------------------------------------
 # moments
@@ -174,6 +188,19 @@ class TestMoments:
         monkeypatch.setattr("lowlying.measures.integrate", integrated)
         code = cli.main(["moments", "--primes", "2,3,5,4",
                          "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_bad_tol_exits_2_before_quadrature(self, tol, tmp_path,
+                                               monkeypatch, capsys):
+        def integrated(*args, **kwargs):
+            raise AssertionError("quadrature ran before validation")
+        monkeypatch.setattr("lowlying.measures.integrate", integrated)
+        code = cli.main(["moments", "--primes", "2", "--nmax", "1",
+                         "--tol", tol, "--out", str(tmp_path / "m.json")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
@@ -249,6 +276,17 @@ class TestRmt:
         assert "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("zmax", ["0", "-3", "nan"])
+    def test_bad_zmax_exits_2_before_sampling(self, zmax, tmp_path,
+                                              monkeypatch, capsys):
+        self._forbid_sampling(monkeypatch)
+        code = cli.main(["rmt", "--group", "U", "--zmax", zmax,
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
     def test_tiny_zmax_exits_1(self, tmp_path):
         out = tmp_path / "r.json"
         code = cli.main(["rmt", "--group", "U", "--size", "5",
@@ -303,7 +341,8 @@ class TestFamily:
     @pytest.mark.parametrize("flags", [
         ["--m", "7"], ["--m", "1,0"], ["--joint-primes", "7"],
         ["--joint-primes", "2,2"], ["--joint-degree", "9"],
-        ["--split-m", "0"], ["--split-m", "14"]],
+        ["--split-m", "0"], ["--split-m", "14"], ["--zmax", "0"],
+        ["--zmax", "-3"], ["--zmax", "nan"]],
         ids=lambda flags: "=".join(flags).lstrip("-"))
     def test_bad_report_input_exits_2_before_sampling(self, flags, tmp_path,
                                                       monkeypatch, capsys):

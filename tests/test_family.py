@@ -216,6 +216,16 @@ class TestJointMoments:
         assert (family._prime_moment(3, 2, 1)
                 == family._prime_moment(3, 1, 2))
 
+    def test_repeat_runs_no_quadrature(self, monkeypatch):
+        fam = _family(forms=50, primes=(2, 3))
+        family.joint_sato_tate_test(fam, (2, 3), 2)
+
+        def integrated(*args, **kwargs):
+            raise AssertionError("quadrature ran again")
+        monkeypatch.setattr(measures, "adaptive_tensor", integrated)
+        fam = _family(forms=50, primes=(2, 3))
+        family.joint_sato_tate_test(fam, (2, 3), 2)
+
     def test_quadrature_prediction_oracle(self):
         vm = measures.vertical_measure(2)
         direct = measures.integrate(vm, lambda x, y: x * x, tol=1e-10)

@@ -5,6 +5,7 @@ below were derived by hand from the definitions (triangle transforms
 integrate in closed form) before the implementation produced them.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -304,10 +305,20 @@ def test_default_betas():
     assert K.default_betas(3) == pytest.approx(0.3)
 
 
+def _cold_caches(monkeypatch):
+    """Give the cycle integrals empty caches for this test only; the
+    shared caches stay warm for later tests."""
+    for name in ("_j1", "_j2_pairs", "_j3"):
+        cached = getattr(K, name)
+        monkeypatch.setattr(K, name, functools.lru_cache(
+            maxsize=cached.cache_info().maxsize)(cached.__wrapped__))
+
+
 def test_prediction_deterministic(monkeypatch):
     a = K.n_level_prediction(K.SOEVEN, [tf(0.45), tf(0.45)])
-    monkeypatch.setattr(K, "_J_CACHE", {})
+    _cold_caches(monkeypatch)
     b = K.n_level_prediction(K.SOEVEN, [tf(0.45), tf(0.45)])
+    assert K._j2_pairs.cache_info().misses == 1
     assert a == b
 
 
@@ -350,14 +361,18 @@ def test_j2_table_matches_direct_double_sums(eps):
 
 
 def test_j2_pairs_of_a_sublist_come_from_the_cache(monkeypatch):
-    phis = [tf(0.3), tf(0.28), tf(0.25)]
-    full = K._j2_pairs(phis, 1)
+    # the odd orthogonal prediction also integrates each two-element
+    # sub-list; those pairs must come from the whole list's table
+    _cold_caches(monkeypatch)
+    kmat = K._kmat
+    built = []
 
-    def rebuilt(nodes, eps):
-        raise AssertionError("pair integrated twice")
-    monkeypatch.setattr(K, "_kmat", rebuilt)
-    for a, b in full:
-        assert K._j2_pairs([phis[a], phis[b]], 1)[0, 1] == full[a, b]
+    def counted(nodes, eps):
+        built.append(eps)
+        return kmat(nodes, eps)
+    monkeypatch.setattr(K, "_kmat", counted)
+    K.prediction_with_error(K.SOODD, [tf(0.29), tf(0.27), tf(0.26)])
+    assert built == [-1] * 5  # three grids for the j2 table, two for j3
 
 
 @pytest.mark.parametrize("betas, soeven, sp", [

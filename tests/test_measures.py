@@ -174,13 +174,9 @@ def test_sampler_chisquare_p3():
     assert chi2 < 21.666
 
 
-def test_envelope_violation_detected():
-    p = 999959
-    key = ("vertical", p)
-    spec = M.vertical_measure(p)
-    M._ENVELOPE_CACHE[key] = 1e-6  # simulate a stale cached supremum
-    try:
-        with pytest.raises(M.EnvelopeViolation):
-            M.sample_array(spec, 0, 10)
-    finally:
-        M._ENVELOPE_CACHE.pop(key, None)
+def test_envelope_violation_detected(monkeypatch):
+    spec = M.vertical_measure(999959)
+    # simulate a stale cached supremum
+    monkeypatch.setattr(M, "_envelope", lambda spec: 1e-6)
+    with pytest.raises(M.EnvelopeViolation):
+        M.sample_array(spec, 0, 10)

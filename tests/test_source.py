@@ -42,3 +42,84 @@ def test_scan_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+_DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear"}
+
+
+def _is_dict(node):
+    return isinstance(node, (ast.Dict, ast.DictComp)) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "dict")
+
+
+def _unbounded(decorator):
+    """functools.cache, or an lru_cache with maxsize=None."""
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", "")
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(decorator, ast.Call):
+        return False  # a bare lru_cache holds 128 entries
+    sizes = decorator.args[:1] + [k.value for k in decorator.keywords
+                                  if k.arg == "maxsize"]
+    return any(isinstance(s, ast.Constant) and s.value is None
+               for s in sizes)
+
+
+def memo_faults(source):
+    """Functions that write into a module-level dict, or memoize without
+    a bound, as "function: what" strings."""
+    tree = ast.parse(source)
+    dicts = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _is_dict(node.value):
+            dicts.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and node.value is not None \
+                and _is_dict(node.value):
+            dicts.add(node.target.id)
+    faults = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if any(_unbounded(d) for d in fn.decorator_list):
+            faults.add("%s: unbounded cache" % fn.name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) \
+                    and not isinstance(node.ctx, ast.Load):
+                target = node.value
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _DICT_WRITES:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in dicts:
+                faults.add("%s: %s" % (fn.name, target.id))
+    return sorted(faults)
+
+
+def test_scan_finds_module_dict_writes_and_unbounded_caches():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "CACHE: dict = {}\nTABLE = {'a': 1}\nOTHER = dict()\n"
+              "def f(k):\n    CACHE[k] = 1\n    local = {}\n"
+              "    local[k] = 2\n    return TABLE[k]\n"
+              "def g(k):\n    OTHER.setdefault(k, 0)\n    CACHE.pop(k)\n"
+              "    del TABLE[k]\n    TABLE.get(k)\n"
+              "@lru_cache\ndef h(k):\n    return k\n"
+              "@lru_cache(None)\ndef h2(k):\n    return k\n"
+              "@functools.lru_cache(maxsize=None)\ndef i(k):\n    return k\n"
+              "@cache\ndef j(k):\n    return k\n"
+              "@lru_cache(64)\ndef k(x):\n    return x\n"
+              "@functools.lru_cache(maxsize=8)\ndef m(x):\n    return x\n")
+    assert memo_faults(source) == [
+        "f: CACHE", "g: CACHE", "g: OTHER", "g: TABLE", "h2: unbounded cache",
+        "i: unbounded cache", "j: unbounded cache"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_memos_are_bounded_lru_caches(path):
+    assert memo_faults(path.read_text()) == []
