@@ -328,6 +328,9 @@ def _cmd_family(args):
         raise UsageError("joint degree must be in 1..4, got %d" % joint_degree)
     if rule == "balanced":
         _check_in_window("split m", split_m, primes)
+        if forms < 2:
+            raise UsageError("the balanced split needs at least 2 forms, "
+                             "got %d" % forms)
     fam = family_mod.generate_family(spec)
     averages = [family_mod.average_coefficient(fam, m) for m in m_list]
     joint = family_mod.joint_sato_tate_test(fam, joint_primes, joint_degree)

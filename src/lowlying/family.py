@@ -401,6 +401,8 @@ def plus_minus_split_test(family: Family, m: int) -> SplitReport:
     counts = {}
     for sign, tag in ((1, "plus"), (-1, "minus")):
         sub = vals[family.epsilons == sign]
+        if not len(sub):
+            raise ValueError("the %s sign class is empty" % tag)
         counts[tag] = len(sub)
         mean, stderr = _mean_stderr(sub)
         reports[tag] = AverageReport(

@@ -8,7 +8,9 @@ Two independent evaluation routes are kept deliberately separate:
   large box, plus exact trigonometric tail integrals of the closed-form
   test function);
 * the combinatorial route works entirely on the Fourier side (grid
-  convolutions of the compactly supported transforms, pairing sums).
+  convolutions of the compactly supported transforms); its sum over set
+  partitions, even block subsets and pairings is one recursion over
+  subsets of the inputs.
 
 Their agreement is a theorem, and the test suite checks it numerically;
 neither route borrows intermediate results from the other.
@@ -34,14 +36,11 @@ from .quadrature import panel_grid
 __all__ = [
     "TestFunction",
     "SymmetryType",
-    "PartitionStructure",
     "SupportViolation",
     "kernel_eval",
     "density_W",
     "n_level_prediction",
     "prediction_with_error",
-    "enumerate_partitions",
-    "enumerate_pairings",
     "rubinstein_rhs",
     "rubinstein_with_error",
     "fejer_test_function",
@@ -535,78 +534,7 @@ def n_level_prediction(G: SymmetryType, phis, beta_n=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# partitions, pairings, and the combinatorial route
-
-
-@dataclass(frozen=True)
-class PartitionStructure:
-    """A set partition of {1..n} with blocks ordered by least element."""
-
-    n: int
-    blocks: tuple
-
-    def __post_init__(self):
-        seen = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("empty block")
-            if seen & set(b):
-                raise ValueError("blocks must be disjoint")
-            seen |= set(b)
-        if seen != set(range(1, self.n + 1)):
-            raise ValueError("blocks must cover {1..n}")
-
-    @property
-    def nu(self) -> int:
-        return len(self.blocks)
-
-
-def enumerate_partitions(n: int):
-    """All set partitions of {1..n}, blocks sorted by least element."""
-    if not 1 <= n <= 8:
-        raise ValueError("n must be in 1..8")
-    out = []
-
-    def grow(i, blocks):
-        if i > n:
-            out.append(PartitionStructure(
-                n, tuple(tuple(b) for b in blocks)))
-            return
-        for b in blocks:
-            b.append(i)
-            grow(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        grow(i + 1, blocks)
-        blocks.pop()
-
-    grow(1, [])
-    return out
-
-
-def enumerate_pairings(items):
-    """All perfect matchings of the given even-sized collection."""
-    items = list(items)
-    if len(items) % 2:
-        raise ValueError("cannot pair an odd number of items")
-    if not items:
-        return [()]
-    out = []
-    first, rest = items[0], items[1:]
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for sub in enumerate_pairings(remaining):
-            out.append(((first, partner),) + sub)
-    return out
-
-
-def _even_subsets(k):
-    out = []
-    for mask in range(1 << k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        if len(idx) % 2 == 0:
-            out.append(tuple(idx))
-    return out
+# the combinatorial route
 
 
 def _aligned_step(betas, step):
@@ -633,24 +561,6 @@ def _halved_ends(v):
     return v
 
 
-def _block_grid(phis_in_block, h):
-    """Convolution of the block's transforms sampled on a step-h grid.
-
-    Returns (values, half_index): values[j] is the true convolution value
-    at u = (j - half_index)*h.  Trapezoid endpoint halving is applied to
-    convolution operands only, never to the stored samples.
-    """
-    acc = None
-    for phi in phis_in_block:
-        m = int(round(phi.beta / h))
-        v = phi.fourier(np.arange(-m, m + 1) * h)
-        if acc is None:
-            acc = v
-        else:
-            acc = np.convolve(_halved_ends(acc), _halved_ends(v)) * h
-    return acc, (acc.size - 1) // 2
-
-
 def _pair_integral(ga, gb, h):
     """int |u| A(u) B(u) du for two centered grids with the same step."""
     (va, ca), (vb, cb) = ga, gb
@@ -661,64 +571,54 @@ def _pair_integral(ga, gb, h):
     return h * float(np.sum(_halved_ends(a * b * w)))
 
 
+def _submasks(mask):
+    """Every submask of the bitmask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 def _rubinstein_eval(sign, phis, h):
-    n = len(phis)
-    partitions = enumerate_partitions(n)
-    block_cache = {}
+    """The sum over set partitions, even block subsets and their pairings,
+    as one recursion over bitmask subsets of the inputs.
 
-    def block_data(block):
-        key = tuple(sorted(block))
-        if key not in block_cache:
-            fns = [phis[i - 1] for i in key]
-            if len(fns) == 1:
-                hat0 = fns[0].fourier_at_zero
-                grid = _block_grid(fns, h)
-            else:
-                grid = _block_grid(fns, h)
-                hat0 = float(grid[0][grid[1]])
-            phi0 = 1.0
-            for f in fns:
-                phi0 *= f.value_at_zero
-            block_cache[key] = (grid, hat0, phi0)
-        return block_cache[key]
-
-    pair_cache = {}
-
-    def pair_integral(block_a, block_b):
-        key = (tuple(sorted(block_a)), tuple(sorted(block_b)))
-        key = tuple(sorted(key))
-        if key not in pair_cache:
-            ga = block_data(key[0])[0]
-            gb = block_data(key[1])[0]
-            pair_cache[key] = _pair_integral(ga, gb, h)
-        return pair_cache[key]
-
-    partition_terms = []
-    for part in partitions:
-        blocks = part.blocks
-        prefactor = (-2.0) ** (n - part.nu)
-        for b in blocks:
-            prefactor *= math.factorial(len(b) - 1)
-        subset_terms = []
-        for subset in _even_subsets(len(blocks)):
-            chosen = set(subset)
-            factor = 1.0
-            for li, b in enumerate(blocks):
-                if li not in chosen:
-                    _, hat0, phi0 = block_data(b)
-                    factor *= hat0 + sign * 0.5 * phi0
-            pairing_terms = []
-            for pairing in enumerate_pairings(list(subset)):
-                val = 2.0 ** (len(subset) // 2)
-                for a_idx, b_idx in pairing:
-                    val *= pair_integral(blocks[a_idx], blocks[b_idx])
-                pairing_terms.append(val)
-            pair_sum = math.fsum(pairing_terms) if pairing_terms else 0.0
-            if not subset:
-                pair_sum = 1.0
-            subset_terms.append(factor * pair_sum)
-        partition_terms.append(prefactor * math.fsum(subset_terms))
-    return math.fsum(partition_terms)
+    With w(B) = (-2)^(|B|-1) (|B|-1)!, every term splits the inputs into
+    units: one block B, worth w(B) (hat0(B) + sign phi0(B) / 2), or an
+    unordered pair of blocks a, b, worth 2 w(a) w(b) P(a, b).  The sum is
+    F(all), where F(0) = 1 and F(S) sums g(U) F(S - U) over the units U of
+    S holding the lowest index of S, g(U) being U's total worth.  A
+    block's grid folds its transforms in ascending index order.
+    """
+    size = 1 << len(phis)
+    grids, weight, phi0 = [None] * size, [0.0] * size, [1.0] * size
+    unit, total = [0.0] * size, [1.0] + [0.0] * (size - 1)
+    for mask in range(1, size):
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        if rest:
+            v = np.convolve(_halved_ends(grids[rest][0]),
+                            _halved_ends(grids[1 << top][0])) * h
+            hat0 = float(v[(v.size - 1) // 2])
+        else:
+            m = int(round(phis[top].beta / h))
+            v = phis[top].fourier(np.arange(-m, m + 1) * h)
+            hat0 = phis[top].fourier_at_zero
+        grids[mask] = v, (v.size - 1) // 2
+        phi0[mask] = phi0[rest] * phis[top].value_at_zero
+        k = mask.bit_count()
+        weight[mask] = (-2.0) ** (k - 1) * math.factorial(k - 1)
+        low = mask & -mask
+        unit[mask] = math.fsum(
+            [weight[mask] * (hat0 + sign * 0.5 * phi0[mask])]
+            + [weight[mask ^ b] * weight[b] * 2.0
+               * _pair_integral(grids[mask ^ b], grids[b], h)
+               for b in _submasks(mask ^ low) if b])
+        total[mask] = math.fsum(unit[low | s] * total[mask ^ low ^ s]
+                                for s in _submasks(mask ^ low))
+    return total[-1]
 
 
 _GRID_STEP = 1e-3

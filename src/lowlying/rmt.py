@@ -40,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
+from .family import _mean_stderr, _z_against
 from .measures import RejectionBudgetError
 from .rng import normals
 
@@ -461,12 +462,7 @@ def ensemble_average(spec: EnsembleSpec, phis,
             vals = np.stack([periodized_value(phi, period, block)
                              for phi in phis], axis=1)
             values.extend(_d_n(v, zeros, with_zero, mult) for v in vals)
-    count = len(values)
-    mean = math.fsum(values) / count
-    # one sample has no spread: its sum of squares is exactly 0
-    var = math.fsum((v - mean) ** 2 for v in values) / max(count - 1, 1)
-    stderr = math.sqrt(var / count)
-    z = (mean - prediction) / stderr if stderr > 0 else 0.0
+    mean, stderr = _mean_stderr(values)
     return EnsembleReport(
         statistic="D%d" % len(phis),
         group=spec.group,
@@ -476,7 +472,7 @@ def ensemble_average(spec: EnsembleSpec, phis,
         mc_mean=mean,
         mc_stderr=stderr,
         prediction=prediction,
-        z_score=z,
+        z_score=_z_against(mean, stderr, prediction),
         betas=tuple(p.beta for p in phis),
     )
 

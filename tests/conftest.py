@@ -5,6 +5,12 @@ signed index tuples.  It is the oracle the vectorised implementation is
 required to match bit for bit, so it deliberately shares nothing with
 the production term-list construction.
 
+`brute_rubinstein` re-derives the combinatorial route's sum term by term:
+every set partition, every even subset of its blocks and every pairing
+of that subset, folded through nested fsums.  It shares the per-block
+grid arithmetic with `kernels`, so it checks the subset recursion that
+combines the blocks.
+
 `cli_env` builds the environment for `python -m lowlying` subprocesses.
 """
 
@@ -12,9 +18,13 @@ import itertools
 import math
 import os
 import random
+from dataclasses import dataclass
+
+import numpy as np
 
 import lowlying
 from lowlying import rmt
+from lowlying.kernels import _halved_ends, _pair_integral
 
 # absolute directory holding the imported `lowlying` package (`src/`
 # when it is not installed), so children find it from any working dir
@@ -81,3 +91,117 @@ def random_small_spectrum(rng: random.Random):
         period=period,
         group=group,
     )
+
+
+@dataclass(frozen=True)
+class PartitionStructure:
+    """A set partition of {1..n} with blocks ordered by least element."""
+
+    n: int
+    blocks: tuple
+
+    def __post_init__(self):
+        seen = set()
+        for b in self.blocks:
+            if not b:
+                raise ValueError("empty block")
+            if seen & set(b):
+                raise ValueError("blocks must be disjoint")
+            seen |= set(b)
+        if seen != set(range(1, self.n + 1)):
+            raise ValueError("blocks must cover {1..n}")
+
+    @property
+    def nu(self) -> int:
+        return len(self.blocks)
+
+
+def enumerate_partitions(n: int):
+    """All set partitions of {1..n}, blocks sorted by least element."""
+    if not 1 <= n <= 8:
+        raise ValueError("n must be in 1..8")
+    out = []
+
+    def grow(i, blocks):
+        if i > n:
+            out.append(PartitionStructure(
+                n, tuple(tuple(b) for b in blocks)))
+            return
+        for b in blocks:
+            b.append(i)
+            grow(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        grow(i + 1, blocks)
+        blocks.pop()
+
+    grow(1, [])
+    return out
+
+
+def enumerate_pairings(items):
+    """All perfect matchings of the given even-sized collection."""
+    items = list(items)
+    if len(items) % 2:
+        raise ValueError("cannot pair an odd number of items")
+    if not items:
+        return [()]
+    out = []
+    first, rest = items[0], items[1:]
+    for i, partner in enumerate(rest):
+        remaining = rest[:i] + rest[i + 1:]
+        for sub in enumerate_pairings(remaining):
+            out.append(((first, partner),) + sub)
+    return out
+
+
+def brute_rubinstein(sign, phis, h):
+    """Sum over set partitions of the inputs, even subsets of each
+    partition's blocks, and pairings of each subset, on step-h grids."""
+    n = len(phis)
+    blocks = {}
+
+    def block_data(block):
+        """(grid, hat0, phi0) of a block; its grid folds the transforms
+        in ascending index order."""
+        if block not in blocks:
+            fns = [phis[i - 1] for i in block]
+            acc = None
+            for phi in fns:
+                m = int(round(phi.beta / h))
+                v = phi.fourier(np.arange(-m, m + 1) * h)
+                acc = v if acc is None else \
+                    np.convolve(_halved_ends(acc), _halved_ends(v)) * h
+            grid = acc, (acc.size - 1) // 2
+            hat0 = fns[0].fourier_at_zero if len(fns) == 1 \
+                else float(acc[grid[1]])
+            phi0 = 1.0
+            for phi in fns:
+                phi0 *= phi.value_at_zero
+            blocks[block] = grid, hat0, phi0
+        return blocks[block]
+
+    partition_terms = []
+    for part in enumerate_partitions(n):
+        prefactor = (-2.0) ** (n - part.nu)
+        for b in part.blocks:
+            prefactor *= math.factorial(len(b) - 1)
+        subset_terms = []
+        for k in range(0, part.nu + 1, 2):
+            for subset in itertools.combinations(range(part.nu), k):
+                factor = 1.0
+                for li, b in enumerate(part.blocks):
+                    if li not in subset:
+                        _, hat0, phi0 = block_data(b)
+                        factor *= hat0 + sign * 0.5 * phi0
+                pairing_terms = []
+                for pairing in enumerate_pairings(subset):
+                    val = 2.0 ** (k // 2)
+                    for a, b in pairing:
+                        val *= _pair_integral(block_data(part.blocks[a])[0],
+                                              block_data(part.blocks[b])[0],
+                                              h)
+                    pairing_terms.append(val)
+                subset_terms.append(factor * math.fsum(pairing_terms))
+        partition_terms.append(prefactor * math.fsum(subset_terms))
+    return math.fsum(partition_terms)

@@ -7,6 +7,7 @@ environments and compare output bytes.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -287,6 +288,20 @@ class TestRmt:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    def test_one_sample_off_prediction_exits_1(self, tmp_path):
+        # one sample has no spread, so any gap to the prediction is
+        # infinitely many standard errors wide, as in `family`
+        out = tmp_path / "r.json"
+        code = cli.main(["rmt", "--group", "U", "--size", "5",
+                         "--samples", "1", "--out", str(out)])
+        assert code == 1
+        meta = read_json(out)
+        report = meta["report"]
+        assert report["mc_stderr"] == 0.0
+        assert report["mc_mean"] != report["prediction"]
+        assert report["z_score"] == math.inf
+        assert meta["pass"] is False
+
     def test_tiny_zmax_exits_1(self, tmp_path):
         out = tmp_path / "r.json"
         code = cli.main(["rmt", "--group", "U", "--size", "5",
@@ -342,7 +357,7 @@ class TestFamily:
         ["--m", "7"], ["--m", "1,0"], ["--joint-primes", "7"],
         ["--joint-primes", "2,2"], ["--joint-degree", "9"],
         ["--split-m", "0"], ["--split-m", "14"], ["--zmax", "0"],
-        ["--zmax", "-3"], ["--zmax", "nan"]],
+        ["--zmax", "-3"], ["--zmax", "nan"], ["--forms", "1"]],
         ids=lambda flags: "=".join(flags).lstrip("-"))
     def test_bad_report_input_exits_2_before_sampling(self, flags, tmp_path,
                                                       monkeypatch, capsys):

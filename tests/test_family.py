@@ -256,6 +256,10 @@ class TestSplit:
         with pytest.raises(ValueError):
             family.plus_minus_split_test(fam, 4)
 
+    def test_empty_sign_class_raises(self):
+        with pytest.raises(ValueError, match="minus"):
+            family.plus_minus_split_test(_family(forms=1), 4)
+
     def test_square_modulus(self):
         fam = _family(forms=20000)
         report = family.plus_minus_split_test(fam, 4)

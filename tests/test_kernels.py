@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from conftest import (PartitionStructure, brute_rubinstein,
+                      enumerate_pairings, enumerate_partitions)
 from lowlying import kernels as K
 
 
@@ -207,16 +209,16 @@ def test_no_high_n():
 
 
 # ---------------------------------------------------------------------------
-# partitions and pairings
+# the oracle's partitions and pairings
 
 
 def test_partition_counts():
     for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
-        assert len(K.enumerate_partitions(n)) == bell
+        assert len(enumerate_partitions(n)) == bell
 
 
 def test_partition_canonical_block_order():
-    for part in K.enumerate_partitions(4):
+    for part in enumerate_partitions(4):
         mins = [min(b) for b in part.blocks]
         assert mins == sorted(mins)
         assert part.nu == len(part.blocks)
@@ -225,28 +227,28 @@ def test_partition_canonical_block_order():
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        K.enumerate_partitions(0)
+        enumerate_partitions(0)
     with pytest.raises(ValueError):
-        K.enumerate_partitions(9)
+        enumerate_partitions(9)
     with pytest.raises(ValueError):
-        K.PartitionStructure(2, ((1,),))
+        PartitionStructure(2, ((1,),))
     with pytest.raises(ValueError):
-        K.PartitionStructure(2, ((1, 2), (2,)))
+        PartitionStructure(2, ((1, 2), (2,)))
 
 
 def test_pairing_counts():
-    assert len(K.enumerate_pairings([])) == 1
-    assert K.enumerate_pairings([]) == [()]
-    assert len(K.enumerate_pairings([1, 2])) == 1
-    assert len(K.enumerate_pairings([1, 2, 3, 4])) == 3
-    assert len(K.enumerate_pairings([1, 2, 3, 4, 5, 6])) == 15
+    assert len(enumerate_pairings([])) == 1
+    assert enumerate_pairings([]) == [()]
+    assert len(enumerate_pairings([1, 2])) == 1
+    assert len(enumerate_pairings([1, 2, 3, 4])) == 3
+    assert len(enumerate_pairings([1, 2, 3, 4, 5, 6])) == 15
     with pytest.raises(ValueError):
-        K.enumerate_pairings([1, 2, 3])
+        enumerate_pairings([1, 2, 3])
 
 
 def test_pairings_cover_all_items():
     items = [3, 1, 4, 1.5, 9, 2]
-    for pairing in K.enumerate_pairings(items):
+    for pairing in enumerate_pairings(items):
         flat = sorted(x for pair in pairing for x in pair)
         assert flat == sorted(items)
 
@@ -292,6 +294,35 @@ def test_dual_route_two_level():
             det = K.n_level_prediction(G, phis, beta_n)
             rub = K.rubinstein_rhs(sign, phis, beta_n=beta_n)
             assert abs(det - rub) < 1e-6
+
+
+def test_subset_recursion_matches_enumeration():
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        for _ in range(3):
+            # mixed supports on a common 0.005 grid, at most 0.95 in total
+            betas = rng.integers(4, 190 // n, size=n, endpoint=True) * 0.005
+            phis = [tf(b) for b in betas]
+            for sign in (1, -1):
+                assert abs(K._rubinstein_eval(sign, phis, 0.005)
+                           - brute_rubinstein(sign, phis, 0.005)) < 1e-12
+
+
+# rubinstein_rhs(sign, [tf(0.1)] * n), as the term-by-term enumeration
+# over partitions, block subsets and pairings computed it
+WIDE_PINS = {
+    (4, 1): 0.5178595831427191, (4, -1): 0.33350624982591887,
+    (5, 1): 0.2990882974853277, (5, -1): 0.17028600590156773,
+    (6, 1): 0.14643295671149906, (6, -1): 0.0736430406469254,
+    (7, 1): 0.06087166613407866, (7, -1): 0.027113255186668295,
+    (8, 1): 0.021633970087572636, (8, -1): 0.008583334562066676,
+}
+
+
+@pytest.mark.parametrize("n,sign", sorted(WIDE_PINS))
+def test_rubinstein_wide_pins(n, sign):
+    assert abs(K.rubinstein_rhs(sign, [tf(0.1)] * n)
+               - WIDE_PINS[n, sign]) < 1e-13
 
 
 def test_misaligned_supports_raise():

@@ -123,3 +123,52 @@ def test_scan_finds_module_dict_writes_and_unbounded_caches():
                          ids=lambda p: p.name)
 def test_memos_are_bounded_lru_caches(path):
     assert memo_faults(path.read_text()) == []
+
+
+def route_reach(source, entry):
+    """Module-level names (defs, classes, assignments; not imports) that
+    `entry` reaches by following the names each definition loads."""
+    tree = ast.parse(source)
+    loads = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [node.target.id]
+        else:
+            continue
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for name in names:
+            loads[name] = loads.get(name, set()) | read
+    seen, todo = set(), [entry]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in loads:
+            continue
+        seen.add(name)
+        todo.extend(loads[name])
+    return seen
+
+
+def shared_route_names(source):
+    return sorted(route_reach(source, "rubinstein_with_error")
+                  & route_reach(source, "prediction_with_error"))
+
+
+_KERNELS = (PACKAGE / "kernels.py").read_text()
+_COMBINATORIAL_ENTRY = "def rubinstein_with_error(sign, phis, beta_n=None):\n"
+
+
+def test_route_scan_finds_a_planted_cycle_integral():
+    assert _COMBINATORIAL_ENTRY in _KERNELS
+    planted = _KERNELS.replace(_COMBINATORIAL_ENTRY, _COMBINATORIAL_ENTRY
+                               + "    _j1(phis[0], sign)\n")
+    assert "_j1" in shared_route_names(planted)
+
+
+def test_determinant_and_combinatorial_routes_share_only_validation():
+    assert shared_route_names(_KERNELS) == [
+        "SupportViolation", "_check_supports", "default_betas"]
