@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -154,8 +155,21 @@ def _echo(**kwargs):
     return {key: str(value) for key, value in kwargs.items()}
 
 
+def _finite_json(value):
+    """`value` with each non-finite float as the string "inf", "-inf" or
+    "nan", since strict JSON parsers reject Python's bare Infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def _write_json(path, payload):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_finite_json(payload), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -157,13 +157,11 @@ def pm_trace_split(trace_plain, trace_atkin_lehner, k2: int):
 
 def c_constant(level: LevelData) -> Fraction:
     """The level-normalized factor prod (1 + p^-2); degenerates to 1 at
-    level one and otherwise lies strictly between 1 and 5."""
+    level one and otherwise lies strictly between 1 and 5, since the
+    product over all primes is zeta(2)/zeta(4) = 15/pi^2 < 5."""
     c = Fraction(1)
     for p in level.factorization:
         c *= Fraction(p * p + 1, p * p)
-    if level.n > 1 and not Fraction(1) < c < Fraction(5):
-        raise RuntimeError("level constant %s escaped its (1, 5) bound"
-                           % (c,))
     return c
 
 

@@ -1,4 +1,4 @@
-"""Haar sampling on the classical compact groups and ensemble n-level
+"""Haar eigenangles of the classical compact groups and ensemble n-level
 statistics.
 
 Eigenangles are folded to one representative per conjugate pair and
@@ -16,14 +16,11 @@ transform sampled at multiples of 1/period), which is exact for the
 band-limited functions used here and avoids truncating their slowly
 decaying x-space tails at the fold boundary.
 
-Orthogonal and symplectic spectra come from two batched singular value
-decompositions per chunk: for a unitary M with eigenangles t, the
-singular values of I - M and I + M are 2|sin(t/2)| and 2|cos(t/2)|,
-each accurate to machine epsilon in absolute terms, so 2 atan2 of the
-pair gives |t| without the digit loss of arccos near 0 and pi.  Unitary
-spectra need signed angles and take one batched general eigensolver call
-per chunk.  Special orthogonal draws with determinant -1 are redrawn at
-the next attempt address.
+Orthogonal and symplectic angles never form a matrix of the group: the
+2 cos of the non-trivial angles are the eigenvalues of an N x N Jacobi
+matrix (Killip-Nenciu), one batched symmetric eigensolver call per
+chunk.  Unitary spectra take one batched general eigensolver call per
+chunk on dense Haar matrices.
 
 An ensemble is held as arrays: per concrete group, one (samples, m) array
 of scaled angles and the group's period.  Only the latest ensemble stays
@@ -38,17 +35,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
-from . import kernels
+from . import kernels, rng
 from .family import _mean_stderr, _z_against
-from .measures import RejectionBudgetError
 from .rng import normals
 
 __all__ = [
     "EnsembleSpec",
     "ScaledSpectrum",
     "EnsembleReport",
-    "haar_sample",
     "scaled_spectrum",
     "periodized_value",
     "d_n_statistic",
@@ -56,14 +52,11 @@ __all__ = [
     "mean_scaled_spacing",
     "clear_spectrum_cache",
     "GROUPS",
-    "RejectionBudgetError",
 ]
 
 GROUPS = ("SOeven", "SOodd", "USp", "U", "O")
 
 _STREAMS = {"SOeven": 201, "SOodd": 202, "USp": 203, "U": 204}
-
-_MAX_ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
@@ -122,39 +115,6 @@ class EigenSolverError(RuntimeError):
 # sampling
 
 
-def _gaussian_stack(seed, stream, indices, attempt, dim):
-    flat = normals(seed, stream, np.asarray(indices, dtype=np.uint64),
-                   attempt=attempt, count=dim * dim)
-    return flat.reshape(len(indices), dim, dim)
-
-
-def _fix_qr_signs(q, r):
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    s = np.where(d >= 0.0, 1.0, -1.0)
-    return q * s[..., None, :]
-
-
-def _special_orthogonal_batch(group, size, seed, indices):
-    """Batch of SO(dim) matrices; det=-1 draws are redrawn per index."""
-    dim = _dimension(group, size)
-    stream = _STREAMS[group]
-    idx = np.asarray(indices, dtype=np.uint64)
-    out = np.empty((len(idx), dim, dim))
-    pending = np.arange(len(idx))
-    for attempt in range(_MAX_ATTEMPTS):
-        if pending.size == 0:
-            return out
-        z = _gaussian_stack(seed, stream, idx[pending], attempt, dim)
-        q, r = np.linalg.qr(z)
-        q = _fix_qr_signs(q, r)
-        signs, _ = np.linalg.slogdet(q)
-        accept = signs > 0
-        out[pending[accept]] = q[accept]
-        pending = pending[~accept]
-    raise RejectionBudgetError(
-        "no determinant +1 draw within %d attempts" % _MAX_ATTEMPTS)
-
-
 def _unitary_batch(size, seed, indices):
     dim = size
     idx = np.asarray(indices, dtype=np.uint64)
@@ -168,39 +128,40 @@ def _unitary_batch(size, seed, indices):
     return q * np.conj(phase)[..., None, :]
 
 
-def _symplectic_batch(size, seed, indices):
-    """USp(2N) via the polar factor of a quaternionic Gaussian block."""
+def _jacobi_angles(group, size, seed, indices):
+    """Non-trivial eigenangles of Haar SO(2N), SO(2N+1) or USp(2N), one
+    ascending row in [0, pi] per index.
+
+    The Jacobi matrix of Killip-Nenciu, Matrix models for circular
+    ensembles, IMRN 2004, Thm 2, from 2N - 1 independent Beta variables
+    alpha_k, each the inverse CDF of one addressed uniform.
+    """
+    # x = 2 cos(theta) has the density (2 - x)^a (2 + x)^b times the
+    # squared Vandermonde
+    a, b = {"SOeven": (-0.5, -0.5), "SOodd": (0.5, -0.5),
+            "USp": (0.5, 0.5)}[group]
     n = size
-    idx = np.asarray(indices, dtype=np.uint64)
-    flat = normals(seed, _STREAMS["USp"], idx, attempt=0, count=4 * n * n)
-    parts = [flat[:, k * n * n:(k + 1) * n * n].reshape(len(idx), n, n)
-             for k in range(4)]
-    x = (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
-    y = (parts[2] + 1j * parts[3]) / math.sqrt(2.0)
-    z = np.block([[x, y], [-np.conj(y), np.conj(x)]])
-    h = np.conj(z).swapaxes(-1, -2) @ z
-    w, v = np.linalg.eigh(h)
-    # Z (Z^H Z)^{-1/2}: a real function of a quaternionic Hermitian
-    # matrix keeps the quaternionic structure, so the factor stays in
-    # the symplectic group
-    inv_root = (v / np.sqrt(w)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
-    return z @ inv_root
-
-
-def _sample_batch(group, size, seed, indices):
-    if group in ("SOeven", "SOodd"):
-        return _special_orthogonal_batch(group, size, seed, indices)
-    if group == "U":
-        return _unitary_batch(size, seed, indices)
-    return _symplectic_batch(size, seed, indices)
-
-
-def haar_sample(spec: EnsembleSpec, index: int):
-    """Haar-distributed matrix, deterministic in (seed, group, index)."""
-    if not 0 <= index < spec.samples:
-        raise ValueError("index out of range")
-    return _sample_batch(_sample_group_for_index(spec, index), spec.size,
-                         spec.seed, [index])[0]
+    u = rng.uniforms(seed, _STREAMS[group], indices, 0, 2 * n - 1)
+    k = np.arange(2 * n - 1)
+    # alpha_k on (-1, 1) has density prop. to (1 - x)^(s-1) (1 + x)^(t-1)
+    s = np.where(k % 2 == 0, (2 * n - k - 2) / 2 + a + 1,
+                 (2 * n - k - 3) / 2 + a + b + 2)
+    t = np.where(k % 2 == 0, (2 * n - k - 2) / 2 + b + 1, (2 * n - k - 1) / 2)
+    alpha = 2.0 * special.betaincinv(t, s, u) - 1.0
+    # ext[:, k + 2] is alpha_k, with alpha_-1 = -1; alpha_-2 only meets
+    # the factor 1 + alpha_-1 = 0, and alpha_(2N-1) = -1 only the
+    # off-diagonal entry past the matrix
+    ext = np.concatenate([np.tile([0.0, -1.0], (len(u), 1)), alpha], axis=1)
+    odd, even, prev = ext[:, 1::2], ext[:, 2::2], ext[:, 0:-1:2]
+    jac = np.zeros((len(u), n, n))
+    jac[:, range(n), range(n)] = (1.0 - odd) * even - (1.0 + odd) * prev
+    # eigvalsh reads the lower triangle
+    jac[:, range(1, n), range(n - 1)] = np.sqrt(
+        (1.0 - odd[:, :-1]) * (1.0 - even[:, :-1] ** 2) * (1.0 + odd[:, 1:]))
+    x = np.linalg.eigvalsh(jac)
+    # contiguous operands: numpy's vector loops can give other last bits
+    # for a reversed view, whose layout varies with the stack size
+    return np.arccos(np.clip(x[:, ::-1].copy() / 2.0, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -215,43 +176,26 @@ def _fail_rows(bad, what, indices):
         raise EigenSolverError(where + what)
 
 
-def _abs_angles(mats, indices=None):
-    """|eigenangles| of each matrix of a unitary stack, ascending.
-
-    From the SVD pair of the module docstring; `indices` label the rows
-    in error messages.
-    """
-    dim = mats.shape[-1]
-    eye = np.eye(dim)
-    gram = np.conj(mats).swapaxes(-1, -2) @ mats
-    # a unitary matrix has its eigenvalues on the unit circle
-    _fail_rows(np.max(np.abs(gram - eye), axis=(-2, -1)) > 1e-9,
-               "matrix is not unitary, so its eigenvalues leave the unit "
-               "circle", indices)
-    # contiguous operands: numpy's arctan2 takes another loop, with other
-    # last bits, for a reversed view, and the view's layout varies with
-    # the stack size
-    sin_half = np.linalg.svd(eye - mats, compute_uv=False)[..., ::-1].copy()
-    cos_half = np.linalg.svd(eye + mats, compute_uv=False)
-    return 2.0 * np.arctan2(sin_half, cos_half)
-
-
 def _angles(mats, group, indices=None):
-    """Eigenangles of each matrix of a stack, one ascending row each.
+    """Eigenangles of each matrix of a unitary stack, one ascending row
+    each.
 
-    Orthogonal and symplectic angles come in conjugate pairs, so the
-    ascending |t| hold each pair twice; neighbours are folded into one
-    angle in [0, pi], and the SOodd forced zero is dropped.  Unitary
-    angles are the eigenvalue phases in [0, 2 pi).  `indices` label the
+    Unitary angles are the eigenvalue phases in [0, 2 pi).  Orthogonal
+    and symplectic angles come in conjugate pairs, so the ascending |t|
+    hold each pair twice; neighbours are folded into one angle in
+    [0, pi], and the SOodd forced zero is dropped.  `indices` label the
     rows in error messages.
     """
+    gram = np.conj(mats).swapaxes(-1, -2) @ mats
+    _fail_rows(np.max(np.abs(gram - np.eye(mats.shape[-1])), axis=(-2, -1))
+               > 1e-9, "matrix is not unitary", indices)
+    ev = np.linalg.eigvals(mats)
+    _fail_rows(np.max(np.abs(np.abs(ev) - 1.0), axis=-1) > 1e-9,
+               "eigenvalues left the unit circle", indices)
+    ang = np.angle(ev)
     if group == "U":
-        ev = np.linalg.eigvals(mats)
-        _fail_rows(np.max(np.abs(np.abs(ev) - 1.0), axis=-1) > 1e-9,
-                   "eigenvalues left the unit circle", indices)
-        ang = np.angle(ev)
         return np.sort(np.where(ang < 0.0, ang + 2.0 * math.pi, ang))
-    abs_ang = _abs_angles(mats, indices)
+    abs_ang = np.sort(np.abs(ang))
     if group == "SOodd":
         _fail_rows(abs_ang[:, 0] > 1e-7,
                    "odd special orthogonal matrix lost its unit eigenvalue",
@@ -359,7 +303,7 @@ def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
 
 
 # matrices per sampling batch and spectra per statistic block; no result
-# depends on it (per-matrix LAPACK calls), the USp temporaries scale with it
+# depends on it (per-matrix LAPACK calls), the U temporaries scale with it
 _CHUNK = 128
 
 
@@ -383,8 +327,12 @@ def _spectra(spec: EnsembleSpec):
         for i in range(start, min(start + _CHUNK, spec.samples)):
             by_group.setdefault(_sample_group_for_index(spec, i), []).append(i)
         for group, indices in by_group.items():
-            mats = _sample_batch(group, spec.size, spec.seed, indices)
-            blocks.setdefault(group, []).append(_angles(mats, group, indices))
+            if group == "U":
+                mats = _unitary_batch(spec.size, spec.seed, indices)
+                angles = _angles(mats, group, indices)
+            else:
+                angles = _jacobi_angles(group, spec.size, spec.seed, indices)
+            blocks.setdefault(group, []).append(angles)
     out = {}
     for group, parts in blocks.items():
         period = _period(group, _dimension(group, spec.size))

@@ -11,6 +11,11 @@ of that subset, folded through nested fsums.  It shares the per-block
 grid arithmetic with `kernels`, so it checks the subset recursion that
 combines the blocks.
 
+`haar_batch` draws dense Haar matrices: QR of a Gaussian matrix for the
+orthogonal and unitary groups, the polar factor of a quaternionic
+Gaussian matrix for the symplectic group.  It is the distributional
+oracle for the Jacobi-matrix eigenangles the package computes.
+
 `cli_env` builds the environment for `python -m lowlying` subprocesses.
 """
 
@@ -25,6 +30,7 @@ import numpy as np
 import lowlying
 from lowlying import rmt
 from lowlying.kernels import _halved_ends, _pair_integral
+from lowlying.rng import normals
 
 # absolute directory holding the imported `lowlying` package (`src/`
 # when it is not installed), so children find it from any working dir
@@ -46,6 +52,55 @@ def cli_env(threads):
     env["OPENBLAS_NUM_THREADS"] = threads
     env["OMP_NUM_THREADS"] = threads
     return env
+
+
+def _special_orthogonal_batch(group, size, seed, indices):
+    """Batch of SO(dim) matrices; det -1 draws are redrawn per index at
+    the next attempt address."""
+    dim = rmt._dimension(group, size)
+    idx = np.asarray(indices, dtype=np.uint64)
+    out = np.empty((len(idx), dim, dim))
+    pending = np.arange(len(idx))
+    for attempt in range(64):
+        if pending.size == 0:
+            return out
+        z = normals(seed, rmt._STREAMS[group], idx[pending], attempt=attempt,
+                    count=dim * dim).reshape(len(pending), dim, dim)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        q = q * np.where(d >= 0.0, 1.0, -1.0)[..., None, :]
+        accept = np.linalg.det(q) > 0
+        out[pending[accept]] = q[accept]
+        pending = pending[~accept]
+    raise RuntimeError("no determinant +1 draw within 64 attempts")
+
+
+def _symplectic_batch(size, seed, indices):
+    """USp(2N) via the polar factor of a quaternionic Gaussian block."""
+    n = size
+    idx = np.asarray(indices, dtype=np.uint64)
+    flat = normals(seed, rmt._STREAMS["USp"], idx, attempt=0, count=4 * n * n)
+    parts = [flat[:, k * n * n:(k + 1) * n * n].reshape(len(idx), n, n)
+             for k in range(4)]
+    x = (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
+    y = (parts[2] + 1j * parts[3]) / math.sqrt(2.0)
+    z = np.block([[x, y], [-np.conj(y), np.conj(x)]])
+    w, v = np.linalg.eigh(np.conj(z).swapaxes(-1, -2) @ z)
+    # Z (Z^H Z)^{-1/2}: a real function of a quaternionic Hermitian
+    # matrix keeps the quaternionic structure, so the factor stays in
+    # the symplectic group
+    inv_root = (v / np.sqrt(w)[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
+    return z @ inv_root
+
+
+def haar_batch(group, size, seed, indices):
+    """Dense Haar matrices of SO(2N), SO(2N+1), USp(2N) or U(N), one per
+    index, deterministic in (seed, group, index)."""
+    if group == "U":
+        return rmt._unitary_batch(size, seed, indices)
+    if group == "USp":
+        return _symplectic_batch(size, seed, indices)
+    return _special_orthogonal_batch(group, size, seed, indices)
 
 
 def brute_d_n(spectrum, phis, include_zero):

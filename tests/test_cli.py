@@ -7,7 +7,6 @@ environments and compare output bytes.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -22,6 +21,16 @@ from lowlying.quadrature import QuadratureError
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _no_bare_constant(token):
+    raise ValueError("bare %s is not JSON" % token)
+
+
+def read_strict_json(path):
+    """Parse as a strict JSON reader would: no Infinity, -Infinity, NaN."""
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_no_bare_constant)
 
 
 def read_lines(path):
@@ -295,11 +304,11 @@ class TestRmt:
         code = cli.main(["rmt", "--group", "U", "--size", "5",
                          "--samples", "1", "--out", str(out)])
         assert code == 1
-        meta = read_json(out)
+        meta = read_strict_json(out)
         report = meta["report"]
         assert report["mc_stderr"] == 0.0
         assert report["mc_mean"] != report["prediction"]
-        assert report["z_score"] == math.inf
+        assert report["z_score"] == "inf"
         assert meta["pass"] is False
 
     def test_tiny_zmax_exits_1(self, tmp_path):
@@ -371,6 +380,16 @@ class TestFamily:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "'" not in err
         assert not (tmp_path / "f.json").exists()
+
+    def test_infinite_z_is_strict_json(self, tmp_path):
+        # two forms: the balanced split leaves one per sign class, with
+        # no spread, so its z-scores are infinite
+        out = tmp_path / "f.json"
+        code = cli.main(["family", "--primes", "2", "--forms", "2",
+                         "--m", "1", "--out", str(out)])
+        assert code == 1
+        split = read_strict_json(out)["split"]
+        assert split["plus"]["z"] == split["minus"]["z"] == "inf"
 
     def test_split_m_is_not_checked_without_the_split(self, tmp_path):
         out = tmp_path / "f.json"

@@ -1,4 +1,4 @@
-"""Tests for Haar sampling on the compact groups and n-level statistics."""
+"""Tests for Haar eigenangles on the compact groups and n-level statistics."""
 
 import math
 import random
@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
-from conftest import brute_d_n, random_small_spectrum
+from conftest import brute_d_n, haar_batch, random_small_spectrum
 from lowlying import kernels, rmt
 
 FEJER = kernels.fejer_test_function
@@ -28,48 +29,63 @@ def _soodd_spectrum(xs, period):
     )
 
 
+def _jacobi_spectrum(group, size, seed, index):
+    """The one-spectrum view of one Jacobi-model row."""
+    period = rmt._period(group, rmt._dimension(group, size))
+    angles = rmt._jacobi_angles(group, size, seed, [index])[0]
+    return rmt.ScaledSpectrum(
+        angles=tuple(angles.tolist()),
+        scaled=tuple((angles * (period / (2.0 * math.pi))).tolist()),
+        forced_zero=group == "SOodd",
+        period=period,
+        group=group,
+    )
+
+
+def _svd_pair_angles(mats):
+    """|eigenangles| of a unitary stack, ascending, from the singular
+    values 2|sin(t/2)| of I - M and 2|cos(t/2)| of I + M."""
+    eye = np.eye(mats.shape[-1])
+    sin_half = np.linalg.svd(eye - mats, compute_uv=False)[..., ::-1]
+    cos_half = np.linalg.svd(eye + mats, compute_uv=False)
+    return 2.0 * np.arctan2(sin_half, cos_half)
+
+
 class TestHaarSampling:
     def test_special_orthogonal_even_membership(self):
-        spec = _spec("SOeven", 6, 4)
-        for i in range(4):
-            m = rmt.haar_sample(spec, i)
+        for m in haar_batch("SOeven", 6, 20260822, range(4)):
             assert m.shape == (12, 12)
             assert np.max(np.abs(m.T @ m - np.eye(12))) < 1e-10
             assert abs(np.linalg.det(m) - 1.0) < 1e-10
 
     def test_special_orthogonal_odd_membership(self):
-        spec = _spec("SOodd", 5, 3)
-        for i in range(3):
-            m = rmt.haar_sample(spec, i)
+        for m in haar_batch("SOodd", 5, 20260822, range(3)):
             assert m.shape == (11, 11)
             assert np.max(np.abs(m.T @ m - np.eye(11))) < 1e-10
             assert abs(np.linalg.det(m) - 1.0) < 1e-10
 
     def test_unitary_membership(self):
-        spec = _spec("U", 5, 3)
-        for i in range(3):
-            m = rmt.haar_sample(spec, i)
+        for m in haar_batch("U", 5, 20260822, range(3)):
             assert np.max(np.abs(np.conj(m.T) @ m - np.eye(5))) < 1e-10
 
     def test_symplectic_membership(self):
-        spec = _spec("USp", 4, 3)
         jmat = np.block([[np.zeros((4, 4)), np.eye(4)],
                          [-np.eye(4), np.zeros((4, 4))]])
-        for i in range(3):
-            m = rmt.haar_sample(spec, i)
+        for m in haar_batch("USp", 4, 20260822, range(3)):
             assert np.max(np.abs(np.conj(m.T) @ m - np.eye(8))) < 1e-10
             assert np.max(np.abs(m.T @ jmat @ m - jmat)) < 1e-10
 
     def test_mixture_alternates_parity(self):
         spec = _spec("O", 4, 4)
-        assert rmt.haar_sample(spec, 0).shape == (8, 8)
-        assert rmt.haar_sample(spec, 1).shape == (9, 9)
+        groups = [rmt._sample_group_for_index(spec, i) for i in range(4)]
+        assert groups == ["SOeven", "SOodd"] * 2
+        assert haar_batch(groups[0], 4, spec.seed, [0])[0].shape == (8, 8)
+        assert haar_batch(groups[1], 4, spec.seed, [1])[0].shape == (9, 9)
 
     def test_single_sample_matches_batch(self):
-        spec = _spec("SOeven", 5, 8)
-        batch = rmt._special_orthogonal_batch("SOeven", 5, spec.seed,
-                                              list(range(8)))
-        assert np.array_equal(rmt.haar_sample(spec, 3), batch[3])
+        batch = haar_batch("SOeven", 5, 20260822, range(8))
+        assert np.array_equal(haar_batch("SOeven", 5, 20260822, [3])[0],
+                              batch[3])
 
     def test_unitary_column_statistics(self):
         # Haar invariance makes every entry mean zero with mean square
@@ -84,21 +100,65 @@ class TestHaarSampling:
         assert abs(np.mean(sq) - 1.0 / 6.0) < 3 * se_sq
 
     def test_index_out_of_range(self):
+        # an ensemble of two samples holds indices 0 and 1, nothing past
         spec = _spec("U", 4, 2)
-        with pytest.raises(ValueError):
-            rmt.haar_sample(spec, 2)
+        scaled, period = rmt._spectra(spec)["U"]
+        rmt.clear_spectrum_cache()
+        angles = rmt._angles(haar_batch("U", 4, spec.seed, range(3)), "U")
+        assert np.array_equal(scaled,
+                              angles[:2] * (period / (2.0 * math.pi)))
 
     @pytest.mark.parametrize("group,size", [("SOodd", 2), ("SOeven", 3)])
     def test_special_orthogonal_trace_moments(self, group, size):
         # Haar on SO(5) and SO(6): the trace is the character of an
         # irreducible representation, so E[tr M] = 0 and E[(tr M)^2] = 1
         samples = 4000
-        mats = rmt._special_orthogonal_batch(group, size, 5150,
-                                             range(samples))
+        mats = haar_batch(group, size, 5150, range(samples))
         tr = np.trace(mats, axis1=-2, axis2=-1)
         for values, want in ((tr, 0.0), (tr ** 2, 1.0)):
             se = np.std(values, ddof=1) / math.sqrt(samples)
             assert abs(np.mean(values) - want) < 4.0 * se
+
+
+class TestJacobiModel:
+    GROUPS = ["SOeven", "SOodd", "USp"]
+
+    @pytest.mark.parametrize("size", [2, 15])
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_trace_moments(self, group, size):
+        # tr M is the character of the standard representation, which is
+        # irreducible, so E[tr M] = 0 and E[(tr M)^2] = 1; the SOodd
+        # forced eigenvalue 1 is not in the model
+        samples = 4000
+        angles = rmt._jacobi_angles(group, size, 5151, range(samples))
+        tr = 2.0 * np.sum(np.cos(angles), axis=1) + (group == "SOodd")
+        for values, want in ((tr, 0.0), (tr ** 2, 1.0)):
+            se = np.std(values, ddof=1) / math.sqrt(samples)
+            assert abs(np.mean(values) - want) < 4.0 * se
+
+    @pytest.mark.parametrize("size", [3, 8])
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_order_statistics_match_dense_haar(self, group, size):
+        # other seeds for the two sides: at one seed the Jacobi uniforms
+        # are the same Philox words as the oracle's first normals
+        samples = 4000
+        model = rmt._jacobi_angles(group, size, 61, range(samples))
+        dense = rmt._angles(haar_batch(group, size, 62, range(samples)),
+                            group)
+        for j in range(size):
+            assert stats.ks_2samp(model[:, j], dense[:, j]).pvalue >= 1e-3, j
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_rows_do_not_depend_on_the_batch(self, group):
+        stack = rmt._jacobi_angles(group, 9, 63, range(30))
+        singles = [rmt._jacobi_angles(group, 9, 63, [i])[0]
+                   for i in range(30)]
+        chunks = [rmt._jacobi_angles(group, 9, 63, range(i, min(i + 7, 30)))
+                  for i in range(0, 30, 7)]
+        assert np.array_equal(np.stack(singles), stack)
+        assert np.array_equal(np.concatenate(chunks), stack)
+        assert np.all(np.diff(stack, axis=1) >= 0.0)
+        assert np.all((stack >= 0.0) & (stack <= math.pi))
 
 
 class TestEnsembleSpec:
@@ -117,7 +177,7 @@ class TestEnsembleSpec:
 
 class TestScaledSpectrum:
     def test_even_orthogonal_structure(self):
-        s = rmt.scaled_spectrum(rmt.haar_sample(_spec("SOeven", 6, 1), 0),
+        s = rmt.scaled_spectrum(haar_batch("SOeven", 6, 20260822, [0])[0],
                                 "SOeven")
         assert len(s.angles) == 6
         assert s.period == 11.0
@@ -130,20 +190,20 @@ class TestScaledSpectrum:
                         rtol=1e-14)
 
     def test_odd_orthogonal_forced_zero(self):
-        s = rmt.scaled_spectrum(rmt.haar_sample(_spec("SOodd", 5, 1), 0),
+        s = rmt.scaled_spectrum(haar_batch("SOodd", 5, 20260822, [0])[0],
                                 "SOodd")
         assert len(s.angles) == 5
         assert s.period == 10.0
         assert s.forced_zero
 
     def test_symplectic_structure(self):
-        s = rmt.scaled_spectrum(rmt.haar_sample(_spec("USp", 4, 1), 0), "USp")
+        s = rmt.scaled_spectrum(haar_batch("USp", 4, 20260822, [0])[0], "USp")
         assert len(s.angles) == 4
         assert s.period == 9.0
         assert not s.forced_zero
 
     def test_unitary_full_circle(self):
-        s = rmt.scaled_spectrum(rmt.haar_sample(_spec("U", 5, 1), 0), "U")
+        s = rmt.scaled_spectrum(haar_batch("U", 5, 20260822, [0])[0], "U")
         assert len(s.angles) == 5
         assert s.period == 5.0
         assert not s.reflect
@@ -184,23 +244,23 @@ class TestBatchedAngles:
     def test_match_folded_eigvals(self, group, size):
         # matrices of dimension 8 (9 for SOodd) and 30 (31)
         indices = list(range(200))
-        mats = rmt._sample_batch(group, size, 77, indices)
+        mats = haar_batch(group, size, 77, indices)
         got = rmt._angles(mats, group, indices)
         assert got.shape == (200, size)
-        for mat, row in zip(mats, got):
-            ang = np.sort(np.abs(np.angle(np.linalg.eigvals(mat))))
-            if group == "SOodd":
-                ang = ang[1:]
-            want = 0.5 * (ang[0::2] + ang[1::2])
-            assert_allclose(row, want, rtol=0, atol=1e-12)
+        ang = _svd_pair_angles(mats)
+        if group == "SOodd":
+            ang = ang[:, 1:]
+        want = 0.5 * (ang[:, 0::2] + ang[:, 1::2])
+        assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_odd_forced_zero_is_exact(self):
-        mats = rmt._sample_batch("SOodd", 15, 78, range(200))
-        assert np.max(rmt._abs_angles(mats)[:, 0]) < 1e-12
+        # the unfolded phases: the real eigenvalue +1 has phase exactly 0
+        mats = haar_batch("SOodd", 15, 78, range(200))
+        assert np.all(rmt._angles(mats, "U")[:, 0] == 0.0)
 
     def test_error_names_the_sample_index(self):
         for group in ("SOeven", "U"):
-            mats = rmt._sample_batch(group, 3, 79, range(4))
+            mats = haar_batch(group, 3, 79, range(4))
             mats[2] *= 1.001
             with pytest.raises(rmt.EigenSolverError,
                                match="sample index 12"):
@@ -212,7 +272,11 @@ class TestBatchedAngles:
             scaled, period = rmt._spectra(spec)[group]
             rmt.clear_spectrum_cache()
             for i in (0, 5, 8):
-                single = rmt.scaled_spectrum(rmt.haar_sample(spec, i), group)
+                if group == "U":
+                    single = rmt.scaled_spectrum(
+                        rmt._unitary_batch(4, spec.seed, [i])[0], group)
+                else:
+                    single = _jacobi_spectrum(group, 4, spec.seed, i)
                 assert single.scaled == tuple(scaled[i].tolist())
                 assert single.period == period
 
@@ -393,7 +457,7 @@ class TestEnsembleAverage:
             assert scaled.shape == (3, 4)
             assert not scaled.flags.writeable
             for row, i in zip(scaled, indices):
-                single = rmt.scaled_spectrum(rmt.haar_sample(spec, i), group)
+                single = _jacobi_spectrum(group, 4, spec.seed, i)
                 assert single.scaled == tuple(row.tolist())
 
     @pytest.mark.parametrize("include_zero", [True, False])
@@ -407,8 +471,8 @@ class TestEnsembleAverage:
         report = rmt.ensemble_average(spec, phis, include_zero)
         rmt.clear_spectrum_cache()
         values = [rmt.d_n_statistic(
-                      rmt.scaled_spectrum(rmt.haar_sample(spec, i),
-                                          ("SOeven", "SOodd")[i % 2]),
+                      _jacobi_spectrum(("SOeven", "SOodd")[i % 2], 5,
+                                       spec.seed, i),
                       phis, include_zero)
                   for i in range(spec.samples)]
         assert report.mc_mean == math.fsum(values) / len(values)

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import lowlying
 
 PACKAGE = pathlib.Path(lowlying.__file__).parent
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def unused_imports(source):
@@ -172,3 +174,18 @@ def test_route_scan_finds_a_planted_cycle_integral():
 def test_determinant_and_combinatorial_routes_share_only_validation():
     assert shared_route_names(_KERNELS) == [
         "SupportViolation", "_check_supports", "default_betas"]
+
+
+def test_bench_hooks_resolve():
+    # a traced benchmark run rebinds every hooked function on every
+    # module listed for it, so a name deleted from one breaks only there
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for hook in tracing.HOOKS:
+        name, modules = hook[0], hook[2]
+        func = hook[3] if len(hook) > 3 else name.rsplit(".", 1)[1]
+        for modname in modules:
+            module = importlib.import_module(modname)
+            assert callable(getattr(module, func, None)), (modname, func)
