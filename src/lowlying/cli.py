@@ -1,10 +1,12 @@
 """Reproducible command-line experiments over the package modules.
 
-Commands read an optional flat key=value config file, overridden by
-explicit flags; every primary output embeds the resolved configuration
-it ran with.  Thread-count environment variables are pinned to one
-before numpy first loads (this module imports nothing heavy at import
-time on purpose), so outputs never depend on the host's BLAS threading.
+Every parameter is an argparse flag.  A flat key=value config file
+given with --config supplies flags too (a key names a flag, with
+underscores or dashes), and explicit flags override it; every primary
+output embeds the resolved configuration it ran with.  Thread-count
+environment variables are pinned to one before numpy first loads (this
+module imports nothing heavy at import time on purpose), so outputs
+never depend on the host's BLAS threading.
 
 Exit codes: 0 all checks passed; 1 a numeric check failed; 2 usage,
 domain, or i/o error; 3 numeric machinery failure (quadrature budget,
@@ -78,14 +80,14 @@ def read_config(path: str) -> dict:
 
 def _to_int(raw):
     try:
-        return int(str(raw))
+        return int(raw)
     except ValueError:
         raise UsageError("expected an integer, got %r" % (raw,))
 
 
 def _to_float(raw):
     try:
-        return float(str(raw))
+        return float(raw)
     except ValueError:
         raise UsageError("expected a number, got %r" % (raw,))
 
@@ -98,7 +100,7 @@ def _to_positive(raw):
 
 
 def _to_bool(raw):
-    text = str(raw).strip().lower()
+    text = raw.strip().lower()
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
@@ -107,14 +109,14 @@ def _to_bool(raw):
 
 
 def _to_int_list(raw):
-    parts = [s for s in str(raw).split(",") if s.strip()]
+    parts = [s for s in raw.split(",") if s.strip()]
     if not parts:
         raise UsageError("expected a comma-separated integer list")
     return [_to_int(s.strip()) for s in parts]
 
 
 def _to_float_list(raw):
-    parts = [s for s in str(raw).split(",") if s.strip()]
+    parts = [s for s in raw.split(",") if s.strip()]
     if not parts:
         raise UsageError("expected a comma-separated number list")
     return [_to_float(s.strip()) for s in parts]
@@ -122,7 +124,7 @@ def _to_float_list(raw):
 
 def _to_pair_list(raw):
     pairs = []
-    for chunk in str(raw).split(";"):
+    for chunk in raw.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -136,23 +138,34 @@ def _to_pair_list(raw):
     return pairs
 
 
-def _resolve(args, cfg, name, cast, default):
-    raw = getattr(args, name, None)
-    if raw is None:
-        raw = cfg.get(name)
-    if raw is None:
-        if default is None:
-            raise UsageError("missing required parameter %r" % (name,))
-        return default
-    return cast(raw)
+def _expand_config(argv):
+    """argv with each --config FILE's keys spliced in as --key=value flags
+    right after the command name, so that explicit flags, parsed later,
+    override them.  Any prefix of --config that argparse accepts counts."""
+    flags = []
+    for arg, after in zip(argv, argv[1:] + [None]):
+        name, eq, path = arg.partition("=")
+        path = path if eq else after
+        if len(name) > 2 and "--config".startswith(name) and path:
+            flags += ["--%s=%s" % (key.replace("_", "-"), value)
+                      for key, value in read_config(path).items()]
+    return argv[:1] + flags + argv[1:]
 
 
-def _load(args):
-    return read_config(args.config) if args.config else {}
+def _text(value):
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    if isinstance(value, list):
+        sep = ";" if isinstance(value[0], tuple) else ","
+        return sep.join(map(_text, value))
+    return str(value)
 
 
-def _echo(**kwargs):
-    return {key: str(value) for key, value in kwargs.items()}
+def _echo(args):
+    """The resolved parameters as strings: lists joined with "," and
+    weight pairs with ";"."""
+    return {key: _text(value) for key, value in vars(args).items()
+            if key not in ("config", "func", "command")}
 
 
 def _finite_json(value):
@@ -187,34 +200,29 @@ def _cmd_density(args):
 
     from lowlying import measures
 
-    cfg = _load(args)
-    p = _resolve(args, cfg, "p", _to_int, 2)
-    grid = _resolve(args, cfg, "grid", _to_int, 41)
-    tol = _resolve(args, cfg, "tol", _to_positive, 1e-8)
-    out = _resolve(args, cfg, "out", str, None)
-    if grid < 2:
+    if args.grid < 2:
         raise UsageError("grid must be at least 2")
-    spec = measures.vertical_measure(p)
-    xs = np.linspace(-2.0, 2.0, grid)
-    with open(out, "w", newline="") as fh:
+    spec = measures.vertical_measure(args.p)
+    xs = np.linspace(-2.0, 2.0, args.grid)
+    with open(args.out, "w", newline="") as fh:
         writer = _csv_writer(fh)
         writer.writerow(["x", "y", "density"])
         for x in xs:
             row = np.asarray(
-                measures.density_mu_p(spec, np.full(grid, float(x)), xs),
+                measures.density_mu_p(spec, np.full(args.grid, float(x)), xs),
                 dtype=float)
             for y, d in zip(xs, row):
                 writer.writerow([repr(float(x)), repr(float(y)),
                                  repr(float(d))])
     mass = float(measures.integrate(spec, lambda a, b: np.ones_like(a),
-                                    tol=min(tol, 1e-8)))
+                                    tol=min(args.tol, 1e-8)))
     err = abs(mass - 1.0)
-    ok = err < tol
-    _write_json(out + ".json", {
+    ok = err < args.tol
+    _write_json(args.out + ".json", {
         "command": "density",
-        "config": _echo(p=p, grid=grid, tol=tol, out=out),
-        "p": p,
-        "grid": grid,
+        "config": _echo(args),
+        "p": args.p,
+        "grid": args.grid,
         "normalization": mass,
         "normalization_error": err,
         "pass": ok,
@@ -226,29 +234,24 @@ def _cmd_moments(args):
     from lowlying import family as family_mod
     from lowlying import hecke, measures
 
-    cfg = _load(args)
-    primes = _resolve(args, cfg, "primes", _to_int_list, [2, 3, 5])
-    nmax = _resolve(args, cfg, "nmax", _to_int, 6)
-    tol = _resolve(args, cfg, "tol", _to_positive, 1e-6)
-    out = _resolve(args, cfg, "out", str, None)
-    if nmax < 1:
+    if args.nmax < 1:
         raise UsageError("nmax must be at least 1")
-    for p in primes:
-        try:
-            measures.check_prime(p)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    if len(set(args.primes)) != len(args.primes):
+        raise UsageError("primes must be distinct, got %s" % (args.primes,))
+    args.primes = sorted(args.primes)
+    for p in args.primes:
+        measures.check_prime(p)
     rows = []
     all_ok = True
-    for p in sorted(primes):
+    for p in args.primes:
         spec = measures.vertical_measure(p)
-        for n in range(1, nmax + 1):
+        for n in range(1, args.nmax + 1):
             quad = float(measures.integrate(
                 spec, lambda x, y, _n=n: hecke.spin_coeff_grid(x, y, _n)[_n],
-                tol=tol / 10.0))
+                tol=args.tol / 10.0))
             prediction = family_mod.main_term_spin(p ** n)
             err = abs(quad - prediction)
-            ok = err < tol
+            ok = err < args.tol
             all_ok = all_ok and ok
             rows.append({
                 "p": p,
@@ -258,11 +261,10 @@ def _cmd_moments(args):
                 "abs_err": err,
                 "pass": ok,
             })
-    _write_json(out, {
+    _write_json(args.out, {
         "command": "moments",
-        "config": _echo(primes=",".join(str(p) for p in sorted(primes)),
-                        nmax=nmax, tol=tol, out=out),
-        "tol": tol,
+        "config": _echo(args),
+        "tol": args.tol,
         "rows": rows,
         "pass": all_ok,
     })
@@ -272,32 +274,21 @@ def _cmd_moments(args):
 def _cmd_rmt(args):
     from lowlying import kernels, rmt
 
-    cfg = _load(args)
-    group = _resolve(args, cfg, "group", str, None)
-    size = _resolve(args, cfg, "size", _to_int, 30)
-    samples = _resolve(args, cfg, "samples", _to_int, 20000)
-    seed = _resolve(args, cfg, "seed", _to_int, 20260822)
-    betas = _resolve(args, cfg, "beta", _to_float_list, [0.9])
-    include_zero = _resolve(args, cfg, "include_zero", _to_bool, True)
-    zmax = _resolve(args, cfg, "zmax", _to_positive, 3.0)
-    out = _resolve(args, cfg, "out", str, None)
-    if group not in rmt.GROUPS:
+    if args.group not in rmt.GROUPS:
         raise UsageError("group must be one of %s" % (rmt.GROUPS,))
-    if len(betas) > 3:
+    if len(args.beta) > 3:
         raise UsageError("rmt predicts at most 3-level statistics, got %d "
-                         "--beta values" % len(betas))
-    spec = rmt.EnsembleSpec(group=group, size=size, samples=samples,
-                            seed=seed)
-    phis = [kernels.fejer_test_function(b) for b in betas]
-    report = rmt.ensemble_average(spec, phis, include_zero)
-    ok = abs(report.z_score) < zmax
-    _write_json(out, {
+                         "--beta values" % len(args.beta))
+    spec = rmt.EnsembleSpec(group=args.group, size=args.size,
+                            samples=args.samples, seed=args.seed)
+    phis = [kernels.fejer_test_function(b) for b in args.beta]
+    report = rmt.ensemble_average(spec, phis, args.include_zero)
+    ok = abs(report.z_score) < args.zmax
+    _write_json(args.out, {
         "command": "rmt",
-        "config": _echo(group=group, size=size, samples=samples, seed=seed,
-                        beta=",".join(str(b) for b in betas),
-                        include_zero=include_zero, zmax=zmax, out=out),
+        "config": _echo(args),
         "report": report.to_json_dict(),
-        "zmax": zmax,
+        "zmax": args.zmax,
         "pass": ok,
     })
     return 0 if ok else 1
@@ -317,60 +308,47 @@ def _check_in_window(what, m, primes):
 def _cmd_family(args):
     from lowlying import family as family_mod
 
-    cfg = _load(args)
-    primes = _resolve(args, cfg, "primes", _to_int_list, [2, 3, 5])
-    forms = _resolve(args, cfg, "forms", _to_int, 100000)
-    seed = _resolve(args, cfg, "seed", _to_int, 20260822)
-    rule = _resolve(args, cfg, "rule", str, "balanced")
-    m_list = _resolve(args, cfg, "m", _to_int_list, [1, 2, 4, 9, 12, 36])
-    joint_primes = _resolve(args, cfg, "joint_primes", _to_int_list,
-                            primes[:2])
-    joint_degree = _resolve(args, cfg, "joint_degree", _to_int, 2)
-    split_m = _resolve(args, cfg, "split_m", _to_int, 4)
-    zmax = _resolve(args, cfg, "zmax", _to_positive, 3.0)
-    csv_path = _resolve(args, cfg, "csv", str, "")
-    out = _resolve(args, cfg, "out", str, None)
-    spec = family_mod.FamilySpec(primes=tuple(primes), forms=forms,
-                                 seed=seed, epsilon_rule=rule)
-    for m in m_list:
-        _check_in_window("m", m, primes)
-    if len(set(joint_primes)) != len(joint_primes) \
-            or not set(joint_primes) <= set(primes):
+    if args.joint_primes is None:
+        args.joint_primes = args.primes[:2]
+    spec = family_mod.FamilySpec(primes=tuple(args.primes), forms=args.forms,
+                                 seed=args.seed, epsilon_rule=args.rule)
+    for m in args.m:
+        _check_in_window("m", m, args.primes)
+    if len(set(args.joint_primes)) != len(args.joint_primes) \
+            or not set(args.joint_primes) <= set(args.primes):
         raise UsageError("joint primes must be distinct primes of the "
-                         "family window %s, got %s" % (primes, joint_primes))
-    if not 1 <= joint_degree <= 4:
-        raise UsageError("joint degree must be in 1..4, got %d" % joint_degree)
-    if rule == "balanced":
-        _check_in_window("split m", split_m, primes)
-        if forms < 2:
+                         "family window %s, got %s"
+                         % (args.primes, args.joint_primes))
+    if not 1 <= args.joint_degree <= 4:
+        raise UsageError("joint degree must be in 1..4, got %d"
+                         % args.joint_degree)
+    if args.rule == "balanced":
+        _check_in_window("split m", args.split_m, args.primes)
+        if args.forms < 2:
             raise UsageError("the balanced split needs at least 2 forms, "
-                             "got %d" % forms)
+                             "got %d" % args.forms)
     fam = family_mod.generate_family(spec)
-    averages = [family_mod.average_coefficient(fam, m) for m in m_list]
-    joint = family_mod.joint_sato_tate_test(fam, joint_primes, joint_degree)
-    ok = all(abs(r.z_score) < zmax for r in averages) \
-        and joint.max_abs_z < zmax
+    averages = [family_mod.average_coefficient(fam, m) for m in args.m]
+    joint = family_mod.joint_sato_tate_test(fam, args.joint_primes,
+                                            args.joint_degree)
+    ok = all(abs(r.z_score) < args.zmax for r in averages) \
+        and joint.max_abs_z < args.zmax
     split_payload = None
-    if rule == "balanced":
-        split = family_mod.plus_minus_split_test(fam, split_m)
-        ok = ok and abs(split.plus.z_score) < zmax \
-            and abs(split.minus.z_score) < zmax
+    if args.rule == "balanced":
+        split = family_mod.plus_minus_split_test(fam, args.split_m)
+        ok = ok and abs(split.plus.z_score) < args.zmax \
+            and abs(split.minus.z_score) < args.zmax
         split_payload = split.to_json_dict()
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
             family_mod.write_family_csv(fam, fh)
-    _write_json(out, {
+    _write_json(args.out, {
         "command": "family",
-        "config": _echo(primes=",".join(str(p) for p in primes), forms=forms,
-                        seed=seed, rule=rule,
-                        m=",".join(str(m) for m in m_list),
-                        joint_primes=",".join(str(p) for p in joint_primes),
-                        joint_degree=joint_degree, split_m=split_m,
-                        zmax=zmax, csv=csv_path, out=out),
+        "config": _echo(args),
         "averages": [r.to_json_dict() for r in averages],
         "joint": joint.to_json_dict(),
         "split": split_payload,
-        "zmax": zmax,
+        "zmax": args.zmax,
         "pass": ok,
     })
     return 0 if ok else 1
@@ -381,17 +359,13 @@ def _cmd_dims(args):
 
     from lowlying import paramodular
 
-    cfg = _load(args)
-    weights = _resolve(args, cfg, "weights", _to_pair_list, [(4, 4)])
-    levels = _resolve(args, cfg, "levels", _to_int_list, [1])
-    out = _resolve(args, cfg, "out", str, None)
     reports = []
-    for k1, k2 in weights:
-        for n in levels:
+    for k1, k2 in args.weights:
+        for n in args.levels:
             reports.append(paramodular.dimension_report(
                 k1, k2, paramodular.LevelData.from_level(n)))
     reports.sort(key=lambda r: (r.k1, r.k2, r.level.n))
-    with open(out, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         writer = _csv_writer(fh)
         writer.writerow(["k1", "k2", "N", "dim_main", "dim_new_main", "c_N"])
         for r in reports:
@@ -401,10 +375,9 @@ def _cmd_dims(args):
                              repr(float(r.c))])
     c_ok = all(r.c == 1 if r.level.n == 1
                else Fraction(1) < r.c < Fraction(5) for r in reports)
-    _write_json(out + ".json", {
+    _write_json(args.out + ".json", {
         "command": "dims",
-        "config": _echo(weights=";".join("%d,%d" % w for w in weights),
-                        levels=",".join(str(n) for n in levels), out=out),
+        "config": _echo(args),
         "rows": len(reports),
         "c_bound_pass": c_ok,
         "pass": c_ok,
@@ -416,44 +389,64 @@ def _cmd_dims(args):
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error as a UsageError, so main prints one line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lowlying",
         description="Reproducible experiments: measures, moments, matrix "
                     "ensembles, synthetic families, dimension tables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, func, flags):
+    def add(name, help_text, func, **params):
+        # params maps each flag's dest to its (cast, default)
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="flat key=value config file")
-        for flag in flags:
-            sp.add_argument("--" + flag)
+        for dest, (cast, default) in params.items():
+            sp.add_argument("--" + dest.replace("_", "-"), type=cast,
+                            default=default)
+        sp.add_argument("--out", required=True)
         sp.set_defaults(func=func)
 
     add("density", "export a density grid plus normalization record",
-        _cmd_density, ["p", "grid", "tol", "out"])
+        _cmd_density, p=(_to_int, 2), grid=(_to_int, 41),
+        tol=(_to_positive, 1e-8))
     add("moments", "quadrature coefficient moments against main terms",
-        _cmd_moments, ["primes", "nmax", "tol", "out"])
+        _cmd_moments, primes=(_to_int_list, [2, 3, 5]), nmax=(_to_int, 6),
+        tol=(_to_positive, 1e-6))
     add("rmt", "ensemble statistic against its kernel prediction",
-        _cmd_rmt, ["group", "size", "samples", "seed", "beta",
-                   "include-zero", "zmax", "out"])
+        _cmd_rmt, group=(str, None), size=(_to_int, 30),
+        samples=(_to_int, 20000), seed=(_to_int, 20260822),
+        beta=(_to_float_list, [0.9]), include_zero=(_to_bool, True),
+        zmax=(_to_positive, 3.0))
     add("family", "synthetic family averages, joint moments, sign split",
-        _cmd_family, ["primes", "forms", "seed", "rule", "m",
-                      "joint-primes", "joint-degree", "split-m", "zmax",
-                      "csv", "out"])
+        _cmd_family, primes=(_to_int_list, [2, 3, 5]),
+        forms=(_to_int, 100000), seed=(_to_int, 20260822),
+        rule=(str, "balanced"), m=(_to_int_list, [1, 2, 4, 9, 12, 36]),
+        joint_primes=(_to_int_list, None), joint_degree=(_to_int, 2),
+        split_m=(_to_int, 4), zmax=(_to_positive, 3.0), csv=(str, ""))
     add("dims", "dimension main-term table over weights and levels",
-        _cmd_dims, ["weights", "levels", "out"])
+        _cmd_dims, weights=(_to_pair_list, [(4, 4)]),
+        levels=(_to_int_list, [1]))
     return parser
 
 
 def main(argv=None) -> int:
     _pin_threads()
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        args = build_parser().parse_args(_expand_config(argv))
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
+    except SystemExit:  # --help; the clauses below would load numpy
+        raise
     except _numeric_error_types() as exc:
         print("numeric failure: %s" % (exc,), file=sys.stderr)
         return 3

@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import sici
 
-from .quadrature import panel_grid
+from .quadrature import gauss_legendre, panel_grid
 
 __all__ = [
     "TestFunction",
@@ -69,7 +69,6 @@ class TestFunction:
 
     beta: float
     pieces: tuple
-    name: str = ""
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -102,10 +101,7 @@ class TestFunction:
 
     @property
     def fourier_at_zero(self) -> float:
-        v = 0.0
-        for c in reversed(self.pieces[0][2]):
-            v = v * 0.0 + c
-        return float(v)
+        return float(self.pieces[0][2][0])
 
     @property
     def value_at_zero(self) -> float:
@@ -146,7 +142,7 @@ def _piece_cos_integral(lo, hi, coeffs, omega):
     small = omega * (hi - lo) < 0.5
     if np.any(small):
         # short phase: plain Gauss-Legendre is exact to machine here
-        g, w = np.polynomial.legendre.leggauss(12)
+        g, w = gauss_legendre(12)
         u = 0.5 * (hi - lo) * (g + 1.0) + lo
         pv = np.zeros_like(u)
         for c in reversed(coeffs):
@@ -293,8 +289,7 @@ def fejer_test_function(beta: float) -> TestFunction:
     if not beta > 0:
         raise ValueError("beta must be positive")
     return TestFunction(beta=float(beta),
-                        pieces=((0.0, float(beta), (1.0, -1.0 / float(beta))),),
-                        name="fejer(%g)" % beta)
+                        pieces=((0.0, float(beta), (1.0, -1.0 / float(beta))),))
 
 
 def default_betas(n: int) -> float:

@@ -377,21 +377,17 @@ class EnsembleReport:
 
 
 def prediction_for(group: str, phis, include_zero: bool) -> float:
-    """Kernel-side prediction matching an ensemble statistic."""
-    if group == "SOeven":
-        return float(kernels.n_level_prediction(kernels.SOEVEN, phis))
-    if group == "USp":
-        return float(kernels.n_level_prediction(kernels.SP, phis))
-    if group == "U":
-        return float(kernels.n_level_prediction(kernels.U, phis))
-    if group == "SOodd":
-        which = kernels.SOODD if include_zero else kernels.SP
-        return float(kernels.n_level_prediction(which, phis))
+    """Kernel-side prediction matching an ensemble statistic; for O, the
+    average of its two parities."""
+    # without its forced zero an SO(2N+1) spectrum follows Sp
+    types = {"SOeven": kernels.SOEVEN, "USp": kernels.SP, "U": kernels.U,
+             "SOodd": kernels.SOODD if include_zero else kernels.SP}
     if group == "O":
-        even = float(kernels.n_level_prediction(kernels.SOEVEN, phis))
-        odd = prediction_for("SOodd", phis, include_zero)
-        return 0.5 * (even + odd)
-    raise ValueError("unknown group %r" % (group,))
+        return 0.5 * (prediction_for("SOeven", phis, include_zero)
+                      + prediction_for("SOodd", phis, include_zero))
+    if group not in types:
+        raise ValueError("unknown group %r" % (group,))
+    return float(kernels.n_level_prediction(types[group], phis))
 
 
 def ensemble_average(spec: EnsembleSpec, phis,

@@ -88,6 +88,90 @@ class TestConfig:
                          "--out", str(tmp_path / "d.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["sampels=7", "forms=10"])
+    def test_unknown_config_key_exits_2_before_sampling(
+            self, line, tmp_path, monkeypatch, capsys):
+        # a misspelled key, and a key of another command, match no flag
+        TestRmt._forbid_sampling(monkeypatch)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("group=U\n%s\n" % line)
+        code = cli.main(["rmt", "--config", str(cfg),
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("spelling", ["--config=%s", "--conf %s"])
+    def test_dashed_key_takes_effect(self, spelling, tmp_path):
+        from lowlying import kernels, rmt
+
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "r.json"
+        cfg.write_text("include-zero=0\nsize=5\nsamples=20\nzmax=50\n")
+        code = cli.main(["rmt"] + (spelling % cfg).split()
+                        + ["--group", "SOodd", "--out", str(out)])
+        assert code == 0
+        meta = read_json(out)
+        assert meta["config"]["include_zero"] == "False"
+        phis = [kernels.fejer_test_function(0.9)]
+        assert meta["report"]["prediction"] \
+            == rmt.prediction_for("SOodd", phis, False) \
+            != rmt.prediction_for("SOodd", phis, True)
+
+    def test_config_echo_strings(self, tmp_path):
+        out = str(tmp_path / "r.json")
+        assert cli.main(["rmt", "--group", "U", "--size", "5",
+                         "--samples", "20", "--seed", "3",
+                         "--beta", "0.3,0.2", "--zmax", "50",
+                         "--out", out]) == 0
+        assert read_json(out)["config"] == {
+            "group": "U", "size": "5", "samples": "20", "seed": "3",
+            "beta": "0.3,0.2", "include_zero": "True", "zmax": "50.0",
+            "out": out}
+        out = str(tmp_path / "t.csv")
+        assert cli.main(["dims", "--weights", "5,4; 4,4", "--levels", "2,1",
+                         "--out", out]) == 0
+        assert read_json(out + ".json")["config"] == {
+            "weights": "5,4;4,4", "levels": "2,1", "out": out}
+        out = str(tmp_path / "m.json")
+        assert cli.main(["moments", "--primes", "3,2", "--nmax", "1",
+                         "--out", out]) == 0
+        assert read_json(out)["config"] == {
+            "primes": "2,3", "nmax": "1", "tol": "1e-06", "out": out}
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("argv", [
+        ["density", "--bogus", "1", "--out", "d.csv"],
+        ["density", "--p", "2"],
+        ["density", "--grid", "--out", "d.csv"],
+        ["nonsense", "--out", "d.csv"]],
+        ids=["unknown-flag", "missing-out", "no-value", "unknown-command"])
+    def test_exit_2_with_one_line(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_parsing_loads_no_numpy(self, tmp_path):
+        script = ("import sys\n"
+                  "from lowlying import cli\n"
+                  "assert cli.main(['rmt', '--sampels', '7', '--out', 'r']) "
+                  "== 2\n"
+                  "try:\n"
+                  "    cli.main(['rmt', '--help'])\n"
+                  "except SystemExit:\n"
+                  "    pass\n"
+                  "assert 'numpy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=cli_env("1"), capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 # ---------------------------------------------------------------------------
 # density
@@ -197,6 +281,18 @@ class TestMoments:
             raise AssertionError("quadrature ran before validation")
         monkeypatch.setattr("lowlying.measures.integrate", integrated)
         code = cli.main(["moments", "--primes", "2,3,5,4",
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
+    def test_repeated_prime_exits_2_before_quadrature(self, tmp_path,
+                                                      monkeypatch, capsys):
+        def integrated(*args, **kwargs):
+            raise AssertionError("quadrature ran before validation")
+        monkeypatch.setattr("lowlying.measures.integrate", integrated)
+        code = cli.main(["moments", "--primes", "2,2",
                          "--out", str(tmp_path / "m.json")])
         assert code == 2
         err = capsys.readouterr().err
