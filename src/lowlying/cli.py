@@ -138,17 +138,25 @@ def _to_pair_list(raw):
     return pairs
 
 
-def _expand_config(argv):
+def _expand_config(argv, options):
     """argv with each --config FILE's keys spliced in as --key=value flags
     right after the command name, so that explicit flags, parsed later,
-    override them.  Any prefix of --config that argparse accepts counts."""
+    override them.  Any prefix of --config that argparse accepts counts,
+    but a key must name one of the command's `options` exactly.  An
+    unknown command is left for argparse to report."""
+    if not argv or argv[0] not in options:
+        return argv
     flags = []
     for arg, after in zip(argv, argv[1:] + [None]):
         name, eq, path = arg.partition("=")
         path = path if eq else after
         if len(name) > 2 and "--config".startswith(name) and path:
-            flags += ["--%s=%s" % (key.replace("_", "-"), value)
-                      for key, value in read_config(path).items()]
+            for key, value in read_config(path).items():
+                flag = "--" + key.replace("_", "-")
+                if flag not in options[argv[0]]:
+                    raise UsageError("config key %r names no flag of %s"
+                                     % (key, argv[0]))
+                flags.append("%s=%s" % (flag, value))
     return argv[:1] + flags + argv[1:]
 
 
@@ -402,16 +410,19 @@ def build_parser():
         description="Reproducible experiments: measures, moments, matrix "
                     "ensembles, synthetic families, dimension tables.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command's option strings, which config keys must name exactly
+    parser.options = {}
 
     def add(name, help_text, func, **params):
         # params maps each flag's dest to its (cast, default)
         sp = sub.add_parser(name, help=help_text)
+        flags = ["--" + dest.replace("_", "-") for dest in params]
         sp.add_argument("--config", help="flat key=value config file")
-        for dest, (cast, default) in params.items():
-            sp.add_argument("--" + dest.replace("_", "-"), type=cast,
-                            default=default)
+        for flag, (cast, default) in zip(flags, params.values()):
+            sp.add_argument(flag, type=cast, default=default)
         sp.add_argument("--out", required=True)
         sp.set_defaults(func=func)
+        parser.options[name] = {"--config", "--out", *flags}
 
     add("density", "export a density grid plus normalization record",
         _cmd_density, p=(_to_int, 2), grid=(_to_int, 41),
@@ -440,7 +451,8 @@ def main(argv=None) -> int:
     _pin_threads()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_expand_config(argv))
+        parser = build_parser()
+        args = parser.parse_args(_expand_config(argv, parser.options))
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % (exc,), file=sys.stderr)

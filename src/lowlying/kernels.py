@@ -6,7 +6,8 @@ Two independent evaluation routes are kept deliberately separate:
 * the determinant route integrates test functions against determinants
   of the sine-plus-reflection kernel in x-space (panel quadrature on a
   large box, plus exact trigonometric tail integrals of the closed-form
-  test function);
+  test function); its cycle expansion is one recursion over subsets of
+  the inputs, for n <= 3;
 * the combinatorial route works entirely on the Fourier side (grid
   convolutions of the compactly supported transforms); its sum over set
   partitions, even block subsets and pairings is one recursion over
@@ -37,8 +38,6 @@ __all__ = [
     "TestFunction",
     "SymmetryType",
     "SupportViolation",
-    "kernel_eval",
-    "density_W",
     "n_level_prediction",
     "prediction_with_error",
     "rubinstein_rhs",
@@ -298,24 +297,17 @@ def default_betas(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# kernels and determinants
-
-
-def kernel_eval(epsilon, x, y):
-    """Sine kernel plus epsilon times its reflection; sinc(0) = 1."""
-    if epsilon not in (-1, 0, 1):
-        raise ValueError("epsilon must be -1, 0, or +1")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    v = np.sinc(xa - ya) + (epsilon * np.sinc(xa + ya) if epsilon else 0.0)
-    if np.isscalar(x) and np.isscalar(y):
-        return float(v)
-    return v
+# symmetry types
 
 
 @dataclass(frozen=True)
 class SymmetryType:
-    """One of the five symmetry classes."""
+    """One of the five symmetry classes.
+
+    `epsilon` is the sign of the reflection term in the density kernel
+    K_eps(x, y) = sinc(x - y) + eps sinc(x + y); it is None for O, the
+    average of the two orthogonal classes.
+    """
 
     tag: str
 
@@ -342,25 +334,6 @@ SP = SymmetryType("Sp")
 ALL_TYPES = (U, SOEVEN, SOODD, O_TYPE, SP)
 
 
-def density_W(G: SymmetryType, xs):
-    """Continuous part of the n-level density at the points xs.
-
-    Delta contributions of the odd orthogonal class are handled in
-    n_level_prediction, never here.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.size < 1:
-        raise ValueError("need at least one coordinate")
-
-    def det_for(eps):
-        m = kernel_eval(eps, xs[:, None], xs[None, :])
-        return float(np.linalg.det(np.atleast_2d(m)))
-
-    if G.tag == "O":
-        return 0.5 * (det_for(1) + det_for(-1))
-    return det_for(G.epsilon)
-
-
 # ---------------------------------------------------------------------------
 # determinant-route predictions via cycle integrals
 
@@ -369,19 +342,23 @@ _BOX2 = (100.0, 12)  # half-width and per-unit order for the double integral
 _BOX3 = (56.0, 12)   # same for the triple integral
 
 
-@lru_cache(maxsize=64)
-def _j1(phi: TestFunction, eps: int):
-    """int phi(x) K_eps(x,x) dx with exact trigonometric tails."""
-    a = _CORE_HALF_WIDTH
-    nodes, weights = panel_grid(0.0, a, int(2 * a), 16)
+def _j1_value(phi, eps, half_width):
+    nodes, weights = panel_grid(0.0, half_width, int(2 * half_width), 16)
     vals = phi.value(nodes) * (1.0 + eps * np.sinc(2.0 * nodes))
     core = math.fsum((weights * vals).tolist())
     tail_sum = phi.tail_terms()
     if eps:
         tail_sum = tail_sum.plus((phi.tail_terms() * _SINC2X).scaled(eps))
-    tail = tail_sum.integral_from(a)
-    value = 2.0 * (core + tail)
-    return value, 1e-13 * (1.0 + abs(value))
+    return 2.0 * (core + tail_sum.integral_from(half_width))
+
+
+@lru_cache(maxsize=64)
+def _j1(phi: TestFunction, eps: int):
+    """int phi(x) K_eps(x,x) dx with exact trigonometric tails; the error
+    is the spread against a shorter box, at least one ulp of the value."""
+    value = _j1_value(phi, eps, _CORE_HALF_WIDTH)
+    spread = abs(value - _j1_value(phi, eps, 0.8 * _CORE_HALF_WIDTH))
+    return value, max(spread, math.ulp(value))
 
 
 def _grid_weights(phis, half_width, order):
@@ -448,37 +425,37 @@ def _j3(phis: tuple, eps):
     return value, abs(value - _j3_value(phis, eps, 0.8 * t, order))
 
 
-def _continuous_prediction(eps, phis: tuple, idx=None):
-    """int prod phi_i  det(K_eps) over R^n for n <= 3, via cycle integrals.
+def _cycle(phis, eps, block):
+    """(value, error) of the cycle integral over the indices in `block`,
+    times its (|block| - 1)! cyclic orders.  With at most three inputs, a
+    three-index block is the whole list."""
+    if len(block) == 1:
+        return _j1(phis[block[0]], eps)
+    if len(block) == 2:
+        return _j2_pairs(phis, eps)[block]
+    value, err = _j3(phis, eps)
+    return 2.0 * value, 2.0 * err
 
-    `idx` (ascending) picks a sub-list of phis, whose pair integrals come
-    from the table of the whole list: a sub-list builds no kernel matrix.
-    """
-    idx = tuple(range(len(phis))) if idx is None else idx
-    if len(idx) > 3:
-        raise NotImplementedError(
-            "determinant-route predictions are implemented for n <= 3")
-    j1 = [_j1(phis[i], eps) for i in idx]
-    if len(idx) == 1:
-        return j1[0]
-    table = _j2_pairs(phis, eps)
-    if len(idx) == 2:
-        (j1a, e1a), (j1b, e1b) = j1
-        j2, e2 = table[idx]
-        value = j1a * j1b - j2
-        err = abs(j1b) * e1a + abs(j1a) * e1b + e2
-        return value, err
-    pairs = [(1, 2), (0, 2), (0, 1)]
-    j2 = [table[ab] for ab in pairs]
-    j3, e3 = _j3(phis, eps)
-    value = j1[0][0] * j1[1][0] * j1[2][0]
-    err = 3.0 * max(e[1] for e in j1) * max(1.0, max(abs(e[0]) for e in j1)) ** 2
-    for fix in range(3):
-        value -= j1[fix][0] * j2[fix][0]
-        err += abs(j1[fix][0]) * j2[fix][1] + j1[fix][1] * abs(j2[fix][0])
-    value += 2.0 * j3
-    err += 2.0 * e3
-    return value, err
+
+def _determinant_table(phis, eps):
+    """(value, error) of int prod_{i in S} phi_i det K_eps over R^|S| for
+    every ascending index tuple S, by the cycle expansion of det K_eps:
+    F(()) = 1, and F(S) sums (-1)^(|B|-1) c(B) F(S - B) over the blocks B
+    of S holding S's lowest index, c being `_cycle`'s value.  Errors
+    propagate to first order through the same sum."""
+    table = {(): (1.0, 0.0)}
+    for size in range(1, len(phis) + 1):
+        for s in combinations(range(len(phis)), size):
+            value = err = 0.0
+            for k in range(size):
+                for others in combinations(s[1:], k):
+                    block = s[:1] + others
+                    c, c_err = _cycle(phis, eps, block)
+                    f, f_err = table[tuple(i for i in s if i not in block)]
+                    value += (-1) ** k * c * f
+                    err += abs(c) * f_err + c_err * abs(f)
+            table[s] = value, err
+    return table
 
 
 def _check_supports(phis, beta_n):
@@ -498,28 +475,21 @@ def prediction_with_error(G: SymmetryType, phis, beta_n=None):
     if beta_n is None:
         beta_n = default_betas(n)
     _check_supports(phis, beta_n)
-    if G.tag == "U":
-        return _continuous_prediction(0, phis)
-    if G.tag == "SOeven":
-        return _continuous_prediction(1, phis)
-    if G.tag == "Sp":
-        return _continuous_prediction(-1, phis)
-    if G.tag == "SOodd":
-        value, err = _continuous_prediction(-1, phis)
-        for nu in range(n):
-            rest = tuple(i for i in range(n) if i != nu)
-            if rest:
-                sub, sub_err = _continuous_prediction(-1, phis, rest)
-            else:
-                sub, sub_err = 1.0, 0.0
-            value += phis[nu].value_at_zero * sub
-            err += abs(phis[nu].value_at_zero) * sub_err
-        return value, err
-    if G.tag == "O":
+    if n > 3:
+        raise NotImplementedError(
+            "determinant-route predictions are implemented for n <= 3")
+    if G.epsilon is None:
         ve, ee = prediction_with_error(SOEVEN, phis, beta_n)
         vo, eo = prediction_with_error(SOODD, phis, beta_n)
         return 0.5 * (ve + vo), 0.5 * (ee + eo)
-    raise ValueError("unknown symmetry type %r" % (G.tag,))
+    table = _determinant_table(phis, G.epsilon)
+    value, err = table[tuple(range(n))]
+    if G.has_delta:
+        for nu in range(n):
+            sub, sub_err = table[tuple(i for i in range(n) if i != nu)]
+            value += phis[nu].value_at_zero * sub
+            err += abs(phis[nu].value_at_zero) * sub_err
+    return value, err
 
 
 def n_level_prediction(G: SymmetryType, phis, beta_n=None) -> float:

@@ -11,6 +11,10 @@ of that subset, folded through nested fsums.  It shares the per-block
 grid arithmetic with `kernels`, so it checks the subset recursion that
 combines the blocks.
 
+`kernel_eval` and `density_W` are the pointwise determinant oracle: the
+sine-plus-reflection kernel, and the determinant of its matrix at given
+points, which the determinant route integrates.
+
 `haar_batch` draws dense Haar matrices: QR of a Gaussian matrix for the
 orthogonal and unitary groups, the polar factor of a quaternionic
 Gaussian matrix for the symplectic group.  It is the distributional
@@ -101,6 +105,34 @@ def haar_batch(group, size, seed, indices):
     if group == "USp":
         return _symplectic_batch(size, seed, indices)
     return _special_orthogonal_batch(group, size, seed, indices)
+
+
+def kernel_eval(epsilon, x, y):
+    """Sine kernel plus epsilon times its reflection; sinc(0) = 1."""
+    if epsilon not in (-1, 0, 1):
+        raise ValueError("epsilon must be -1, 0, or +1")
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    v = np.sinc(xa - ya) + (epsilon * np.sinc(xa + ya) if epsilon else 0.0)
+    if np.isscalar(x) and np.isscalar(y):
+        return float(v)
+    return v
+
+
+def density_W(G, xs):
+    """Continuous part of the n-level density of symmetry type G at the
+    points xs; the odd orthogonal class's delta terms are left out."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.size < 1:
+        raise ValueError("need at least one coordinate")
+
+    def det_for(eps):
+        m = kernel_eval(eps, xs[:, None], xs[None, :])
+        return float(np.linalg.det(np.atleast_2d(m)))
+
+    if G.tag == "O":
+        return 0.5 * (det_for(1) + det_for(-1))
+    return det_for(G.epsilon)
 
 
 def brute_d_n(spectrum, phis, include_zero):

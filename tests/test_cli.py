@@ -102,6 +102,31 @@ class TestConfig:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("line", ["p=3", "n=1"])
+    def test_abbreviated_config_key_exits_2_before_quadrature(
+            self, line, tmp_path, monkeypatch, capsys):
+        # unique prefixes of moments' --primes and --nmax, which argparse
+        # would take as those flags on the command line
+        def integrated(*args, **kwargs):
+            raise AssertionError("quadrature ran before validation")
+        monkeypatch.setattr("lowlying.measures.integrate", integrated)
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(line + "\n")
+        code = cli.main(["moments", "--config", str(cfg),
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
+    def test_abbreviated_flag_on_command_line_takes_effect(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert cli.main(["moments", "--prim", "3", "--nm", "1",
+                         "--out", str(out)]) == 0
+        meta = read_json(out)
+        assert (meta["config"]["primes"], meta["config"]["nmax"]) \
+            == ("3", "1")
+
     @pytest.mark.parametrize("spelling", ["--config=%s", "--conf %s"])
     def test_dashed_key_takes_effect(self, spelling, tmp_path):
         from lowlying import kernels, rmt

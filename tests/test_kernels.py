@@ -6,6 +6,7 @@ integrate in closed form) before the implementation produced them.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from conftest import (PartitionStructure, brute_rubinstein,
-                      enumerate_pairings, enumerate_partitions)
+from conftest import (PartitionStructure, brute_rubinstein, density_W,
+                      enumerate_pairings, enumerate_partitions, kernel_eval)
 from lowlying import kernels as K
 
 
@@ -27,24 +28,24 @@ def tf(beta):
 
 
 def test_kernel_examples():
-    assert K.kernel_eval(1, 0.0, 0.0) == pytest.approx(2.0, abs=1e-15)
-    assert K.kernel_eval(0, 0.7, 0.7) == pytest.approx(1.0, abs=1e-15)
-    assert K.kernel_eval(-1, 0.5, 0.5) == pytest.approx(1.0, abs=1e-15)
+    assert kernel_eval(1, 0.0, 0.0) == pytest.approx(2.0, abs=1e-15)
+    assert kernel_eval(0, 0.7, 0.7) == pytest.approx(1.0, abs=1e-15)
+    assert kernel_eval(-1, 0.5, 0.5) == pytest.approx(1.0, abs=1e-15)
     # reflection with integer offset: sinc vanishes at nonzero integers
-    assert K.kernel_eval(-1, 2.0, 1.0) == pytest.approx(
+    assert kernel_eval(-1, 2.0, 1.0) == pytest.approx(
         math.sin(math.pi * 1.0), abs=1e-15)
 
 
 def test_kernel_rejects_bad_epsilon():
     with pytest.raises(ValueError):
-        K.kernel_eval(2, 0.0, 0.0)
+        kernel_eval(2, 0.0, 0.0)
 
 
 @given(st.floats(-20, 20), st.floats(-20, 20),
        st.sampled_from([-1, 0, 1]))
 def test_kernel_symmetry(x, y, eps):
-    a = K.kernel_eval(eps, x, y)
-    b = K.kernel_eval(eps, y, x)
+    a = kernel_eval(eps, x, y)
+    b = kernel_eval(eps, y, x)
     assert a == pytest.approx(b, abs=1e-12)
     assert abs(a) <= 2.0 + 1e-12
 
@@ -54,16 +55,16 @@ def test_kernel_symmetry(x, y, eps):
 
 
 def test_density_examples():
-    assert K.density_W(K.U, [0.37]) == pytest.approx(1.0, abs=1e-14)
-    assert K.density_W(K.SOEVEN, [0.0]) == pytest.approx(2.0, abs=1e-14)
+    assert density_W(K.U, [0.37]) == pytest.approx(1.0, abs=1e-14)
+    assert density_W(K.SOEVEN, [0.0]) == pytest.approx(2.0, abs=1e-14)
     # repeated coordinate makes the matrix singular
-    assert K.density_W(K.SP, [0.3, 0.3]) == pytest.approx(0.0, abs=1e-14)
+    assert density_W(K.SP, [0.3, 0.3]) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_density_O_is_average():
     xs = [0.21, -0.8]
-    avg = 0.5 * (K.density_W(K.SOEVEN, xs) + K.density_W(K.SOODD, xs))
-    assert K.density_W(K.O_TYPE, xs) == pytest.approx(avg, abs=1e-14)
+    avg = 0.5 * (density_W(K.SOEVEN, xs) + density_W(K.SOODD, xs))
+    assert density_W(K.O_TYPE, xs) == pytest.approx(avg, abs=1e-14)
 
 
 def test_density_matches_manual_det():
@@ -71,8 +72,8 @@ def test_density_matches_manual_det():
     m = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
-            m[i, j] = K.kernel_eval(-1, xs[i], xs[j])
-    assert K.density_W(K.SP, xs) == pytest.approx(
+            m[i, j] = kernel_eval(-1, xs[i], xs[j])
+    assert density_W(K.SP, xs) == pytest.approx(
         float(np.linalg.det(m)), rel=1e-12)
 
 
@@ -417,3 +418,58 @@ def test_determinant_route_pins(betas, soeven, sp):
     assert K.n_level_prediction(K.SOEVEN, phis) == pytest.approx(
         soeven, abs=1e-12)
     assert K.n_level_prediction(K.SP, phis) == pytest.approx(sp, abs=1e-12)
+
+
+def _cycles(perm):
+    """The cycles of a permutation of range(len(perm)), each sorted."""
+    seen, out = set(), []
+    for start in range(len(perm)):
+        cycle, i = [], start
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = perm[i]
+        if cycle:
+            out.append(tuple(sorted(cycle)))
+    return out
+
+
+def _permutation_sum(phis, eps, idx):
+    """int prod_{i in idx} phi_i det K_eps as the sum over permutations
+    sigma of idx of sgn(sigma) times the cached integral of each cycle."""
+    terms = []
+    for perm in itertools.permutations(range(len(idx))):
+        cycles = _cycles(perm)
+        term = (-1.0) ** (len(idx) - len(cycles))
+        for cycle in cycles:
+            block = tuple(idx[i] for i in cycle)
+            if len(block) == 1:
+                term *= K._j1(phis[block[0]], eps)[0]
+            elif len(block) == 2:
+                term *= K._j2_pairs(phis, eps)[block][0]
+            else:
+                term *= K._j3(phis, eps)[0]
+        terms.append(term)
+    return math.fsum(terms)
+
+
+def _permutation_oracle(G, phis):
+    if G.epsilon is None:
+        return 0.5 * (_permutation_oracle(K.SOEVEN, phis)
+                      + _permutation_oracle(K.SOODD, phis))
+    n = len(phis)
+    terms = [_permutation_sum(phis, G.epsilon, tuple(range(n)))]
+    if G.has_delta:
+        terms += [phis[nu].value_at_zero * _permutation_sum(
+            phis, G.epsilon, tuple(i for i in range(n) if i != nu))
+            for nu in range(n)]
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("betas", [(0.9,), (0.45, 0.4), (0.3, 0.28, 0.25)])
+@pytest.mark.parametrize("G", K.ALL_TYPES, ids=lambda g: g.tag)
+def test_determinant_route_matches_permutation_sum(G, betas):
+    phis = [tf(b) for b in betas]
+    got = K.n_level_prediction(G, phis)
+    assert got == pytest.approx(_permutation_oracle(G, tuple(phis)),
+                                rel=1e-15, abs=0.0)

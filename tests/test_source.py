@@ -12,6 +12,16 @@ PACKAGE = pathlib.Path(lowlying.__file__).parent
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
+def exports(tree):
+    """The names a parsed module lists in __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def unused_imports(source):
     """Names a module imports, never reads, and does not list in __all__."""
     tree = ast.parse(source)
@@ -25,13 +35,7 @@ def unused_imports(source):
     # an attribute chain such as np.linalg starts with a Name read
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
-    return sorted(imported - read - exported)
+    return sorted(imported - read - exports(tree))
 
 
 def test_scan_finds_an_unused_import():
@@ -176,9 +180,8 @@ def test_determinant_and_combinatorial_routes_share_only_validation():
         "SupportViolation", "_check_supports", "default_betas"]
 
 
-def test_bench_hooks_resolve():
-    # a traced benchmark run rebinds every hooked function on every
-    # module listed for it, so a name deleted from one breaks only there
+def _bench_hooks():
+    """(module, function name) for every binding bench/tracing.py hooks."""
     spec = importlib.util.spec_from_file_location("bench_tracing",
                                                   BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -187,5 +190,95 @@ def test_bench_hooks_resolve():
         name, modules = hook[0], hook[2]
         func = hook[3] if len(hook) > 3 else name.rsplit(".", 1)[1]
         for modname in modules:
-            module = importlib.import_module(modname)
-            assert callable(getattr(module, func, None)), (modname, func)
+            yield modname, func
+
+
+def test_bench_hooks_resolve():
+    # a traced benchmark run rebinds every hooked function on every
+    # module listed for it, so a name deleted from one breaks only there
+    for modname, func in _bench_hooks():
+        module = importlib.import_module(modname)
+        assert callable(getattr(module, func, None)), (modname, func)
+
+
+def package_reads(source):
+    """(module, name) pairs that `source` reads off the package's modules:
+    names it imports from one, and attributes of a name bound to one."""
+    tree = ast.parse(source)
+    bound, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "lowlying":
+                continue
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:  # from lowlying.kernels import name
+                reads.update((parts[0], a.name) for a in node.names)
+            else:  # from lowlying import kernels
+                bound.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update((a.asname, a.name.split(".")[1]) for a in node.names
+                         if a.asname and a.name.startswith("lowlying."))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in bound:
+            reads.add((bound[node.value.id], node.attr))
+    return reads
+
+
+def unread_exports(modules, outside_reads):
+    """"module.name" for each name in a module's __all__ that is not in
+    `outside_reads` and that no module of `modules` (short name -> source)
+    reads: its own module by name, another one through an import."""
+    readers = set(outside_reads)
+    for mod, source in modules.items():
+        readers |= package_reads(source)
+        readers |= {(mod, node.id) for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+    return sorted("%s.%s" % (mod, name) for mod, source in modules.items()
+                  for name in exports(ast.parse(source))
+                  if (mod, name) not in readers)
+
+
+_MODULES = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+_PLANTED_READERS = (
+    "import lowlying.rng as R\nfrom lowlying import measures as M\n"
+    "from . import hecke\nfrom .quadrature import panel_grid\n"
+    "from os import path\nR.uniforms, M.integrate, hecke.analytic_conductor\n"
+    "path.join, panel_grid\n")
+
+
+def test_read_scan_resolves_each_import_form():
+    assert package_reads(_PLANTED_READERS) == {
+        ("rng", "uniforms"), ("measures", "integrate"),
+        ("hecke", "analytic_conductor"), ("quadrature", "panel_grid")}
+
+
+def test_export_scan_finds_a_planted_name():
+    assert '__all__ = [\n    "TestFunction",\n' in _MODULES["kernels"]
+    planted = dict(_MODULES, kernels=_MODULES["kernels"].replace(
+        '__all__ = [\n', '__all__ = [\n    "ghost",\n'))
+    assert "kernels.ghost" in unread_exports(planted, set())
+    assert "kernels.ghost" not in unread_exports(planted,
+                                                 {("kernels", "ghost")})
+    planted["kernels"] += "ghost()\n"
+    assert "kernels.ghost" not in unread_exports(planted, set())
+
+
+# public names that nothing but tests reads; this list may only shrink
+UNREAD_EXPORTS = ["family.std_square_deviation", "measures.limit_measure",
+                  "paramodular.oldform_table", "rmt.mean_scaled_spacing"]
+
+
+def test_every_export_has_a_reader_outside_tests():
+    # readers: the package's own code, the benchmark scripts and their
+    # hooks, and the acceptance criteria
+    outside = {(modname.rsplit(".", 1)[1], func)
+               for modname, func in _bench_hooks()}
+    for path in sorted(BENCH.glob("*.py")) + [
+            pathlib.Path(__file__).parent / "test_acceptance.py"]:
+        outside |= package_reads(path.read_text())
+    assert unread_exports(_MODULES, outside) == UNREAD_EXPORTS
