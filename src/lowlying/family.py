@@ -39,7 +39,6 @@ __all__ = [
     "main_term_std",
     "joint_sato_tate_test",
     "plus_minus_split_test",
-    "std_square_deviation",
     "write_family_csv",
 ]
 
@@ -415,20 +414,7 @@ def plus_minus_split_test(family: Family, m: int) -> SplitReport:
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and output
-
-
-def std_square_deviation(family: Family) -> dict:
-    """Fitted 1/p coefficient of the degree-5 average at each p squared.
-
-    Reports p * (mean - 1); the limiting size of this number is an open
-    modeling question, so callers should treat it as descriptive.
-    """
-    out = {}
-    for p in family.spec.primes:
-        mean, _ = _mean_stderr(coefficient_values(family, p * p, "std"))
-        out[p] = p * (mean - 1.0)
-    return out
+# output
 
 
 def write_family_csv(family: Family, fh) -> None:

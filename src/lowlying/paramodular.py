@@ -22,7 +22,6 @@ __all__ = [
     "dim_main_term",
     "dim_newform_main_term",
     "newform_trace",
-    "oldform_table",
     "pm_trace_split",
     "c_constant",
     "dimension_report",
@@ -120,26 +119,6 @@ def newform_trace(traces, level: LevelData):
     for m in divs:
         total += (-2) ** omega(m) * traces[level.n // m]
     return total
-
-
-def oldform_table(new_traces, level: LevelData) -> dict:
-    """Forward relation: full-space traces from new-subspace ones.
-
-    Returns, for every divisor d of the level, the sum over M | d of
-    2^omega(M) * new_traces[d/M].  Feeding the result back through
-    newform_trace recovers new_traces exactly.
-    """
-    divs = level.divisors()
-    missing = [d for d in divs if d not in new_traces]
-    if missing:
-        raise KeyError("trace table is missing divisors %s" % (missing,))
-    out = {}
-    for d in divs:
-        total = 0
-        for m in LevelData.from_level(d).divisors():
-            total += 2 ** omega(m) * new_traces[d // m]
-        out[d] = total
-    return out
 
 
 def pm_trace_split(trace_plain, trace_atkin_lehner, k2: int):

@@ -49,7 +49,6 @@ __all__ = [
     "periodized_value",
     "d_n_statistic",
     "ensemble_average",
-    "mean_scaled_spacing",
     "clear_spectrum_cache",
     "GROUPS",
 ]
@@ -420,15 +419,3 @@ def ensemble_average(spec: EnsembleSpec, phis,
         betas=tuple(p.beta for p in phis),
     )
 
-
-def mean_scaled_spacing(spec: EnsembleSpec) -> float:
-    """Average gap between consecutive scaled points, pooled over the ensemble.
-
-    Only interior gaps (consecutive positive points of one spectrum) enter the
-    pool.  With the adapted circumference the pooled mean sits a couple of
-    percent below 1 at moderate matrix size; it converges to 1 as the size
-    grows.  This is a diagnostic, not a calibration target.
-    """
-    gaps = np.concatenate([np.diff(scaled).ravel()
-                           for scaled, _ in _spectra(spec).values()])
-    return math.fsum(gaps.tolist()) / len(gaps)

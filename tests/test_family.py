@@ -300,11 +300,3 @@ class TestOutputs:
         assert float(first[2]) == fam.points[2][0, 0]
         assert float(first[3]) == fam.points[2][0, 1]
         assert first[4] in ("1", "-1")
-
-    def test_std_square_deviation_descriptive(self):
-        fam = _family(forms=5000)
-        dev = family.std_square_deviation(fam)
-        assert sorted(dev) == [2, 3, 5]
-        for value in dev.values():
-            assert math.isfinite(value)
-            assert abs(value) < 2.0

@@ -117,30 +117,24 @@ def test_tail_series_matches_value():
     assert np.max(np.abs(got - phi.value(xs))) < 1e-12
 
 
-def test_quartic_piece_function_consistency():
-    # transform (1 - (u/b)^2)^2 on [0, b]: checks the generic piecewise
-    # machinery (coefficients of degree 4, smooth at 0, C^1 at b)
-    b = 0.6
-    coeffs = (1.0, 0.0, -2.0 / b ** 2, 0.0, 1.0 / b ** 4)
-    phi = K.TestFunction(beta=b, pieces=((0.0, b, coeffs),))
-    # x-space value against direct numerical cosine transform
-    for x in (0.0, 0.3, 1.7, 4.9):
+@pytest.mark.parametrize("b", [0.25, 0.6, 0.9])
+def test_fejer_sides_agree(b):
+    # the x side and the Fourier side are separate closed forms; the
+    # x side must be the numerical cosine transform of the triangle
+    phi = tf(b)
+    for x in (0.0, 0.3, 1.7, 4.9, 25.3):
         want = 2.0 * quad(
-            lambda u: (1 - (u / b) ** 2) ** 2 * math.cos(2 * math.pi * x * u),
-            0.0, b, epsabs=1e-13, epsrel=1e-13)[0]
+            lambda u: (1 - u / b) * math.cos(2 * math.pi * x * u),
+            0.0, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         assert phi.value(x) == pytest.approx(want, abs=1e-11)
     xs = np.linspace(0.5, 40.0, 501)
     assert np.max(np.abs(phi.tail_terms().eval(xs) - phi.value(xs))) < 1e-11
-    assert phi.value_at_zero == pytest.approx(2.0 * (8.0 / 15.0) * b, rel=1e-14)
 
 
 def test_testfunction_validation():
-    with pytest.raises(ValueError):
-        K.TestFunction(beta=0.0, pieces=())
-    with pytest.raises(ValueError):
-        K.TestFunction(beta=0.5, pieces=((0.0, 0.4, (1.0,)),))
-    with pytest.raises(ValueError):
-        K.TestFunction(beta=0.5, pieces=((0.1, 0.5, (1.0,)),))
+    for beta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            K.TestFunction(beta=beta)
 
 
 def test_tail_integral_against_quadrature():
@@ -186,6 +180,16 @@ def test_one_level_closed_forms_general_beta(beta):
         h0 - h1, abs=1e-9)
     assert K.n_level_prediction(K.SOODD, [phi]) == pytest.approx(
         h0 - h1 + beta, abs=1e-9)
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+@pytest.mark.parametrize("beta", [0.1, 0.2, 0.25, 0.3, 0.4, 0.45, 0.6, 0.9])
+def test_j1_error_covers_closed_form(beta, eps):
+    # by Parseval, int phi(x) (1 + eps sinc 2x) dx = hat phi(0) + eps
+    # phi(0) / 2, as sinc 2x transforms to 1/2 on [-1, 1]; for the Fejer
+    # function that is 1 + eps beta / 2
+    value, err = K._j1(tf(beta), eps)
+    assert abs(value - (1.0 + eps * beta / 2.0)) <= err
 
 
 def test_prediction_error_reported():

@@ -131,20 +131,23 @@ def test_memos_are_bounded_lru_caches(path):
     assert memo_faults(path.read_text()) == []
 
 
+def definitions(source):
+    """(names, node) for each module-level def, class and assignment."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield [node.name], node
+        elif isinstance(node, ast.Assign):
+            yield [t.id for t in node.targets
+                   if isinstance(t, ast.Name)], node
+        elif isinstance(node, ast.AnnAssign):
+            yield [node.target.id], node
+
+
 def route_reach(source, entry):
     """Module-level names (defs, classes, assignments; not imports) that
     `entry` reaches by following the names each definition loads."""
-    tree = ast.parse(source)
     loads = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign):
-            names = [node.target.id]
-        else:
-            continue
+    for names, node in definitions(source):
         read = {n.id for n in ast.walk(node)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         for name in names:
@@ -178,6 +181,45 @@ def test_route_scan_finds_a_planted_cycle_integral():
 def test_determinant_and_combinatorial_routes_share_only_validation():
     assert shared_route_names(_KERNELS) == [
         "SupportViolation", "_check_supports", "default_betas"]
+
+
+def route_attributes(source, entry):
+    """Attribute names loaded anywhere in the definitions `entry` reaches."""
+    reached = route_reach(source, entry)
+    return {n.attr for names, node in definitions(source)
+            if reached.intersection(names) for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+# each route reads its own side of a TestFunction; both may read beta and
+# value_at_zero
+_ROUTE_SIDES = {"prediction_with_error": {"value", "tail_terms"},
+                "rubinstein_with_error": {"fourier", "fourier_at_zero"}}
+
+
+def foreign_reads(source):
+    """Route entry -> the other route's TestFunction attributes it loads."""
+    (det, det_side), (comb, comb_side) = _ROUTE_SIDES.items()
+    return {det: sorted(route_attributes(source, det) & comb_side),
+            comb: sorted(route_attributes(source, comb) & det_side)}
+
+
+_J1_ENTRY = "def _j1(phi: TestFunction, eps: int):\n"
+
+
+def test_attribute_scan_finds_a_planted_fourier_read():
+    assert _J1_ENTRY in _KERNELS
+    planted = _KERNELS.replace(_J1_ENTRY,
+                               _J1_ENTRY + "    phi.fourier_at_zero\n")
+    assert foreign_reads(planted)["prediction_with_error"] == [
+        "fourier_at_zero"]
+
+
+def test_each_route_reads_only_its_own_side_of_the_test_functions():
+    for entry, side in _ROUTE_SIDES.items():
+        assert side <= route_attributes(_KERNELS, entry), entry
+    assert foreign_reads(_KERNELS) == {"prediction_with_error": [],
+                                       "rubinstein_with_error": []}
 
 
 def _bench_hooks():
@@ -269,8 +311,7 @@ def test_export_scan_finds_a_planted_name():
 
 
 # public names that nothing but tests reads; this list may only shrink
-UNREAD_EXPORTS = ["family.std_square_deviation", "measures.limit_measure",
-                  "paramodular.oldform_table", "rmt.mean_scaled_spacing"]
+UNREAD_EXPORTS = ["measures.limit_measure"]
 
 
 def test_every_export_has_a_reader_outside_tests():
