@@ -9,7 +9,9 @@ form.  Two independent evaluation routes are kept deliberately separate:
   of the sine-plus-reflection kernel in x-space (panel quadrature of
   beta sinc^2 on a large box, plus exact trigonometric tail integrals);
   its cycle expansion is one recursion over subsets of the inputs, for
-  n <= 3;
+  n <= 3.  The kernel commutes with x -> -x, so its double and triple
+  cycle integrals are computed on the half line x > 0, one block per
+  parity the kernel does not annihilate;
 * the combinatorial route works entirely on the Fourier side (grid
   convolutions of the triangle transforms); its sum over set
   partitions, even block subsets and pairings is one recursion over
@@ -120,12 +122,8 @@ class TrigSum:
     def __init__(self, terms=None):
         self.terms = dict(terms or {})
 
-    def _key(self, omega, d):
-        return (round(omega, 12), d)
-
     def add(self, omega, d, c):
-        k = self._key(omega, d)
-        self.terms[k] = self.terms.get(k, 0.0 + 0.0j) + c
+        self.terms[omega, d] = self.terms.get((omega, d), 0.0 + 0.0j) + c
 
     def __mul__(self, other):
         out = TrigSum()
@@ -268,8 +266,8 @@ def _j1(phi: TestFunction, eps: int):
 
 
 def _grid_weights(phis, half_width, order):
-    nodes, weights = panel_grid(-half_width, half_width,
-                                int(2 * half_width), order)
+    """Nodes and weighted phis of the box's right half, x > 0."""
+    nodes, weights = panel_grid(0.0, half_width, int(half_width), order)
     return nodes, [weights * phi.value(nodes) for phi in phis]
 
 
@@ -286,17 +284,30 @@ def _sinc_outer(op, nodes):
 
 
 def _kmat(nodes, eps):
+    """The non-zero parity blocks of K_eps on the half-line nodes.
+
+    K_eps commutes with x -> -x, so on the box's even and odd functions it
+    is (1 + eps)(S- + S+) and (1 - eps)(S- - S+), with S-+ = sinc(x -+ y)
+    for x, y > 0.  A cycle sum over the whole box, the trace of a product
+    of even weights and K_eps, is the sum of the same traces over these
+    blocks.  For eps = +-1 one block vanishes and the other is
+    2 (S- + eps S+)."""
     k = _sinc_outer(np.subtract, nodes)
+    plus = _sinc_outer(np.add, nodes)
     if eps:
-        k += eps * _sinc_outer(np.add, nodes)
-    return k
+        k += eps * plus
+        k *= 2.0
+        return [k]
+    even = k + plus
+    k -= plus
+    return [even, k]
 
 
 def _j2_table(phis, eps, half_width, order):
     """T[a][b] = sum_xy w_a[x] K(x,y)^2 w_b[y] for every pair of phis."""
     nodes, weights = _grid_weights(phis, half_width, order)
-    k = _kmat(nodes, eps)
-    inner = (k * k) @ np.column_stack(weights)
+    w = np.column_stack(weights)
+    inner = sum((k * k) @ w for k in _kmat(nodes, eps))
     # correctly rounded outer sums, as in _j3_value
     return [[math.fsum((wa * col).tolist()) for col in inner.T]
             for wa in weights]
@@ -316,10 +327,11 @@ def _j2_pairs(phis: tuple, eps):
 
 def _j3_value(phis, eps, half_width, order):
     nodes, (w1, w2, w3) = _grid_weights(phis, half_width, order)
-    k = _kmat(nodes, eps)
-    # G[y, z] = sum_x w1[x] K[x,y] K[x,z]
-    g = (k * w1[:, None]).T @ k
-    inner = np.sum(g * k * w3[None, :], axis=1)
+    inner = 0.0
+    for k in _kmat(nodes, eps):
+        # G[y, z] = sum_x w1[x] K[x,y] K[x,z]
+        g = (k * w1[:, None]).T @ k
+        inner += np.sum(g * k * w3[None, :], axis=1)
     return math.fsum((w2 * inner).tolist())
 
 

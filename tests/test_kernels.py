@@ -8,6 +8,7 @@ integrate in closed form) before the implementation produced them.
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,15 @@ def test_j1_error_covers_closed_form(beta, eps):
     assert abs(value - (1.0 + eps * beta / 2.0)) <= err
 
 
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+@pytest.mark.parametrize("beta", [0.1, 0.25, 0.45, 0.9])
+def test_j1_within_two_ulps_of_closed_form(beta, eps):
+    # each tail term is evaluated and integrated at its exact frequency,
+    # so the closed form 1 + eps beta / 2 holds to the last bits
+    value, _ = K._j1(tf(beta), eps)
+    assert abs(value - (1.0 + eps * beta / 2.0)) <= 4.4e-16
+
+
 def test_prediction_error_reported():
     v, e = K.prediction_with_error(K.SOEVEN, [tf(0.9)])
     assert e > 0.0 and e < 1e-8
@@ -362,12 +372,16 @@ def test_prediction_deterministic(monkeypatch):
 # determinant-route cycle integrals against direct sums
 
 
-def _small_box(phis, eps, half_width=6, order=8):
-    # independent of the module: unit panels, Gauss-Legendre per panel
+def _small_box(phis, eps, half_width=6.0, order=8):
+    # independent of the module: the full box [-half_width, half_width]
+    # as int(half_width) equal panels mirrored on each side of 0,
+    # Gauss-Legendre per panel
     g, w = np.polynomial.legendre.leggauss(order)
-    lo = np.arange(-half_width, half_width, dtype=float)[:, None]
-    x = (lo + 0.5 * (g[None, :] + 1.0)).ravel()
-    wq = np.tile(0.5 * w, 2 * half_width)
+    m = int(half_width)
+    h = half_width / m
+    lo = h * np.arange(-m, m, dtype=float)[:, None]
+    x = (lo + 0.5 * h * (g[None, :] + 1.0)).ravel()
+    wq = np.tile(0.5 * h * w, 2 * m)
     kmat = np.sinc(x[:, None] - x[None, :]) \
         + eps * np.sinc(x[:, None] + x[None, :])
     return kmat, [wq * phi.value(x) for phi in phis]
@@ -394,6 +408,33 @@ def test_j2_table_matches_direct_double_sums(eps):
                                kmat * kmat)
             assert table[a, b] == pytest.approx(direct, rel=1e-12)
     np.testing.assert_allclose(table, table.T, rtol=1e-13)
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+def test_half_grid_at_fractional_width_matches_mirrored_box(eps):
+    # at half-width 5.5 the half line holds five panels of width 1.1, so
+    # the full box is the ten mirrored panels, none straddling 0
+    phis = (tf(0.3), tf(0.28), tf(0.25))
+    kmat, weights = _small_box(phis, eps, half_width=5.5)
+    direct = np.einsum("x,y,z,xy,yz,zx->", *weights, kmat, kmat, kmat)
+    assert K._j3_value(phis, eps, 5.5, 8) == pytest.approx(direct, rel=1e-12)
+    table = K._j2_table(phis, eps, 5.5, 8)
+    for a, b in itertools.product(range(3), repeat=2):
+        direct = np.einsum("x,y,xy->", weights[a], weights[b], kmat * kmat)
+        assert table[a][b] == pytest.approx(direct, rel=1e-12)
+
+
+def test_two_level_prediction_holds_one_half_line_block(monkeypatch):
+    # the j2 box has 1,200 nodes on the half line, so a kernel block is
+    # 11 MiB; matrices on the full 2,400-node box peak near 132 MiB
+    _cold_caches(monkeypatch)
+    tracemalloc.start()
+    try:
+        K.prediction_with_error(K.SP, [tf(0.45)] * 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
 
 
 def test_j2_pairs_of_a_sublist_come_from_the_cache(monkeypatch):
