@@ -211,6 +211,9 @@ def _cmd_density(args):
     if args.grid < 2:
         raise UsageError("grid must be at least 2")
     spec = measures.vertical_measure(args.p)
+    # normalize first, so a quadrature failure leaves no partial CSV
+    mass = float(measures.integrate(spec, lambda a, b: np.ones_like(a),
+                                    tol=min(args.tol, 1e-8)))
     xs = np.linspace(-2.0, 2.0, args.grid)
     with open(args.out, "w", newline="") as fh:
         writer = _csv_writer(fh)
@@ -222,8 +225,6 @@ def _cmd_density(args):
             for y, d in zip(xs, row):
                 writer.writerow([repr(float(x)), repr(float(y)),
                                  repr(float(d))])
-    mass = float(measures.integrate(spec, lambda a, b: np.ones_like(a),
-                                    tol=min(args.tol, 1e-8)))
     err = abs(mass - 1.0)
     ok = err < args.tol
     _write_json(args.out + ".json", {
@@ -397,6 +398,18 @@ def _cmd_dims(args):
 # entry point
 
 
+def _check_out_dirs(args):
+    """Reject an --out or --csv path that is a directory or whose directory
+    does not exist, so the command fails before it computes rather than
+    when it writes."""
+    for path in (args.out, getattr(args, "csv", "")):
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise UsageError("output directory %s does not exist" % (folder,))
+        if os.path.isdir(path):
+            raise UsageError("output path %s is a directory" % (path,))
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a parse error as a UsageError, so main prints one line."""
 
@@ -453,6 +466,7 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(_expand_config(argv, parser.options))
+        _check_out_dirs(args)
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % (exc,), file=sys.stderr)

@@ -10,7 +10,6 @@ main terms with Monte Carlo error bars as the only uncertainty.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,6 +42,9 @@ __all__ = [
 ]
 
 EPSILON_RULES = ("level_one_parity", "balanced")
+
+# forms per write in write_family_csv: bounds the strings held at once
+_CSV_BLOCK = 4096
 
 # the sign rule is decoupled from the sampled local data on purpose;
 # every split report repeats this so downstream readers see the model
@@ -156,11 +158,16 @@ def coefficient_values(family: Family, m: int, which: str = "spin"):
 
 
 def _mean_stderr(values):
-    vals = [float(v) for v in np.asarray(values).ravel()]
-    n = len(vals)
-    mean = math.fsum(vals) / n
+    """Mean and standard error from exactly rounded sums.
+
+    The squares come from the C library's pow, as Python's float `**`
+    computes them; `x * x` can differ from pow in the last bit, and so
+    move a reported error."""
+    arr = np.asarray(values, dtype=float).ravel()
+    n = arr.size
+    mean = math.fsum(arr.tolist()) / n
     if n > 1:
-        var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+        var = math.fsum(np.float_power(arr - mean, 2.0).tolist()) / (n - 1)
         stderr = math.sqrt(var / n)
     else:
         stderr = 0.0
@@ -418,13 +425,22 @@ def plus_minus_split_test(family: Family, m: int) -> SplitReport:
 
 
 def write_family_csv(family: Family, fh) -> None:
-    """Dump rows form_id,prime,a,b,epsilon; floats use repr round-trip."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["form_id", "prime", "a", "b", "epsilon"])
+    """Dump rows form_id,prime,a,b,epsilon; floats use repr round-trip.
+
+    Rows go out _CSV_BLOCK forms at a time, the primes of each form in
+    increasing order.  No field ever needs quoting."""
+    fh.write("form_id,prime,a,b,epsilon\n")
     primes = sorted(family.points)
-    eps = family.epsilons
-    for i in range(len(family)):
+    for start in range(0, len(family), _CSV_BLOCK):
+        stop = min(start + _CSV_BLOCK, len(family))
+        ids = list(map(str, range(start, stop)))
+        eps = list(map(str, family.epsilons[start:stop].tolist()))
+        rows = []
         for p in primes:
-            a, b = family.points[p][i]
-            writer.writerow([i, p, repr(float(a)), repr(float(b)),
-                             int(eps[i])])
+            block = family.points[p][start:stop]
+            rows.append(map(",".join, zip(
+                ids, itertools.repeat(str(p)),
+                map(repr, block[:, 0].tolist()),
+                map(repr, block[:, 1].tolist()), eps)))
+        fh.write("\n".join(itertools.chain.from_iterable(zip(*rows)))
+                 + "\n")

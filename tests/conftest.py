@@ -21,8 +21,12 @@ Gaussian matrix for the symplectic group.  It is the distributional
 oracle for the Jacobi-matrix eigenangles the package computes.
 
 `cli_env` builds the environment for `python -m lowlying` subprocesses.
+
+`reference_family_csv` writes a family one `csv.writer` row at a time;
+the block-wise `family.write_family_csv` must match its bytes.
 """
 
+import csv
 import itertools
 import math
 import os
@@ -56,6 +60,20 @@ def cli_env(threads):
     env["OPENBLAS_NUM_THREADS"] = threads
     env["OMP_NUM_THREADS"] = threads
     return env
+
+
+def reference_family_csv(family, fh):
+    """Rows form_id,prime,a,b,epsilon through csv.writer, one per form
+    and prime."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["form_id", "prime", "a", "b", "epsilon"])
+    primes = sorted(family.points)
+    eps = family.epsilons
+    for i in range(len(family)):
+        for p in primes:
+            a, b = family.points[p][i]
+            writer.writerow([i, p, repr(float(a)), repr(float(b)),
+                             int(eps[i])])
 
 
 def _special_orthogonal_batch(group, size, seed, indices):

@@ -255,6 +255,10 @@ class TestDensity:
         code = cli.main(["density", "--p", "2", "--grid", "5",
                          "--out", str(tmp_path / "d.csv")])
         assert code == 3
+        # the normalization runs before the grid, so nothing is left half
+        # written
+        assert not (tmp_path / "d.csv").exists()
+        assert not (tmp_path / "d.csv.json").exists()
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_bad_tol_exits_2_before_quadrature(self, tol, tmp_path,
@@ -269,6 +273,59 @@ class TestDensity:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "d.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# output paths
+
+
+class TestOutputDirectories:
+    @pytest.mark.parametrize("argv", [
+        ["family", "--forms", "10", "--csv", "{missing}/f.csv",
+         "--out", "{tmp}/f.json"],
+        ["family", "--forms", "10", "--out", "{missing}/f.json"],
+        ["rmt", "--group", "U", "--samples", "50",
+         "--out", "{missing}/r.json"],
+        ["density", "--out", "{missing}/d.csv"],
+        ["moments", "--out", "{missing}/m.json"],
+        ["dims", "--out", "{missing}/t.csv"]],
+        ids=["family-csv", "family-out", "rmt", "density", "moments",
+             "dims"])
+    def test_missing_directory_exits_2_before_compute(self, argv, tmp_path,
+                                                      monkeypatch, capsys):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the output check")
+        for name in ("family.generate_family", "rmt.ensemble_average",
+                     "measures.vertical_measure", "measures.integrate",
+                     "paramodular.dimension_report"):
+            monkeypatch.setattr("lowlying." + name, computed)
+        missing = tmp_path / "no" / "dir"
+        code = cli.main([a.format(missing=missing, tmp=tmp_path)
+                         for a in argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(missing) in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_directory_as_output_exits_2_before_sampling(self, flag, tmp_path,
+                                                          monkeypatch, capsys):
+        def sampled(spec):
+            raise AssertionError("family sampled before the output check")
+        monkeypatch.setattr("lowlying.family.generate_family", sampled)
+        argv = ["family", "--forms", "10", "--out", str(tmp_path / "f.json"),
+                flag, str(tmp_path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bare_file_name_writes_to_working_directory(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["dims", "--out", "t.csv"]) == 0
+        assert (tmp_path / "t.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import reference_family_csv
 from lowlying import family, hecke, measures
 
 
@@ -287,6 +288,14 @@ class TestSplit:
         assert payload["plus"]["m"] == 4
 
 
+def _csv_lines(writer, fam):
+    # a list, so a mismatch reports its first differing line instead of
+    # a text diff of the whole file
+    buf = io.StringIO()
+    writer(fam, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
 class TestOutputs:
     def test_csv_round_trip(self):
         fam = _family(forms=4, primes=(2, 3))
@@ -300,3 +309,63 @@ class TestOutputs:
         assert float(first[2]) == fam.points[2][0, 0]
         assert float(first[3]) == fam.points[2][0, 1]
         assert first[4] in ("1", "-1")
+
+    @pytest.mark.parametrize("forms", [
+        1, family._CSV_BLOCK - 1, family._CSV_BLOCK,
+        family._CSV_BLOCK + 1, 2 * family._CSV_BLOCK + 3])
+    @pytest.mark.parametrize("rule", family.EPSILON_RULES)
+    def test_csv_matches_row_writer(self, forms, rule):
+        fam = _family(forms=forms, primes=(2, 3), rule=rule, seed=forms)
+        assert _csv_lines(family.write_family_csv, fam) \
+            == _csv_lines(reference_family_csv, fam)
+
+    def test_csv_planted_floats(self):
+        planted = [-0.0, 5e-324, 1e-05, 0.1, 2.0, -2.0, 1.9999999999999998]
+        forms = len(planted)
+        spec = family.FamilySpec(primes=(2, 5), forms=forms, seed=0)
+        points = {2: np.column_stack([planted, planted[::-1]]),
+                  5: np.column_stack([planted[3:] + planted[:3], planted])}
+        fam = family.Family(spec, points, [1, -1] * 3 + [1])
+        got = _csv_lines(family.write_family_csv, fam)
+        assert got == _csv_lines(reference_family_csv, fam)
+        assert got[1] == "0,2,-0.0,1.9999999999999998,1\n"
+        assert got[3] == "1,2,5e-324,-2.0,-1\n"
+
+
+def _float_list_mean_stderr(values):
+    # the per-element float-list form, the oracle for the array version
+    vals = [float(v) for v in np.asarray(values).ravel()]
+    n = len(vals)
+    mean = math.fsum(vals) / n
+    if n == 1:
+        return mean, 0.0
+    var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+def _square_sensitive_triple():
+    """[x, -x, 0] for an x whose libm square differs from x * x in a way
+    that reaches the standard error, sqrt(x^2 / 3); where every square
+    agrees, any x will do."""
+    xs = np.random.default_rng(5).uniform(0.5, 2.0, 100000).tolist()
+    x = next((x for x in xs if math.sqrt(x ** 2 / 3) != math.sqrt(x * x / 3)),
+             xs[0])
+    return [x, -x, 0.0]
+
+
+class TestMeanStderr:
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(3).normal(0.3, 1.7, 5001),
+        np.random.default_rng(4).integers(-9, 10, 777),
+        np.random.default_rng(5).uniform(-2.0, 2.0, (40, 25)),
+        _square_sensitive_triple(),
+        [0.1] * 3 + [1e-300, 1e150, -1e150],
+        np.array([2.5])],
+        ids=["float", "int", "2d", "square_sensitive", "cancelling",
+             "single"])
+    def test_bit_equal_to_float_list(self, values):
+        got = family._mean_stderr(values)
+        want = _float_list_mean_stderr(values)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        if len(values) == 1:
+            assert got[1] == 0.0
