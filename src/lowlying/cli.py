@@ -203,6 +203,19 @@ def _csv_writer(fh):
 # commands
 
 
+# the smallest quadrature error target a command accepts: below it the
+# error estimate stalls at the rounding floor (about 2.4e-16 for the
+# density's normalization) and the panel budget runs out instead
+_QUADRATURE_FLOOR = 1e-15
+
+
+def _check_quadrature_target(target):
+    if target < _QUADRATURE_FLOOR:
+        raise UsageError("tol asks quadrature for an error of %g, below "
+                         "the %g that double arithmetic can reach"
+                         % (target, _QUADRATURE_FLOOR))
+
+
 def _cmd_density(args):
     import numpy as np
 
@@ -210,10 +223,12 @@ def _cmd_density(args):
 
     if args.grid < 2:
         raise UsageError("grid must be at least 2")
+    target = min(args.tol, 1e-8)
+    _check_quadrature_target(target)
     spec = measures.vertical_measure(args.p)
     # normalize first, so a quadrature failure leaves no partial CSV
     mass = float(measures.integrate(spec, lambda a, b: np.ones_like(a),
-                                    tol=min(args.tol, 1e-8)))
+                                    tol=target))
     xs = np.linspace(-2.0, 2.0, args.grid)
     with open(args.out, "w", newline="") as fh:
         writer = _csv_writer(fh)
@@ -245,6 +260,8 @@ def _cmd_moments(args):
 
     if args.nmax < 1:
         raise UsageError("nmax must be at least 1")
+    target = args.tol / 10.0
+    _check_quadrature_target(target)
     if len(set(args.primes)) != len(args.primes):
         raise UsageError("primes must be distinct, got %s" % (args.primes,))
     args.primes = sorted(args.primes)
@@ -257,7 +274,7 @@ def _cmd_moments(args):
         for n in range(1, args.nmax + 1):
             quad = float(measures.integrate(
                 spec, lambda x, y, _n=n: hecke.spin_coeff_grid(x, y, _n)[_n],
-                tol=args.tol / 10.0))
+                tol=target))
             prediction = family_mod.main_term_spin(p ** n)
             err = abs(quad - prediction)
             ok = err < args.tol

@@ -16,11 +16,17 @@ transform sampled at multiples of 1/period), which is exact for the
 band-limited functions used here and avoids truncating their slowly
 decaying x-space tails at the fold boundary.
 
-Orthogonal and symplectic angles never form a matrix of the group: the
-2 cos of the non-trivial angles are the eigenvalues of an N x N Jacobi
-matrix (Killip-Nenciu), one batched symmetric eigensolver call per
-chunk.  Unitary spectra take one batched general eigensolver call per
-chunk on dense Haar matrices.
+No ensemble angle comes from a dense Haar matrix.  Orthogonal and
+symplectic angles never form a matrix of the group: the 2 cos of the
+non-trivial angles are the eigenvalues of an N x N Jacobi matrix
+(Killip-Nenciu), one batched symmetric eigensolver call per chunk.
+Unitary angles are the eigenangles of an N x N unitary Hessenberg
+matrix built from independent Verblunsky coefficients (Killip-Nenciu,
+Gragg).  Its Cayley transform i (I + H)^-1 (I - H) is Hermitian with
+eigenvalues tan(theta/2), so a chunk takes one batched solve and one
+batched symmetric eigensolver call.  The few rows with an angle near
+the transform's pole at pi are redone with the pole moved into their
+largest gap.
 
 An ensemble is held as arrays: per concrete group, one (samples, m) array
 of scaled angles and the group's period.  Only the latest ensemble stays
@@ -51,6 +57,8 @@ __all__ = [
     "ensemble_average",
     "clear_spectrum_cache",
     "GROUPS",
+    # no rmt code draws normals; the benchmark's tracing hooks rebind it here
+    "normals",
 ]
 
 GROUPS = ("SOeven", "SOodd", "USp", "U", "O")
@@ -114,19 +122,6 @@ class EigenSolverError(RuntimeError):
 # sampling
 
 
-def _unitary_batch(size, seed, indices):
-    dim = size
-    idx = np.asarray(indices, dtype=np.uint64)
-    flat = normals(seed, _STREAMS["U"], idx, attempt=0, count=2 * dim * dim)
-    a = flat[:, :dim * dim].reshape(len(idx), dim, dim)
-    b = flat[:, dim * dim:].reshape(len(idx), dim, dim)
-    z = (a + 1j * b) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    phase = d / np.abs(d)
-    return q * np.conj(phase)[..., None, :]
-
-
 def _jacobi_angles(group, size, seed, indices):
     """Non-trivial eigenangles of Haar SO(2N), SO(2N+1) or USp(2N), one
     ascending row in [0, pi] per index.
@@ -161,6 +156,87 @@ def _jacobi_angles(group, size, seed, indices):
     # contiguous operands: numpy's vector loops can give other last bits
     # for a reversed view, whose layout varies with the stack size
     return np.arccos(np.clip(x[:, ::-1].copy() / 2.0, -1.0, 1.0))
+
+
+def _verblunsky_angles(size, seed, indices):
+    """Eigenangles of Haar U(N), one ascending row in [0, 2 pi) per index."""
+    return _cayley_angles(_verblunsky_matrices(size, seed, indices))
+
+
+def _verblunsky_matrices(size, seed, indices):
+    """Haar-distributed spectra as unitary upper Hessenberg matrices.
+
+    Killip-Nenciu, Matrix models for circular ensembles, IMRN 2004,
+    Thm 1 at beta = 2: independent Verblunsky coefficients alpha_k with
+    |alpha_k|^2 ~ Beta(1, N - k - 1), by its closed-form inverse CDF
+    1 - (1 - u)^(1/(N - k - 1)), times uniform phases; alpha_(N-1) is a
+    phase alone.  That is 2N - 1 addressed uniforms per index.  The
+    matrix is G_0 G_1 ... G_(N-2) diag(1, ..., 1, conj alpha_(N-1)), with
+    G_k the identity but for [[conj alpha_k, rho_k], [rho_k, -alpha_k]]
+    on coordinates k, k + 1 and rho_k = (1 - |alpha_k|^2)^(1/2) (Gragg's
+    Schur-parameter form), so it is unitary by construction.
+    """
+    n = size
+    u = rng.uniforms(seed, _STREAMS["U"], indices, 0, 2 * n - 1)
+    # log rho_k^2 = log(1 - |alpha_k|^2) = log(1 - u_k) / (N - k - 1)
+    log_rho2 = np.log1p(-u[:, :n - 1]) / np.arange(n - 1, 0, -1)
+    rho = np.exp(0.5 * log_rho2)
+    alpha = np.exp(2j * math.pi * u[:, n - 1:])
+    alpha[:, :n - 1] *= np.sqrt(-np.expm1(log_rho2))
+    h = np.zeros((len(u), n, n), dtype=complex)
+    # before G_k acts, column k of the product so far is v and column
+    # k + 1 is e_(k+1); G_k makes column k final, conj(alpha_k) v +
+    # rho_k e_(k+1), and column k + 1 the new v, rho_k v - alpha_k e_(k+1)
+    v = np.zeros((len(u), n), dtype=complex)
+    v[:, 0] = 1.0
+    for k in range(n - 1):
+        h[:, :k + 1, k] = np.conj(alpha[:, k, None]) * v[:, :k + 1]
+        h[:, k + 1, k] = rho[:, k]
+        v[:, :k + 1] *= rho[:, k, None]
+        v[:, k + 1] = -alpha[:, k]
+    h[:, :, -1] = v * np.conj(alpha[:, -1, None])
+    return h
+
+
+# |tan(theta/2)| above which a row is redone with its pole moved; the
+# error of every angle in a row grows with the row's largest |lambda|
+_POLE = 1e3
+
+
+def _cayley_angles(h):
+    """Ascending eigenangles in [0, 2 pi) of each matrix of a unitary stack.
+
+    A = i (I + H)^-1 (I - H) is Hermitian with eigenvalues tan(theta/2),
+    so one batched solve and one symmetric eigensolver call give every
+    angle as 2 arctan(lambda).  A row with an angle near the pole at pi
+    is redone on H e^(-i phi), where phi + pi is the middle of the row's
+    largest gap, and phi is added back.
+    """
+    lam = _cayley_eigvals(h)
+    theta = _on_circle(2.0 * np.arctan(lam))
+    near = np.flatnonzero(np.max(np.abs(lam), axis=1) > _POLE)
+    if near.size:
+        rows = theta[near]
+        gaps = np.diff(rows, axis=1, append=rows[:, :1] + 2.0 * math.pi)
+        j = np.argmax(gaps, axis=1)
+        pick = np.arange(len(near))
+        phi = rows[pick, j] + 0.5 * gaps[pick, j] - math.pi
+        lam = _cayley_eigvals(h[near] * np.exp(-1j * phi)[:, None, None])
+        theta[near] = _on_circle(2.0 * np.arctan(lam) + phi[:, None])
+    return theta
+
+
+def _cayley_eigvals(h):
+    eye = np.eye(h.shape[-1])
+    a = 1j * np.linalg.solve(eye + h, eye - h)
+    return np.linalg.eigvalsh(0.5 * (a + np.conj(a).swapaxes(-1, -2)))
+
+
+def _on_circle(theta):
+    """Angles reduced into [0, 2 pi), ascending in each row."""
+    theta = np.mod(theta, 2.0 * math.pi)
+    # a tiny negative angle rounds up to 2 pi itself
+    return np.sort(np.where(theta < 2.0 * math.pi, theta, 0.0), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +378,8 @@ def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
 
 
 # matrices per sampling batch and spectra per statistic block; no result
-# depends on it (per-matrix LAPACK calls), the U temporaries scale with it
+# depends on it (per-matrix LAPACK calls), the U temporaries (the
+# Hessenberg matrix, the Cayley transform and its solve) scale with it
 _CHUNK = 128
 
 
@@ -327,8 +404,7 @@ def _spectra(spec: EnsembleSpec):
             by_group.setdefault(_sample_group_for_index(spec, i), []).append(i)
         for group, indices in by_group.items():
             if group == "U":
-                mats = _unitary_batch(spec.size, spec.seed, indices)
-                angles = _angles(mats, group, indices)
+                angles = _verblunsky_angles(spec.size, spec.seed, indices)
             else:
                 angles = _jacobi_angles(group, spec.size, spec.seed, indices)
             blocks.setdefault(group, []).append(angles)

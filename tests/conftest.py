@@ -18,7 +18,8 @@ points, which the determinant route integrates.
 `haar_batch` draws dense Haar matrices: QR of a Gaussian matrix for the
 orthogonal and unitary groups, the polar factor of a quaternionic
 Gaussian matrix for the symplectic group.  It is the distributional
-oracle for the Jacobi-matrix eigenangles the package computes.
+oracle for the Jacobi-matrix and Verblunsky-matrix eigenangles the
+package computes.
 
 `cli_env` builds the environment for `python -m lowlying` subprocesses.
 
@@ -97,6 +98,22 @@ def _special_orthogonal_batch(group, size, seed, indices):
     raise RuntimeError("no determinant +1 draw within 64 attempts")
 
 
+def _unitary_batch(size, seed, indices):
+    """U(N) via QR of a complex Gaussian matrix, with the phases of R's
+    diagonal moved out of Q."""
+    dim = size
+    idx = np.asarray(indices, dtype=np.uint64)
+    flat = normals(seed, rmt._STREAMS["U"], idx, attempt=0,
+                   count=2 * dim * dim)
+    a = flat[:, :dim * dim].reshape(len(idx), dim, dim)
+    b = flat[:, dim * dim:].reshape(len(idx), dim, dim)
+    z = (a + 1j * b) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    phase = d / np.abs(d)
+    return q * np.conj(phase)[..., None, :]
+
+
 def _symplectic_batch(size, seed, indices):
     """USp(2N) via the polar factor of a quaternionic Gaussian block."""
     n = size
@@ -119,7 +136,7 @@ def haar_batch(group, size, seed, indices):
     """Dense Haar matrices of SO(2N), SO(2N+1), USp(2N) or U(N), one per
     index, deterministic in (seed, group, index)."""
     if group == "U":
-        return rmt._unitary_batch(size, seed, indices)
+        return _unitary_batch(size, seed, indices)
     if group == "USp":
         return _symplectic_batch(size, seed, indices)
     return _special_orthogonal_batch(group, size, seed, indices)

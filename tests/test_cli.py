@@ -260,7 +260,8 @@ class TestDensity:
         assert not (tmp_path / "d.csv").exists()
         assert not (tmp_path / "d.csv.json").exists()
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    # 2e-16 and 1e-300: below what the normalization quadrature can reach
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "2e-16", "1e-300"])
     def test_bad_tol_exits_2_before_quadrature(self, tol, tmp_path,
                                                monkeypatch, capsys):
         def integrated(*args, **kwargs):
@@ -273,6 +274,11 @@ class TestDensity:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "d.csv").exists()
+
+    def test_tol_at_the_rounding_floor_passes(self, tmp_path):
+        assert cli.main(["density", "--p", "2", "--grid", "3",
+                         "--tol", "1e-15",
+                         "--out", str(tmp_path / "d.csv")]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +387,8 @@ class TestMoments:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    # 1e-15: its quadrature target tol/10 is below the rounding floor
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "1e-15"])
     def test_bad_tol_exits_2_before_quadrature(self, tol, tmp_path,
                                                monkeypatch, capsys):
         def integrated(*args, **kwargs):
@@ -393,6 +400,12 @@ class TestMoments:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
+
+    def test_tol_at_the_rounding_floor_passes(self, tmp_path):
+        # quadrature target tol/10 = 1e-15
+        assert cli.main(["moments", "--primes", "2", "--nmax", "1",
+                         "--tol", "1e-14",
+                         "--out", str(tmp_path / "m.json")]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,13 @@ def _soodd_spectrum(xs, period):
     )
 
 
-def _jacobi_spectrum(group, size, seed, index):
-    """The one-spectrum view of one Jacobi-model row."""
+def _model_spectrum(group, size, seed, index):
+    """The one-spectrum view of one Jacobi-model or Verblunsky-model row."""
     period = rmt._period(group, rmt._dimension(group, size))
-    angles = rmt._jacobi_angles(group, size, seed, [index])[0]
+    if group == "U":
+        angles = rmt._verblunsky_angles(size, seed, [index])[0]
+    else:
+        angles = rmt._jacobi_angles(group, size, seed, [index])[0]
     return rmt.ScaledSpectrum(
         angles=tuple(angles.tolist()),
         scaled=tuple((angles * (period / (2.0 * math.pi))).tolist()),
@@ -90,7 +93,7 @@ class TestHaarSampling:
     def test_unitary_column_statistics(self):
         # Haar invariance makes every entry mean zero with mean square
         # 1/N; check one entry against its Monte Carlo standard error
-        mats = rmt._unitary_batch(6, 991, range(10000))
+        mats = haar_batch("U", 6, 991, range(10000))
         entry = mats[:, 0, 0]
         se_part = math.sqrt(1.0 / 12.0 / 10000)
         assert abs(np.mean(entry.real)) < 3 * se_part
@@ -104,7 +107,7 @@ class TestHaarSampling:
         spec = _spec("U", 4, 2)
         scaled, period = rmt._spectra(spec)["U"]
         rmt.clear_spectrum_cache()
-        angles = rmt._angles(haar_batch("U", 4, spec.seed, range(3)), "U")
+        angles = rmt._verblunsky_angles(4, spec.seed, range(3))
         assert np.array_equal(scaled,
                               angles[:2] * (period / (2.0 * math.pi)))
 
@@ -159,6 +162,75 @@ class TestJacobiModel:
         assert np.array_equal(np.concatenate(chunks), stack)
         assert np.all(np.diff(stack, axis=1) >= 0.0)
         assert np.all((stack >= 0.0) & (stack <= math.pi))
+
+
+class TestVerblunskyModel:
+    @pytest.mark.parametrize("size", [2, 15])
+    def test_trace_moments(self, size):
+        # CUE: E tr U^j = 0 and E |tr U^j|^2 = min(j, N) for j >= 1
+        samples = 4000
+        angles = rmt._verblunsky_angles(size, 5152, range(samples))
+        for j in (1, 2, 3, size + 5):
+            tr = np.sum(np.exp(1j * j * angles), axis=1)
+            for values, want in ((tr.real, 0.0), (tr.imag, 0.0),
+                                 (np.abs(tr) ** 2, min(j, size))):
+                se = np.std(values, ddof=1) / math.sqrt(samples)
+                assert abs(np.mean(values) - want) < 4.0 * se, j
+
+    @pytest.mark.parametrize("size", [3, 8])
+    def test_order_statistics_match_dense_haar(self, size):
+        samples = 4000
+        model = rmt._verblunsky_angles(size, 61, range(samples))
+        dense = rmt._angles(haar_batch("U", size, 62, range(samples)), "U")
+        for j in range(size):
+            assert stats.ks_2samp(model[:, j], dense[:, j]).pvalue >= 1e-3, j
+
+    @staticmethod
+    def _planted(size, seed, angles):
+        """A dense unitary matrix with the given eigenangles."""
+        q = haar_batch("U", size, seed, [0])[0]
+        return (q * np.exp(1j * np.asarray(angles))) @ np.conj(q).T
+
+    @staticmethod
+    def _eigvals_angles(mats):
+        ang = np.mod(np.angle(np.linalg.eigvals(mats)), 2.0 * math.pi)
+        return np.sort(ang, axis=1)
+
+    def test_match_eigvals_of_the_same_matrix(self):
+        mats = rmt._verblunsky_matrices(12, 64, range(10000))
+        gram = np.conj(mats).swapaxes(-1, -2) @ mats
+        assert np.max(np.abs(gram - np.eye(12))) < 1e-13
+        # one angle 5e-7 past pi; one row with angles near 0 and pi
+        theta = self._eigvals_angles(mats[:1])[0]
+        near_pi = mats[0] * np.exp(1j * (math.pi + 5e-7 - theta[3]))
+        both = self._planted(
+            12, 65, np.concatenate([[1e-7, math.pi - 3e-7],
+                                    np.linspace(0.4, 6.0, 10)]))
+        mats = np.concatenate([mats, [near_pi, both]])
+        got = rmt._cayley_angles(mats)
+        want = self._eigvals_angles(mats)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        for row, planted in ((-2, math.pi + 5e-7), (-1, 1e-7),
+                             (-1, math.pi - 3e-7)):
+            assert np.min(np.abs(got[row] - planted)) < 1e-12
+
+    def test_rows_ascend_on_the_circle(self):
+        stack = rmt._verblunsky_angles(30, 66, range(2000))
+        assert stack.shape == (2000, 30)
+        assert np.all(np.diff(stack, axis=1) >= 0.0)
+        assert np.all((stack >= 0.0) & (stack < 2.0 * math.pi))
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        stack = rmt._verblunsky_angles(9, 63, range(30))
+        singles = [rmt._verblunsky_angles(9, 63, [i])[0] for i in range(30)]
+        chunks = [rmt._verblunsky_angles(9, 63, range(i, min(i + 7, 30)))
+                  for i in range(0, 30, 7)]
+        assert np.array_equal(np.stack(singles), stack)
+        assert np.array_equal(np.concatenate(chunks), stack)
+        # row 11 has an angle near pi, so the pole rule redoes it within
+        # each of the three batches
+        lam = rmt._cayley_eigvals(rmt._verblunsky_matrices(9, 63, [11]))
+        assert np.max(np.abs(lam)) > rmt._POLE
 
 
 class TestEnsembleSpec:
@@ -272,15 +344,11 @@ class TestBatchedAngles:
             scaled, period = rmt._spectra(spec)[group]
             rmt.clear_spectrum_cache()
             for i in (0, 5, 8):
-                if group == "U":
-                    single = rmt.scaled_spectrum(
-                        rmt._unitary_batch(4, spec.seed, [i])[0], group)
-                else:
-                    single = _jacobi_spectrum(group, 4, spec.seed, i)
+                single = _model_spectrum(group, 4, spec.seed, i)
                 assert single.scaled == tuple(scaled[i].tolist())
                 assert single.period == period
 
-    @pytest.mark.parametrize("group", ["SOodd", "USp", "O"])
+    @pytest.mark.parametrize("group", ["SOodd", "USp", "O", "U"])
     def test_chunk_size_does_not_change_spectra(self, group, monkeypatch):
         spec = _spec(group, 6, 40)
         phis = [FEJER(0.3)] * 3
@@ -457,7 +525,7 @@ class TestEnsembleAverage:
             assert scaled.shape == (3, 4)
             assert not scaled.flags.writeable
             for row, i in zip(scaled, indices):
-                single = _jacobi_spectrum(group, 4, spec.seed, i)
+                single = _model_spectrum(group, 4, spec.seed, i)
                 assert single.scaled == tuple(row.tolist())
 
     @pytest.mark.parametrize("include_zero", [True, False])
@@ -471,8 +539,8 @@ class TestEnsembleAverage:
         report = rmt.ensemble_average(spec, phis, include_zero)
         rmt.clear_spectrum_cache()
         values = [rmt.d_n_statistic(
-                      _jacobi_spectrum(("SOeven", "SOodd")[i % 2], 5,
-                                       spec.seed, i),
+                      _model_spectrum(("SOeven", "SOodd")[i % 2], 5,
+                                      spec.seed, i),
                       phis, include_zero)
                   for i in range(spec.samples)]
         assert report.mc_mean == math.fsum(values) / len(values)
