@@ -128,7 +128,7 @@ def generate_family(spec: FamilySpec) -> Family:
     of batching or evaluation order.
     """
     points = {p: measures.sample_array(measures.vertical_measure(p),
-                                       (spec.seed, p), spec.forms)
+                                       spec.seed, spec.forms)
               for p in spec.primes}
     return Family(spec, points, _epsilons(spec))
 

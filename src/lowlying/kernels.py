@@ -232,6 +232,9 @@ ALL_TYPES = (U, SOEVEN, SOODD, O_TYPE, SP)
 _CORE_HALF_WIDTH = 24.0
 _BOX2 = (100.0, 12)  # half-width and per-unit order for the double integral
 _BOX3 = (56.0, 12)   # same for the triple integral
+# the double integral's box tail falls as T^-3, so the spread against a
+# box of 0.8 T is (0.8^-3 - 1) times the tail at T
+_TAIL_PER_SPREAD = 1.0 / (0.8 ** -3 - 1.0)
 
 
 def _j1_value(phi, eps, half_width):
@@ -316,12 +319,14 @@ def _j2_table(phis, eps, half_width, order):
 @lru_cache(maxsize=64)
 def _j2_pairs(phis: tuple, eps):
     """(value, error) of the double integral of phi_a phi_b K^2 over the
-    plane for every pair a < b of phis, from one kernel matrix per grid."""
+    plane for every pair a < b of phis, from one kernel matrix per grid.
+    The error is the spread against a lower order, plus the estimated
+    box tail, plus the short-box spread as that estimate's uncertainty."""
     t, order = _BOX2
     v, coarse, short = (_j2_table(phis, eps, *box) for box in
                         ((t, order), (t, order - 2), (0.8 * t, order)))
     return {(a, b): (v[a][b], abs(v[a][b] - coarse[a][b])
-                     + abs(v[a][b] - short[a][b]))
+                     + abs(v[a][b] - short[a][b]) * (1.0 + _TAIL_PER_SPREAD))
             for a, b in combinations(range(len(phis)), 2)}
 
 

@@ -1,10 +1,10 @@
-"""Vertical eigenvalue-pair measures at a fixed prime and their limit.
+"""The vertical eigenvalue-pair measure mu_p at a fixed prime.
 
 The measure at prime p lives on the square [-2,2]^2 of normalized
 eigenvalue coordinates, symmetric under coordinate swap.  Its density is
 the product of a rational factor, two reflection factors, and the
-limiting semicircle-pair density; total mass is normalized to 1
-empirically, once per prime, by adaptive quadrature.
+semicircle-pair density; total mass is normalized to 1 empirically,
+once per prime, by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ __all__ = [
     "EnvelopeViolation",
     "RejectionBudgetError",
     "vertical_measure",
-    "limit_measure",
-    "density_f",
-    "density_g",
-    "density_st_inf",
     "density_mu_p",
     "integrate",
     "sample_array",
@@ -57,97 +53,53 @@ def check_prime(p):
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """A measure on the square: the vertical one at prime p, or the limit.
+    """The vertical measure at prime p.
 
     `normalization` is the raw full-square mass of the density formula;
     all evaluation and integration routines divide by it, so the
     normalized density always integrates to 1.
     """
 
-    kind: str  # "vertical" or "limit"
-    p: int | None
+    p: int
     normalization: float
 
-    def __post_init__(self):
-        if self.kind not in ("vertical", "limit"):
-            raise ValueError("kind must be 'vertical' or 'limit'")
-        if self.kind == "vertical" and self.p is None:
-            raise ValueError("vertical measure needs a prime")
-        if not self.normalization > 0:
-            raise ValueError("normalization must be positive")
+
+def _raw_density(p, x, y):
+    """Unnormalized density at prime p: a rational factor, two reflection
+    factors and the semicircle-pair density, multiplied in that order.
+
+    For a prime p >= 2 and |x|, |y| <= 2 every denominator is at least
+    p - 2 + 1/p >= 1/2: with x = 2cos(a), y = 2cos(b) the reflection
+    denominators are big - 2(1 + cos(a -+ b)), and big - x^2 is larger.
+    """
+    sx = np.sqrt(np.clip(1.0 - x * x / 4.0, 0.0, None))
+    sy = np.sqrt(np.clip(1.0 - y * y / 4.0, 0.0, None))
+    big = p + 2.0 + 1.0 / p  # (sqrt(p) + 1/sqrt(p))^2
+    rational = (p + 1.0) ** 2 / ((big - x * x) * (big - y * y))
+    mixed = 1.0 + x * y / 4.0
+    root = sx * sy
+    plus = (p + 1.0) / (big - 2.0 * (mixed + root))
+    minus = (p + 1.0) / (big - 2.0 * (mixed - root))
+    # the semicircle-pair factor multiplies sx and sy one at a time, not
+    # root: the rounding stays that of the factor formulas
+    return rational * plus * minus * ((x - y) ** 2 / math.pi ** 2 * sx * sy)
 
 
-def _as_xy(x, y):
+def density_mu_p(spec: MeasureSpec, x, y):
+    """Normalized density of the vertical measure at points of [-2,2]^2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(x) > 2.0 + 1e-12) or np.any(np.abs(y) > 2.0 + 1e-12):
         raise ValueError("coordinates must lie in [-2,2]")
-    return x, y
+    return _raw_density(spec.p, x, y) / spec.normalization
 
 
-def _ret(x, y, v):
-    if np.isscalar(x) and np.isscalar(y):
-        return float(v)
-    return v
-
-
-def density_f(p, x, y):
-    """Rational density factor at prime p; symmetric and positive on the square."""
-    p = check_prime(p)
-    xa, ya = _as_xy(x, y)
-    big = p + 2.0 + 1.0 / p  # (sqrt(p) + 1/sqrt(p))^2
-    den = (big - xa * xa) * (big - ya * ya)
-    if np.any(den <= 0.0):
-        raise ValueError("density_f denominator not positive at p=%d" % p)
-    return _ret(x, y, (p + 1.0) ** 2 / den)
-
-
-def density_g(p, x, y, sign):
-    """Reflection density factor at prime p with a +/-1 branch choice."""
-    p = check_prime(p)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1, got %r" % (sign,))
-    xa, ya = _as_xy(x, y)
-    big = p + 2.0 + 1.0 / p
-    root = np.sqrt(np.clip(1.0 - xa * xa / 4.0, 0.0, None)) \
-        * np.sqrt(np.clip(1.0 - ya * ya / 4.0, 0.0, None))
-    den = big - 2.0 * (1.0 + xa * ya / 4.0 + sign * root)
-    if np.any(den <= 0.0):
-        bad = np.argmax(den <= 0.0)
-        raise ValueError(
-            "density_g denominator not positive at p=%d sign=%+d near index %s"
-            % (p, sign, bad))
-    return _ret(x, y, (p + 1.0) / den)
-
-
-def density_st_inf(x, y):
-    """Limiting pair density: squared difference times semicircle roots."""
-    xa, ya = _as_xy(x, y)
-    v = ((xa - ya) ** 2 / math.pi ** 2) \
-        * np.sqrt(np.clip(1.0 - xa * xa / 4.0, 0.0, None)) \
-        * np.sqrt(np.clip(1.0 - ya * ya / 4.0, 0.0, None))
-    return _ret(x, y, v)
-
-
-def _raw_density(kind, p, x, y):
-    if kind == "limit":
-        return density_st_inf(x, y)
-    return density_f(p, x, y) * density_g(p, x, y, 1) \
-        * density_g(p, x, y, -1) * density_st_inf(x, y)
-
-
-def density_mu_p(spec: MeasureSpec, x, y):
-    """Normalized density of the measure described by `spec`."""
-    v = _raw_density(spec.kind, spec.p, x, y) / spec.normalization
-    return _ret(x, y, np.asarray(v))
-
-
-def _angle_integral(kind, p, integrand, normalization, tol, max_panels):
+def _angle_integral(p, integrand, normalization, tol, max_panels):
     # substitute x = 2 cos(alpha): the boundary square roots become smooth
     def f(al, be):
         x = 2.0 * np.cos(al)
         y = 2.0 * np.cos(be)
-        d = _raw_density(kind, p, x, y) / normalization
+        d = _raw_density(p, x, y) / normalization
         g = np.broadcast_to(np.asarray(integrand(x, y), dtype=float), x.shape)
         return g * d * 4.0 * np.sin(al) * np.sin(be)
 
@@ -156,20 +108,15 @@ def _angle_integral(kind, p, integrand, normalization, tol, max_panels):
 
 
 @lru_cache(maxsize=64)
-def _raw_mass(kind, p):
-    return _angle_integral(kind, p, lambda x, y: np.ones_like(x),
+def _raw_mass(p):
+    return _angle_integral(p, lambda x, y: np.ones_like(x),
                            1.0, 1e-9, 40000)[0]
 
 
 def vertical_measure(p) -> MeasureSpec:
     """Measure spec at prime p with its normalization computed by quadrature."""
     p = check_prime(p)
-    return MeasureSpec("vertical", p, _raw_mass("vertical", p))
-
-
-def limit_measure() -> MeasureSpec:
-    """Large-prime limit measure with empirically computed normalization."""
-    return MeasureSpec("limit", None, _raw_mass("limit", None))
+    return MeasureSpec(p, _raw_mass(p))
 
 
 def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8,
@@ -179,8 +126,8 @@ def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8,
     integrand must accept equal-length coordinate arrays and broadcast.
     Raises QuadratureError when the panel budget cannot meet `tol`.
     """
-    val, _, _ = _angle_integral(spec.kind, spec.p, integrand,
-                                spec.normalization, tol, max_panels)
+    val, _, _ = _angle_integral(spec.p, integrand, spec.normalization, tol,
+                                max_panels)
     return val
 
 
@@ -191,26 +138,18 @@ def _envelope(spec: MeasureSpec):
     return 1.05 * float(np.max(density_mu_p(spec, xx.ravel(), yy.ravel())))
 
 
-def _stream_address(spec: MeasureSpec, rng):
-    if isinstance(rng, tuple):
-        seed, stream = rng
-        return int(seed), int(stream)
-    return int(rng), (spec.p if spec.kind == "vertical" else 1)
-
-
 _MAX_ATTEMPTS = 4096
 
 
-def sample_array(spec: MeasureSpec, rng, count):
+def sample_array(spec: MeasureSpec, seed, count):
     """Rejection-sample `count` points; returns an array of shape (count, 2).
 
-    Each draw consumes its own (index, attempt) substream, so the result
-    is independent of batching.  `rng` is an integer seed, or a
-    (seed, stream) pair to select an explicit substream.
+    The draws come from the stream (seed, p), and each draw consumes its
+    own (index, attempt) substream, so the result is independent of
+    batching.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    seed, stream = _stream_address(spec, rng)
     env = _envelope(spec)
     out = np.empty((count, 2))
     pending = np.arange(count, dtype=np.uint64)
@@ -220,10 +159,10 @@ def sample_array(spec: MeasureSpec, rng, count):
             raise RejectionBudgetError(
                 "rejection budget %d exhausted with %d draws pending"
                 % (_MAX_ATTEMPTS, pending.size))
-        u = _rng.uniforms(seed, stream, pending, attempt, 3)
+        u = _rng.uniforms(seed, spec.p, pending, attempt, 3)
         x = 4.0 * u[:, 0] - 2.0
         y = 4.0 * u[:, 1] - 2.0
-        d = np.asarray(density_mu_p(spec, x, y))
+        d = density_mu_p(spec, x, y)
         if np.any(d > env):
             raise EnvelopeViolation(
                 "density %.6g exceeds cached envelope %.6g (stale bound)"

@@ -15,6 +15,12 @@ combines the blocks.
 sine-plus-reflection kernel, and the determinant of its matrix at given
 points, which the determinant route integrates.
 
+`density_f`, `density_g` and `density_st_inf` are the three factor
+formulas of the vertical measure at a prime p: `measures._raw_density`
+must equal their product `density_f * density_g(+1) * density_g(-1) *
+density_st_inf` bit for bit.  `limit_density` is the p -> infinity limit
+of that measure, the semicircle-pair factor divided by its exact mass 2.
+
 `haar_batch` draws dense Haar matrices: QR of a Gaussian matrix for the
 orthogonal and unitary groups, the polar factor of a quaternionic
 Gaussian matrix for the symplectic group.  It is the distributional
@@ -168,6 +174,40 @@ def density_W(G, xs):
     if G.tag == "O":
         return 0.5 * (det_for(1) + det_for(-1))
     return det_for(G.epsilon)
+
+
+def _semicircle_roots(x, y):
+    return (np.sqrt(np.clip(1.0 - x * x / 4.0, 0.0, None)),
+            np.sqrt(np.clip(1.0 - y * y / 4.0, 0.0, None)))
+
+
+def density_f(p, x, y):
+    """Rational factor (p + 1)^2 / ((B - x^2)(B - y^2)), B = p + 2 + 1/p."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    big = p + 2.0 + 1.0 / p  # (sqrt(p) + 1/sqrt(p))^2
+    return (p + 1.0) ** 2 / ((big - x * x) * (big - y * y))
+
+
+def density_g(p, x, y, sign):
+    """Reflection factor (p + 1) / (B - 2(1 + xy/4 + sign r)), with r the
+    product of the two semicircle roots."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    big = p + 2.0 + 1.0 / p
+    sx, sy = _semicircle_roots(x, y)
+    return (p + 1.0) / (big - 2.0 * (1.0 + x * y / 4.0 + sign * (sx * sy)))
+
+
+def density_st_inf(x, y):
+    """Semicircle-pair factor: squared difference times both roots."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    sx, sy = _semicircle_roots(x, y)
+    return ((x - y) ** 2 / math.pi ** 2) * sx * sy
+
+
+def limit_density(x, y):
+    """Density of the p -> infinity limit measure; density_st_inf has
+    mass 2 pi^2 / pi^2 = 2 on the square."""
+    return density_st_inf(x, y) / 2.0
 
 
 def brute_d_n(spectrum, phis, include_zero):

@@ -9,6 +9,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -518,3 +519,17 @@ def test_determinant_route_matches_permutation_sum(G, betas):
     got = K.n_level_prediction(G, phis)
     assert got == pytest.approx(_permutation_oracle(G, tuple(phis)),
                                 rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("betas, soeven, sp", [
+    ((0.2, 0.2), Fraction(11, 12), Fraction(179, 300)),
+    ((0.3, 0.3), Fraction(69, 80), Fraction(177, 400)),
+    ((0.45, 0.45), Fraction(49, 64), Fraction(433, 1600)),
+    ((0.1, 0.2), Fraction(73, 75), Fraction(107, 150)),
+])
+def test_each_route_error_covers_the_exact_two_level_value(betas, soeven, sp):
+    phis = [tf(b) for b in betas]
+    for G, sign, exact in [(K.SOEVEN, 1, soeven), (K.SP, -1, sp)]:
+        for value, err in [K.prediction_with_error(G, phis),
+                           K.rubinstein_with_error(sign, phis)]:
+            assert abs(value - float(exact)) <= err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import density_f, density_g, density_st_inf, limit_density
 from hypothesis import given, settings, strategies as st
 
 from lowlying import measures as M
@@ -12,31 +13,41 @@ COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 def test_density_f_examples():
     # direct evaluation of the closed form: (sqrt(2)+1/sqrt(2))^2 = 4.5
-    assert abs(M.density_f(2, 0, 0) - 9.0 / 20.25) < 1e-12
-    assert abs(M.density_f(2, 1, 0) - 9.0 / (3.5 * 4.5)) < 1e-12
+    assert abs(density_f(2, 0, 0) - 9.0 / 20.25) < 1e-12
+    assert abs(density_f(2, 1, 0) - 9.0 / (3.5 * 4.5)) < 1e-12
 
 
 def test_density_g_examples():
-    assert abs(M.density_g(2, 0, 0, 1) - 6.0) < 1e-12
-    assert abs(M.density_g(2, 0, 0, -1) - 3.0 / 4.5) < 1e-12
+    assert abs(density_g(2, 0, 0, 1) - 6.0) < 1e-12
+    assert abs(density_g(2, 0, 0, -1) - 3.0 / 4.5) < 1e-12
     # boundary: the square-root factor vanishes, xy/4 = 1
-    assert abs(M.density_g(2, 2, 2, 1) - 6.0) < 1e-12
+    assert abs(density_g(2, 2, 2, 1) - 6.0) < 1e-12
 
 
 def test_density_st_inf_examples():
-    assert M.density_st_inf(0, 0) == 0.0
-    assert M.density_st_inf(2, 0) == 0.0
-    assert abs(M.density_st_inf(1, -1) - 3.0 / math.pi ** 2) < 1e-12
+    assert density_st_inf(0, 0) == 0.0
+    assert density_st_inf(2, 0) == 0.0
+    assert abs(density_st_inf(1, -1) - 3.0 / math.pi ** 2) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(COORD, COORD, st.sampled_from([2, 3, 5, 999983]))
+def test_raw_density_is_the_factor_product_bit_for_bit(x, y, p):
+    x, y = np.float64(x), np.float64(y)
+    oracle = density_f(p, x, y) * density_g(p, x, y, 1) \
+        * density_g(p, x, y, -1) * density_st_inf(x, y)
+    assert np.float64(M._raw_density(p, x, y)).tobytes() \
+        == np.float64(oracle).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(COORD, COORD)
 def test_density_symmetry(x, y):
     for p in (2, 5):
-        assert M.density_f(p, x, y) == pytest.approx(M.density_f(p, y, x), rel=1e-12)
+        assert density_f(p, x, y) == pytest.approx(density_f(p, y, x), rel=1e-12)
         for s in (1, -1):
-            assert M.density_g(p, x, y, s) == pytest.approx(
-                M.density_g(p, y, x, s), rel=1e-12)
+            assert density_g(p, x, y, s) == pytest.approx(
+                density_g(p, y, x, s), rel=1e-12)
     spec = M.vertical_measure(3)
     assert M.density_mu_p(spec, x, y) == pytest.approx(
         M.density_mu_p(spec, y, x), rel=1e-12)
@@ -53,13 +64,11 @@ def test_diagonal_and_boundary_zeros(t):
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        M.density_f(4, 0, 0)
+        M.vertical_measure(4)
     with pytest.raises(ValueError):
-        M.density_f(1, 0, 0)
+        M.vertical_measure(1)
     with pytest.raises(ValueError):
-        M.density_g(2, 0, 0, 2)
-    with pytest.raises(ValueError):
-        M.density_st_inf(2.5, 0)
+        M.density_mu_p(M.vertical_measure(2), 2.5, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 11, 101])
@@ -75,12 +84,26 @@ def test_odd_moment_vanishes():
         assert abs(M.integrate(spec, lambda x, y: x + y)) < 1e-6
 
 
+def _limit_expectation(integrand):
+    # the limit oracle in angle coordinates, where its roots are smooth
+    def f(al, be):
+        x = 2.0 * np.cos(al)
+        y = 2.0 * np.cos(be)
+        return integrand(x, y) * limit_density(x, y) * 4.0 * np.sin(al) \
+            * np.sin(be)
+
+    return adaptive_tensor(f, (0.0, math.pi, 0.0, math.pi), 1e-10)[0]
+
+
+def test_limit_oracle_has_mass_one():
+    assert abs(_limit_expectation(lambda x, y: np.ones_like(x)) - 1.0) < 1e-9
+
+
 def test_weak_convergence_of_moments():
     specs = [M.vertical_measure(p) for p in (2, 11, 101, 10007)]
-    lim = M.limit_measure()
     for i in range(3):
         for j in range(3):
-            target = M.integrate(lim, lambda x, y: x ** i * y ** j)
+            target = _limit_expectation(lambda x, y: x ** i * y ** j)
             diffs = [abs(M.integrate(s, lambda x, y: x ** i * y ** j) - target)
                      for s in specs]
             for earlier, later in zip(diffs, diffs[1:]):
@@ -91,19 +114,18 @@ def test_near_limit_density_grid():
     # largest prime below 10^6 (the formula requires a prime modulus)
     p = 999983
     spec = M.vertical_measure(p)
-    lim = M.limit_measure()
     g = np.linspace(-2.0, 2.0, 50)
     xx, yy = np.meshgrid(g, g, indexing="ij")
     dv = np.asarray(M.density_mu_p(spec, xx.ravel(), yy.ravel()))
-    dl = np.asarray(M.density_mu_p(lim, xx.ravel(), yy.ravel()))
+    dl = limit_density(xx.ravel(), yy.ravel())
     assert float(np.max(np.abs(dv - dl))) < 1e-2
 
 
 def test_integrate_dual_route_against_sampler():
-    lim = M.limit_measure()
-    quad = M.integrate(lim, lambda x, y: (x - y) ** 2)
+    spec = M.vertical_measure(5)
+    quad = M.integrate(spec, lambda x, y: (x - y) ** 2)
     assert quad > 0
-    pts = M.sample_array(lim, 20260821, 200000)
+    pts = M.sample_array(spec, 20260821, 200000)
     vals = (pts[:, 0] - pts[:, 1]) ** 2
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - quad) < 3.0 * se
