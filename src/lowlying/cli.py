@@ -300,13 +300,11 @@ def _cmd_moments(args):
 def _cmd_rmt(args):
     from lowlying import kernels, rmt
 
-    if args.group not in rmt.GROUPS:
-        raise UsageError("group must be one of %s" % (rmt.GROUPS,))
+    spec = rmt.EnsembleSpec(group=args.group, size=args.size,
+                            samples=args.samples, seed=args.seed)
     if len(args.beta) > 3:
         raise UsageError("rmt predicts at most 3-level statistics, got %d "
                          "--beta values" % len(args.beta))
-    spec = rmt.EnsembleSpec(group=args.group, size=args.size,
-                            samples=args.samples, seed=args.seed)
     phis = [kernels.fejer_test_function(b) for b in args.beta]
     report = rmt.ensemble_average(spec, phis, args.include_zero)
     ok = abs(report.z_score) < args.zmax

@@ -381,7 +381,8 @@ def _determinant_table(phis, eps):
     return table
 
 
-def _check_supports(phis, beta_n):
+def _check_supports(phis):
+    beta_n = default_betas(len(phis))
     for i, phi in enumerate(phis):
         if phi.beta > beta_n + 1e-12:
             raise SupportViolation(
@@ -389,21 +390,19 @@ def _check_supports(phis, beta_n):
                 % (i, phi.beta, beta_n))
 
 
-def prediction_with_error(G: SymmetryType, phis, beta_n=None):
+def prediction_with_error(G: SymmetryType, phis):
     """n-level prediction and its quadrature error estimate."""
     phis = tuple(phis)
     n = len(phis)
     if n < 1:
         raise ValueError("need at least one test function")
-    if beta_n is None:
-        beta_n = default_betas(n)
-    _check_supports(phis, beta_n)
+    _check_supports(phis)
     if n > 3:
         raise NotImplementedError(
             "determinant-route predictions are implemented for n <= 3")
     if G.epsilon is None:
-        ve, ee = prediction_with_error(SOEVEN, phis, beta_n)
-        vo, eo = prediction_with_error(SOODD, phis, beta_n)
+        ve, ee = prediction_with_error(SOEVEN, phis)
+        vo, eo = prediction_with_error(SOODD, phis)
         return 0.5 * (ve + vo), 0.5 * (ee + eo)
     table = _determinant_table(phis, G.epsilon)
     value, err = table[tuple(range(n))]
@@ -415,10 +414,10 @@ def prediction_with_error(G: SymmetryType, phis, beta_n=None):
     return value, err
 
 
-def n_level_prediction(G: SymmetryType, phis, beta_n=None) -> float:
+def n_level_prediction(G: SymmetryType, phis) -> float:
     """Integral of the product test function against the n-level density,
     delta contributions included for the odd orthogonal class."""
-    return prediction_with_error(G, phis, beta_n)[0]
+    return prediction_with_error(G, phis)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +511,7 @@ def _rubinstein_eval(sign, phis, h):
 _GRID_STEP = 1e-3
 
 
-def rubinstein_with_error(sign, phis, beta_n=None):
+def rubinstein_with_error(sign, phis):
     """Combinatorial expansion value with a Richardson error estimate."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -520,13 +519,7 @@ def rubinstein_with_error(sign, phis, beta_n=None):
     n = len(phis)
     if not 1 <= n <= 8:
         raise ValueError("need 1..8 test functions")
-    if beta_n is None:
-        beta_n = default_betas(n)
-    _check_supports(phis, beta_n)
-    if math.fsum(p.beta for p in phis) >= 1.0 - 1e-9:
-        raise SupportViolation(
-            "total Fourier support %.6f reaches the working window [-1,1]"
-            % math.fsum(p.beta for p in phis))
+    _check_supports(phis)
     h = _aligned_step([p.beta for p in phis], _GRID_STEP)
     coarse = _rubinstein_eval(sign, phis, h)
     fine = _rubinstein_eval(sign, phis, h / 2.0)
@@ -534,6 +527,6 @@ def rubinstein_with_error(sign, phis, beta_n=None):
     return value, abs(value - fine) + 1e-12
 
 
-def rubinstein_rhs(sign, phis, beta_n=None) -> float:
+def rubinstein_rhs(sign, phis) -> float:
     """Sum over set partitions, even block subsets, and pairings."""
-    return rubinstein_with_error(sign, phis, beta_n)[0]
+    return rubinstein_with_error(sign, phis)[0]

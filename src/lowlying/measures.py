@@ -3,8 +3,8 @@
 The measure at prime p lives on the square [-2,2]^2 of normalized
 eigenvalue coordinates, symmetric under coordinate swap.  Its density is
 the product of a rational factor, two reflection factors, and the
-semicircle-pair density; total mass is normalized to 1 empirically,
-once per prime, by adaptive quadrature.
+semicircle-pair density, divided by its exact total mass
+2(p+1)^2/(p^2+1).
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ def check_prime(p):
 class MeasureSpec:
     """The vertical measure at prime p.
 
-    `normalization` is the raw full-square mass of the density formula;
-    all evaluation and integration routines divide by it, so the
-    normalized density always integrates to 1.
+    `normalization` is the closed-form full-square mass 2(p+1)^2/(p^2+1)
+    of the density formula; evaluation and integration divide by it, so
+    the normalized density integrates to 1.
     """
 
     p: int
@@ -94,29 +94,10 @@ def density_mu_p(spec: MeasureSpec, x, y):
     return _raw_density(spec.p, x, y) / spec.normalization
 
 
-def _angle_integral(p, integrand, normalization, tol, max_panels):
-    # substitute x = 2 cos(alpha): the boundary square roots become smooth
-    def f(al, be):
-        x = 2.0 * np.cos(al)
-        y = 2.0 * np.cos(be)
-        d = _raw_density(p, x, y) / normalization
-        g = np.broadcast_to(np.asarray(integrand(x, y), dtype=float), x.shape)
-        return g * d * 4.0 * np.sin(al) * np.sin(be)
-
-    return adaptive_tensor(f, (0.0, math.pi, 0.0, math.pi), tol,
-                           max_panels=max_panels)
-
-
-@lru_cache(maxsize=64)
-def _raw_mass(p):
-    return _angle_integral(p, lambda x, y: np.ones_like(x),
-                           1.0, 1e-9, 40000)[0]
-
-
 def vertical_measure(p) -> MeasureSpec:
-    """Measure spec at prime p with its normalization computed by quadrature."""
+    """Measure spec at prime p with its exact mass, rounded once."""
     p = check_prime(p)
-    return MeasureSpec(p, _raw_mass(p))
+    return MeasureSpec(p, 2 * (p + 1) ** 2 / (p * p + 1))
 
 
 def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8,
@@ -126,9 +107,16 @@ def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8,
     integrand must accept equal-length coordinate arrays and broadcast.
     Raises QuadratureError when the panel budget cannot meet `tol`.
     """
-    val, _, _ = _angle_integral(spec.p, integrand, spec.normalization, tol,
-                                max_panels)
-    return val
+    # substitute x = 2 cos(alpha): the boundary square roots become smooth
+    def f(al, be):
+        x = 2.0 * np.cos(al)
+        y = 2.0 * np.cos(be)
+        d = _raw_density(spec.p, x, y) / spec.normalization
+        g = np.broadcast_to(np.asarray(integrand(x, y), dtype=float), x.shape)
+        return g * d * 4.0 * np.sin(al) * np.sin(be)
+
+    return adaptive_tensor(f, (0.0, math.pi, 0.0, math.pi), tol,
+                           max_panels=max_panels)[0]
 
 
 @lru_cache(maxsize=64)

@@ -224,6 +224,23 @@ class TestDensity:
             assert -2.0 <= float(x) <= 2.0
             assert -2.0 <= float(y) <= 2.0
 
+    def test_normalization_check_sees_a_wrong_density(self, tmp_path,
+                                                      monkeypatch):
+        # the mass is exact, not the quadrature's own, so a density off by
+        # 1e-6 shows in the check
+        from lowlying import measures
+
+        raw = measures._raw_density
+        monkeypatch.setattr(measures, "_raw_density",
+                            lambda p, x, y: raw(p, x, y) * (1.0 + 1e-6))
+        out = tmp_path / "grid.csv"
+        code = cli.main(["density", "--p", "2", "--grid", "5",
+                         "--out", str(out)])
+        assert code == 1
+        meta = read_json(str(out) + ".json")
+        assert meta["pass"] is False
+        assert meta["normalization_error"] == pytest.approx(1e-6, rel=1e-6)
+
     def test_non_prime_exits_2(self, tmp_path):
         code = cli.main(["density", "--p", "6",
                          "--out", str(tmp_path / "d.csv")])
@@ -266,7 +283,7 @@ class TestDensity:
                                                monkeypatch, capsys):
         def integrated(*args, **kwargs):
             raise AssertionError("quadrature ran before validation")
-        # the mass behind vertical_measure is a quadrature too
+        # the normalization check is a quadrature
         monkeypatch.setattr("lowlying.measures.adaptive_tensor", integrated)
         code = cli.main(["density", "--tol", tol,
                          "--out", str(tmp_path / "d.csv")])

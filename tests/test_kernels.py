@@ -214,14 +214,11 @@ def test_support_violation_raised():
         K.n_level_prediction(K.U, [tf(0.95)])
     with pytest.raises(K.SupportViolation):
         K.n_level_prediction(K.U, [tf(0.5), tf(0.5)])  # beta_n = 0.45
-    # explicit window override: per-function ok, total reaches 1
-    with pytest.raises(K.SupportViolation):
-        K.rubinstein_rhs(1, [tf(0.55), tf(0.55)], beta_n=0.6)
 
 
 def test_no_high_n():
     with pytest.raises(NotImplementedError):
-        K.n_level_prediction(K.U, [tf(0.2)] * 4, beta_n=0.25)
+        K.n_level_prediction(K.U, [tf(0.2)] * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +294,15 @@ def test_rubinstein_two_level_mixed_exact_pins():
     # hand computation for betas 0.4 and 0.3: cross transform integral
     # 0.225, product at zero 0.12, pairing integral 0.0375
     phis = [tf(0.4), tf(0.3)]
-    assert K.rubinstein_rhs(1, phis, beta_n=0.45) == pytest.approx(
-        0.8475, abs=1e-9)
-    assert K.rubinstein_rhs(-1, phis, beta_n=0.45) == pytest.approx(
-        0.3875, abs=1e-9)
+    assert K.rubinstein_rhs(1, phis) == pytest.approx(0.8475, abs=1e-9)
+    assert K.rubinstein_rhs(-1, phis) == pytest.approx(0.3875, abs=1e-9)
 
 
 def test_dual_route_two_level():
-    for phis, beta_n in [([tf(0.45), tf(0.45)], None),
-                         ([tf(0.4), tf(0.3)], 0.45)]:
+    for phis in [[tf(0.45), tf(0.45)], [tf(0.4), tf(0.3)]]:
         for sign, G in [(1, K.SOEVEN), (-1, K.SP)]:
-            det = K.n_level_prediction(G, phis, beta_n)
-            rub = K.rubinstein_rhs(sign, phis, beta_n=beta_n)
+            det = K.n_level_prediction(G, phis)
+            rub = K.rubinstein_rhs(sign, phis)
             assert abs(det - rub) < 1e-6
 
 
@@ -344,7 +338,7 @@ def test_rubinstein_wide_pins(n, sign):
 def test_misaligned_supports_raise():
     phis = [tf(1.0 / 3.0), tf(1.0 / 7.0)]
     with pytest.raises(K.SupportViolation):
-        K.rubinstein_rhs(1, phis, beta_n=0.4)
+        K.rubinstein_rhs(1, phis)
 
 
 def test_default_betas():

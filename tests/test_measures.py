@@ -78,6 +78,33 @@ def test_normalization(p):
     assert abs(total - 1.0) < 1e-8
 
 
+CLOSED_FORM_PRIMES = [2, 3, 5, 7, 11, 13, 101, 997, 999983]
+
+
+@pytest.mark.parametrize("p", CLOSED_FORM_PRIMES)
+def test_normalization_is_the_closed_form_mass(p):
+    exact = 2 * (p + 1) ** 2 / (p * p + 1)
+    assert M.vertical_measure(p).normalization == exact
+
+    # the raw density's mass by its own quadrature, in angle coordinates
+    def f(al, be):
+        return M._raw_density(p, 2.0 * np.cos(al), 2.0 * np.cos(be)) \
+            * 4.0 * np.sin(al) * np.sin(be)
+
+    mass = adaptive_tensor(f, (0.0, math.pi, 0.0, math.pi), 1e-13)[0]
+    assert abs(mass - exact) <= 1e-13 * exact
+
+
+def test_vertical_measure_runs_no_quadrature(monkeypatch):
+    def integrated(*args, **kwargs):
+        raise AssertionError("vertical_measure ran a quadrature")
+
+    monkeypatch.setattr(M, "adaptive_tensor", integrated)
+    # and at primes no other test builds, so nothing cached stands in
+    for p in CLOSED_FORM_PRIMES + [1009, 100003, 1000003]:
+        assert M.vertical_measure(p).p == p
+
+
 def test_odd_moment_vanishes():
     for p in (2, 3, 5):
         spec = M.vertical_measure(p)

@@ -168,7 +168,7 @@ def shared_route_names(source):
 
 
 _KERNELS = (PACKAGE / "kernels.py").read_text()
-_COMBINATORIAL_ENTRY = "def rubinstein_with_error(sign, phis, beta_n=None):\n"
+_COMBINATORIAL_ENTRY = "def rubinstein_with_error(sign, phis):\n"
 
 
 def test_route_scan_finds_a_planted_cycle_integral():
