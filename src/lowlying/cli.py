@@ -85,6 +85,14 @@ def _to_int(raw):
         raise UsageError("expected an integer, got %r" % (raw,))
 
 
+def _to_seed(raw):
+    # rng keys streams by the seed mod 2^64, so only these seeds are distinct
+    value = _to_int(raw)
+    if not 0 <= value < 2 ** 64:
+        raise UsageError("seed must be in [0, 2^64), got %d" % (value,))
+    return value
+
+
 def _to_float(raw):
     try:
         return float(raw)
@@ -460,12 +468,12 @@ def build_parser():
         tol=(_to_positive, 1e-6))
     add("rmt", "ensemble statistic against its kernel prediction",
         _cmd_rmt, group=(str, None), size=(_to_int, 30),
-        samples=(_to_int, 20000), seed=(_to_int, 20260822),
+        samples=(_to_int, 20000), seed=(_to_seed, 20260822),
         beta=(_to_float_list, [0.9]), include_zero=(_to_bool, True),
         zmax=(_to_positive, 3.0))
     add("family", "synthetic family averages, joint moments, sign split",
         _cmd_family, primes=(_to_int_list, [2, 3, 5]),
-        forms=(_to_int, 100000), seed=(_to_int, 20260822),
+        forms=(_to_int, 100000), seed=(_to_seed, 20260822),
         rule=(str, "balanced"), m=(_to_int_list, [1, 2, 4, 9, 12, 36]),
         joint_primes=(_to_int_list, None), joint_degree=(_to_int, 2),
         split_m=(_to_int, 4), zmax=(_to_positive, 3.0), csv=(str, ""))

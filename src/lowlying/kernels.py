@@ -34,7 +34,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import sici
 
 from .quadrature import panel_grid
 
@@ -158,6 +157,39 @@ class TrigSum:
         return total.real
 
 
+def _sici(x):
+    """(Si(x), Ci(x)) for x > 0, after Numerical Recipes' cisi: the power
+    series up to x = 2 and the modified-Lentz continued fraction for
+    E1(ix) = -Ci(x) + i (Si(x) - pi/2) beyond."""
+    if x > 2.0:
+        b = complex(1.0, x)
+        c = 1e300
+        d = h = 1.0 / b
+        # at most 81 steps, near x = 2
+        for i in range(1, 200):
+            a = -i * i
+            b += 2.0
+            d = 1.0 / (a * d + b)
+            c = b + a / c
+            delta = c * d
+            h *= delta
+            if abs(delta - 1.0) < 1e-15:
+                break
+        h *= complex(math.cos(x), -math.sin(x))
+        return math.pi / 2.0 + h.imag, -h.real
+    # x^k / (k k!) with signs + - - + + - - ..., odd k to Si, even k to
+    # Ci, until a term is under 1e-17 x: below the last bit of Si (about
+    # x here) and, as x <= 2, of Ci at unit scale
+    sums = [0.0, 0.0]
+    term = 1.0
+    for k in range(1, 30):
+        term *= x / k
+        sums[k % 2] += (-1.0 if k % 4 in (2, 3) else 1.0) * term / k
+        if term < 1e-17 * x:
+            break
+    return sums[1], sums[0] + math.log(x) + 0.5772156649015329
+
+
 def _e_integral(omega, d, T):
     """int_T^inf e^{i omega x} x^{-d} dx for d >= 1 (d >= 2 when omega=0)."""
     if omega == 0.0:
@@ -166,7 +198,7 @@ def _e_integral(omega, d, T):
         return (T ** (1 - d)) / (d - 1) + 0.0j
     if d == 1:
         z = abs(omega) * T
-        si, ci = sici(z)
+        si, ci = _sici(z)
         val = -ci + 1j * (math.pi / 2.0 - si)
         return val if omega > 0 else np.conj(val)
     lower = _e_integral(omega, d - 1, T)

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from . import kernels, rng
 from .family import _mean_stderr, _z_against
@@ -130,6 +129,10 @@ def _jacobi_angles(group, size, seed, indices):
     ensembles, IMRN 2004, Thm 2, from 2N - 1 independent Beta variables
     alpha_k, each the inverse CDF of one addressed uniform.
     """
+    # its only use in the package, imported here so that commands without
+    # an orthogonal or symplectic ensemble start without it
+    from scipy import special
+
     # x = 2 cos(theta) has the density (2 - x)^a (2 + x)^b times the
     # squared Vandermonde
     a, b = {"SOeven": (-0.5, -0.5), "SOodd": (0.5, -0.5),

@@ -198,6 +198,44 @@ class TestParseErrors:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestImportPath:
+    """Only orthogonal and symplectic sampling loads scipy.
+
+    Each case runs in a subprocess, because this one has scipy loaded.
+    """
+
+    @staticmethod
+    def loads_scipy(body, cwd):
+        script = body + "\nimport sys\nprint('scipy' in sys.modules)\n"
+        proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
+                              env=cli_env("1"), capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()[-1] == "True"
+
+    def test_importing_every_module(self, tmp_path):
+        assert not self.loads_scipy(
+            "import importlib, pkgutil, lowlying\n"
+            "for m in pkgutil.iter_modules(lowlying.__path__):\n"
+            "    importlib.import_module('lowlying.' + m.name)", tmp_path)
+
+    def test_u_ensemble_and_prediction(self, tmp_path):
+        assert not self.loads_scipy(
+            "from lowlying import cli, kernels as K\n"
+            "assert cli.main(['rmt', '--group', 'U', '--size', '4',\n"
+            "                 '--samples', '8', '--zmax', '50',\n"
+            "                 '--out', 'r.json']) == 0\n"
+            "phi = K.fejer_test_function(0.3)\n"
+            "K.prediction_with_error(K.SP, [phi, phi])", tmp_path)
+
+    def test_orthogonal_ensemble_loads_it(self, tmp_path):
+        assert self.loads_scipy(
+            "from lowlying import cli\n"
+            "assert cli.main(['rmt', '--group', 'SOeven', '--size', '4',\n"
+            "                 '--samples', '8', '--zmax', '50',\n"
+            "                 '--out', 'r.json']) == 0", tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # density
 
@@ -519,6 +557,14 @@ class TestRmt:
         assert report["z_score"] == "inf"
         assert meta["pass"] is False
 
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = cli.main(["rmt", "--group", "U", "--size", "4",
+                         "--samples", "8", "--seed", str(2 ** 64 - 1),
+                         "--zmax", "50", "--out", str(out)])
+        assert code == 0
+        assert read_json(out)["config"]["seed"] == str(2 ** 64 - 1)
+
     def test_tiny_zmax_exits_1(self, tmp_path):
         out = tmp_path / "r.json"
         code = cli.main(["rmt", "--group", "U", "--size", "5",
@@ -607,6 +653,29 @@ class TestFamily:
                          "--out", str(out)])
         assert code == 0
         assert read_json(out)["split"] is None
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("command", [
+    ["rmt", "--group", "U", "--size", "4", "--samples", "8"],
+    ["family", "--primes", "2", "--forms", "10"]],
+    ids=["rmt", "family"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_seed_outside_64_bits_exits_2(seed, command, via_config, tmp_path,
+                                      capsys):
+    # the random streams see the seed modulo 2^64, so these would repeat
+    # the streams of 2^64 - 1 and 0
+    out = tmp_path / "o.json"
+    if via_config:
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("seed=%s\n" % seed)
+        flags = ["--config", str(cfg)]
+    else:
+        flags = ["--seed", seed]
+    assert cli.main(command + flags + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import sici
 
 from conftest import (PartitionStructure, brute_rubinstein, density_W,
                       enumerate_pairings, enumerate_partitions, kernel_eval)
@@ -139,10 +140,24 @@ def test_testfunction_validation():
             K.TestFunction(beta=beta)
 
 
+def test_sici_against_scipy():
+    # the grid crosses x = 2, where the power series hands over to the
+    # continued fraction
+    xs = np.concatenate([np.geomspace(1e-4, 1e5, 4000),
+                         [2.0, np.nextafter(2.0, 3.0)]])
+    want_si, want_ci = sici(xs)
+    got_si, got_ci = np.array([K._sici(x) for x in xs.tolist()]).T
+    assert np.all(np.abs(got_si - want_si) <= 4e-15 * np.abs(want_si))
+    assert np.all(np.abs(got_ci - want_ci)
+                  <= 4e-15 * np.maximum(1.0, np.abs(want_ci)))
+
+
 def test_tail_integral_against_quadrature():
-    # int_T^inf cos(w x)/x^d dx, checked against scipy's oscillatory rule
+    # int_T^inf cos(w x)/x^d dx, checked against scipy's oscillatory rule;
+    # the last case has |w| T < 2, which takes Si/Ci's power series
     T = 5.0
-    for w, d in [(2 * math.pi * 0.9, 2), (2 * math.pi * 0.3, 3)]:
+    for w, d in [(2 * math.pi * 0.9, 2), (2 * math.pi * 0.3, 3),
+                 (2 * math.pi * 0.01, 2)]:
         s = K.TrigSum({(w, d): 1.0 + 0.0j, (-w, d): 1.0 + 0.0j})
         got = s.integral_from(T)
         want = 2.0 * quad(lambda x: x ** -d, T, np.inf,
