@@ -16,7 +16,6 @@ rejection budget, or eigensolver trouble).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -203,10 +202,6 @@ def _write_json(path, payload):
         fh.write(text)
 
 
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -238,16 +233,15 @@ def _cmd_density(args):
     mass = float(measures.integrate(spec, lambda a, b: np.ones_like(a),
                                     tol=target))
     xs = np.linspace(-2.0, 2.0, args.grid)
+    # a sparse mesh: the one-coordinate factors stay vectors
+    grid = measures.density_mu_p(
+        spec, *np.meshgrid(xs, xs, indexing="ij", sparse=True))
+    xs = xs.tolist()
     with open(args.out, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["x", "y", "density"])
-        for x in xs:
-            row = np.asarray(
-                measures.density_mu_p(spec, np.full(args.grid, float(x)), xs),
-                dtype=float)
-            for y, d in zip(xs, row):
-                writer.writerow([repr(float(x)), repr(float(y)),
-                                 repr(float(d))])
+        fh.write("x,y,density\n")
+        for x, row in zip(xs, grid):
+            fh.writelines("%r,%r,%r\n" % (x, y, d)
+                          for y, d in zip(xs, row.tolist()))
     err = abs(mass - 1.0)
     ok = err < args.tol
     _write_json(args.out + ".json", {
@@ -398,13 +392,11 @@ def _cmd_dims(args):
                 k1, k2, paramodular.LevelData.from_level(n)))
     reports.sort(key=lambda r: (r.k1, r.k2, r.level.n))
     with open(args.out, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["k1", "k2", "N", "dim_main", "dim_new_main", "c_N"])
+        fh.write("k1,k2,N,dim_main,dim_new_main,c_N\n")
         for r in reports:
-            writer.writerow([r.k1, r.k2, r.level.n,
-                             repr(float(r.main_term)),
-                             repr(float(r.newform_main_term)),
-                             repr(float(r.c))])
+            fh.write("%d,%d,%d,%r,%r,%r\n" % (
+                r.k1, r.k2, r.level.n, float(r.main_term),
+                float(r.newform_main_term), float(r.c)))
     c_ok = all(r.c == 1 if r.level.n == 1
                else Fraction(1) < r.c < Fraction(5) for r in reports)
     _write_json(args.out + ".json", {

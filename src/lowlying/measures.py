@@ -100,8 +100,7 @@ def vertical_measure(p) -> MeasureSpec:
     return MeasureSpec(p, 2 * (p + 1) ** 2 / (p * p + 1))
 
 
-def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8,
-              max_panels=20000):
+def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8):
     """Expectation of integrand(x, y) under the normalized measure.
 
     integrand must accept equal-length coordinate arrays and broadcast.
@@ -115,8 +114,7 @@ def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8,
         g = np.broadcast_to(np.asarray(integrand(x, y), dtype=float), x.shape)
         return g * d * 4.0 * np.sin(al) * np.sin(be)
 
-    return adaptive_tensor(f, (0.0, math.pi, 0.0, math.pi), tol,
-                           max_panels=max_panels)[0]
+    return adaptive_tensor(f, (0.0, math.pi, 0.0, math.pi), tol)[0]
 
 
 @lru_cache(maxsize=64)

@@ -1,11 +1,13 @@
 """Deterministic Gauss-Legendre quadrature, fixed-panel and adaptive.
 
-The adaptive driver refines the worst panel first, with a stable
-tie-break, so the evaluation sequence (and hence the result, bit for
-bit) does not depend on dict ordering, threading, or batch layout.
+The adaptive driver keeps its panels as rows of one array, with their
+values and error estimates as arrays beside them.  Each round splits the
+fewest worst panels whose removal would meet the tolerance, at most a
+fixed number, and evaluates all their children with one call of the
+integrand per Gauss-Legendre order.  The worst panels are picked by a
+stable sort, so the result is the same bit for bit on every run.
 """
 
-import heapq
 import math
 from functools import lru_cache
 
@@ -58,65 +60,69 @@ def panel_grid(a, b, n_panels, order):
 _INIT = 4
 _ORDER_LO = 8
 _ORDER_HI = 14
+# the most panels a run may hold, and the most one round splits: the
+# round cap bounds the points handed to f in one call
+_MAX_PANELS = 20000
+_SPLIT_CAP = 256
 
 
-def _tensor_estimates(f, x0, x1, y0, y1):
+def _tensor_estimates(f, boxes):
+    """Order-14 value and |order-14 - order-8| error of each (x0, x1, y0, y1)
+    row, with one call of f per order."""
+    x0, x1, y0, y1 = boxes.T
+    sx = 0.5 * (x1 - x0)
+    sy = 0.5 * (y1 - y0)
     vals = []
     for order in (_ORDER_LO, _ORDER_HI):
         x, w = gauss_legendre(order)
-        sx = 0.5 * (x1 - x0)
-        sy = 0.5 * (y1 - y0)
-        gx = x0 + sx * (x + 1.0)
-        gy = y0 + sy * (x + 1.0)
-        xx, yy = np.meshgrid(gx, gy, indexing="ij")
-        fv = f(xx.ravel(), yy.ravel()).reshape(order, order)
-        vals.append(sx * sy * float(w @ fv @ w))
-    return vals[1], abs(vals[1] - vals[0])
+        gx = x0[:, None] + sx[:, None] * (x + 1.0)
+        gy = y0[:, None] + sy[:, None] * (x + 1.0)
+        shape = (len(boxes), order, order)
+        xx = np.broadcast_to(gx[:, :, None], shape)
+        yy = np.broadcast_to(gy[:, None, :], shape)
+        fv = f(xx.ravel(), yy.ravel()).reshape(shape)
+        # one 1-row product per panel, so each rounds as w @ fv @ w
+        # does for a single panel
+        vals.append(sx * sy * ((w @ fv)[:, None, :] @ w)[:, 0])
+    return vals[1], np.abs(vals[1] - vals[0])
 
 
-def adaptive_tensor(f, box, tol, max_panels=20000):
-    """Integrate f over a rectangle to absolute tolerance `tol`.
+def adaptive_tensor(f, box, tol):
+    """Integrate f over a rectangle to absolute tolerance `tol` > 0.
 
     f must accept flat arrays (x, y) and return values of the same
     length.  Returns (value, error_estimate, panel_count).  Raises
-    QuadratureError when max_panels panels cannot reach the tolerance.
+    QuadratureError when the panel budget cannot reach the tolerance.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive, got %r" % (tol,))
     x0, x1, y0, y1 = box
     xs = np.linspace(x0, x1, _INIT + 1)
     ys = np.linspace(y0, y1, _INIT + 1)
-    heap = []
-    seq = 0
-    for i in range(_INIT):
-        for j in range(_INIT):
-            val, err = _tensor_estimates(
-                f, xs[i], xs[i + 1], ys[j], ys[j + 1])
-            heapq.heappush(heap, (-err, seq, xs[i], xs[i + 1], ys[j], ys[j + 1], val))
-            seq += 1
-    err_run = math.fsum(-item[0] for item in heap)
-    since_resync = 0
+    i, j = np.divmod(np.arange(_INIT * _INIT), _INIT)
+    boxes = np.column_stack((xs[i], xs[i + 1], ys[j], ys[j + 1]))
+    vals, errs = _tensor_estimates(f, boxes)
     while True:
-        if err_run <= 0.5 * tol or since_resync >= 256:
-            # incremental tally drifts; confirm against an exact resum
-            err_run = math.fsum(-item[0] for item in heap)
-            since_resync = 0
-            if err_run <= 0.5 * tol:
-                break
-        if len(heap) + 3 > max_panels:
-            estimate = math.fsum(item[6] for item in heap)
+        error = math.fsum(errs)
+        if error <= 0.5 * tol:
+            return math.fsum(vals), error, len(boxes)
+        worst = np.argsort(-errs, kind="stable")
+        # rest[k] is the error left after splitting the k worst panels;
+        # split at least one, as cumsum may round the total below fsum's
+        rest = np.cumsum(errs[worst][::-1])[::-1]
+        k = min(max(int(np.count_nonzero(rest > 0.5 * tol)), 1), _SPLIT_CAP)
+        if len(boxes) + 3 * k > _MAX_PANELS:
             raise QuadratureError(
                 "panel budget %d exhausted: error %.3e > tol %.3e"
-                % (max_panels, err_run, tol), estimate, err_run)
-        neg_err, _, px0, px1, py0, py1, _ = heapq.heappop(heap)
-        err_run += neg_err
+                % (_MAX_PANELS, error, tol), math.fsum(vals), error)
+        px0, px1, py0, py1 = boxes[worst[:k]].T
         xm = 0.5 * (px0 + px1)
         ym = 0.5 * (py0 + py1)
-        for cx0, cx1 in ((px0, xm), (xm, px1)):
-            for cy0, cy1 in ((py0, ym), (ym, py1)):
-                val, err = _tensor_estimates(f, cx0, cx1, cy0, cy1)
-                heapq.heappush(heap, (-err, seq, cx0, cx1, cy0, cy1, val))
-                err_run += err
-                seq += 1
-        since_resync += 1
-    value = math.fsum(item[6] for item in heap)
-    error = math.fsum(-item[0] for item in heap)
-    return value, error, len(heap)
+        children = np.column_stack((
+            px0, xm, py0, ym, px0, xm, ym, py1,
+            xm, px1, py0, ym, xm, px1, ym, py1)).reshape(-1, 4)
+        cvals, cerrs = _tensor_estimates(f, children)
+        kept = np.sort(worst[k:])
+        boxes = np.concatenate((boxes[kept], children))
+        vals = np.concatenate((vals[kept], cvals))
+        errs = np.concatenate((errs[kept], cerrs))
