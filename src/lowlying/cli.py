@@ -219,6 +219,10 @@ def _check_quadrature_target(target):
                          % (target, _QUADRATURE_FLOOR))
 
 
+# density grid points per density_mu_p call
+_DENSITY_BLOCK = 1 << 16
+
+
 def _cmd_density(args):
     import numpy as np
 
@@ -233,15 +237,17 @@ def _cmd_density(args):
     mass = float(measures.integrate(spec, lambda a, b: np.ones_like(a),
                                     tol=target))
     xs = np.linspace(-2.0, 2.0, args.grid)
-    # a sparse mesh: the one-coordinate factors stay vectors
-    grid = measures.density_mu_p(
-        spec, *np.meshgrid(xs, xs, indexing="ij", sparse=True))
-    xs = xs.tolist()
+    ys = xs.tolist()
+    # blocks of rows on a sparse mesh, so memory does not grow as grid^2
+    step = max(1, _DENSITY_BLOCK // args.grid)
     with open(args.out, "w", newline="") as fh:
         fh.write("x,y,density\n")
-        for x, row in zip(xs, grid):
-            fh.writelines("%r,%r,%r\n" % (x, y, d)
-                          for y, d in zip(xs, row.tolist()))
+        for start in range(0, args.grid, step):
+            rows = xs[start:start + step]
+            block = measures.density_mu_p(spec, rows[:, None], xs[None, :])
+            for x, row in zip(rows.tolist(), block.tolist()):
+                fh.writelines("%r,%r,%r\n" % (x, y, d)
+                              for y, d in zip(ys, row))
     err = abs(mass - 1.0)
     ok = err < args.tol
     _write_json(args.out + ".json", {

@@ -19,7 +19,10 @@ decaying x-space tails at the fold boundary.
 No ensemble angle comes from a dense Haar matrix.  Orthogonal and
 symplectic angles never form a matrix of the group: the 2 cos of the
 non-trivial angles are the eigenvalues of an N x N Jacobi matrix
-(Killip-Nenciu), one batched symmetric eigensolver call per chunk.
+(Killip-Nenciu), one batched symmetric eigensolver call per chunk.  Its
+entries come from Beta variables with half-integer parameters, drawn by
+inverting their CDFs in numpy: each CDF is a finite sum of positive
+terms, solved for its uniform by Halley's method.
 Unitary angles are the eigenangles of an N x N unitary Hessenberg
 matrix built from independent Verblunsky coefficients (Killip-Nenciu,
 Gragg).  Its Cayley transform i (I + H)^-1 (I - H) is Hermitian with
@@ -121,30 +124,151 @@ class EigenSolverError(RuntimeError):
 # sampling
 
 
+def _jacobi_parameters(group, n):
+    """(t, s): (1 + alpha_k)/2 ~ Beta(t_k, s_k) for k < 2N - 1.
+
+    2t and 2s are integers, t <= s <= t + 2, and t + s is an integer.
+    """
+    # x = 2 cos(theta) has the density (2 - x)^a (2 + x)^b times the
+    # squared Vandermonde
+    a, b = {"SOeven": (-0.5, -0.5), "SOodd": (0.5, -0.5),
+            "USp": (0.5, 0.5)}[group]
+    k = np.arange(2 * n - 1)
+    # alpha_k on (-1, 1) has density prop. to (1 - x)^(s-1) (1 + x)^(t-1)
+    s = np.where(k % 2 == 0, (2 * n - k - 2) / 2 + a + 1,
+                 (2 * n - k - 3) / 2 + a + b + 2)
+    t = np.where(k % 2 == 0, (2 * n - k - 2) / 2 + b + 1, (2 * n - k - 1) / 2)
+    return t, s
+
+
+# Halley steps from the starting point; three reach rounding level for
+# every uniform that rng can return (tests/test_rmt.py checks the extremes)
+_HALLEY_STEPS = 3
+# terms of the remainder series; at z <= 1/2 it is truncated below 2^-53
+_REMAINDER_TERMS = 54
+
+
+@lru_cache(maxsize=8)
+def _beta_table(group, n):
+    """Per-column constants of the Jacobi-model Beta CDFs, as (K, 1) arrays.
+
+    With w = 1 - z, r = z/w and sigma = t + s, summing the terms
+    Gamma(sigma)/(Gamma(al + 1) Gamma(sigma - al)) z^al w^(sigma-al-1) of
+    I_z(al, sigma - al) - I_z(al + 1, sigma - al - 1) over al = t, t+1, ...
+    gives
+
+        I_z(t, s) = z^t w^(s-1) C sum_i c_i r^i  +  I_z(sigma - 1/2, 1/2),
+
+    with c_i the terms for al = t + i divided by their largest, C. The
+    remainder is there for half-integer t only, where
+    I_z(p + 1/2, 1/2) = (2/pi) z^(p+1/2) w^(1/2) sum_m e_(p+m) z^m and
+    e_j = Gamma(j + 1) Gamma(3/2)/Gamma(j + 3/2).  Every term is positive,
+    so the sum is accurate to rounding relative to I, however far in the
+    lower tail.  The same sum read off after d = s - t fewer Horner steps
+    is I_z(s, t), the upper tail of the column in 1 - z.
+    """
+    t, s = _jacobi_parameters(group, n)
+    coef = np.zeros((int(s.max()), len(t)))
+    rem = np.zeros((_REMAINDER_TERMS, len(t)))
+    ln_c, ln_b, at_half = np.zeros((3, len(t)))
+    for k, (tk, sk) in enumerate(zip(t.tolist(), s.tolist())):
+        sig = tk + sk
+        half = tk % 1 != 0
+        ln_b[k] = math.lgamma(tk) + math.lgamma(sk) - math.lgamma(sig)
+        c = [math.lgamma(sig) - math.lgamma(tk + i + 1) - math.lgamma(sk - i)
+             for i in range(int(sk - 0.5 * half))]
+        ln_c[k] = max(c, default=0.0)
+        coef[:len(c), k] = np.exp(np.array(c) - ln_c[k])
+        if half:
+            # (2/pi) e_j, over C; e_(sigma-1) starts the remainder
+            j = sig - 1 + np.arange(_REMAINDER_TERMS)
+            rem[:, k] = np.exp([math.lgamma(x + 1) - math.lgamma(x + 1.5)
+                                - ln_c[k] for x in j]) / math.sqrt(math.pi)
+        # I_(1/2)(t, s), where r = 1
+        at_half[k] = math.exp(ln_c[k] - (sig - 1) * math.log(2.0)) * (
+            math.fsum(coef[:, k]) + math.fsum(rem[:, k] * 0.5 ** (j - sig + 2))
+            if half else math.fsum(coef[:, k]))
+    # columns from active[j] on have no term of degree j or above yet
+    active = [int(np.flatnonzero(row).max()) + 1 for row in coef]
+    # t is a half-integer in the even columns
+    return (t[:, None], s[:, None], coef[:, :, None], active,
+            rem[:, ::2, None], ln_c[:, None], ln_b[:, None], at_half[:, None])
+
+
+def _beta_quantiles(group, n, u):
+    """x[:, k] with I_x(t_k, s_k) = u[:, k], the Jacobi-model Beta draws.
+
+    A draw with u at most the column's I_(1/2)(t, s) solves the lower
+    tail I_z(t, s) = u; the others solve I_z(s, t) = 1 - u, where 1 - u
+    is exact because I_(1/2)(t, s) >= 1/2 for t <= s, and return 1 - z.
+    Either way z <= 1/2.  Halley's method runs on log I against log z,
+    nearly linear in a tail, from Numerical Recipes' (invbetai) normal
+    approximation.  Each value depends on its own uniform only.
+    """
+    t, s, coef, active, rem, ln_c, ln_b, at_half = _beta_table(group, n)
+    u = u.T.copy()  # (K, rows): a column's draws are contiguous
+    upper = u > at_half
+    v = np.where(upper, 1.0 - u, u)
+    a = np.where(upper, s, t)
+    b1 = np.where(upper, t, s) - 1.0
+    d = s - t
+    # starting point: the normal branch, with 2a - 1 and 2b - 1 at least 1
+    y = np.sqrt(-2.0 * np.log(np.minimum(v, 1.0 - v)))
+    y = (2.30753 + 0.27061 * y) / (1.0 + y * (0.99229 + 0.04481 * y)) - y
+    y = np.where(v < 0.5, -y, y)
+    ra, rb = 1.0 / np.maximum(2.0 * a - 1.0, 1.0), 1.0 / np.maximum(
+        2.0 * b1 + 1.0, 1.0)
+    hm = 2.0 / (ra + rb)
+    al = (y * y - 3.0) / 6.0
+    y = y * np.sqrt(al + hm) / hm - (rb - ra) * (al + 5.0 / 6.0
+                                                 - 2.0 / (3.0 * hm))
+    z = np.minimum(a / (a + (b1 + 1.0) * np.exp(2.0 * y)), 0.5)
+    lv = np.log(v)
+    for _ in range(_HALLEY_STEPS):
+        lz, lw = np.log(z), np.log1p(-z)
+        r = z / (1.0 - z)
+        acc = np.zeros_like(z)
+        stops = {}
+        for j in range(len(active) - 1, -1, -1):
+            part = acc[:active[j]]
+            part *= r[:active[j]]
+            part += coef[j, :active[j]]
+            if j and np.any(d == j):
+                stops[j] = acc.copy()
+        lower = acc
+        for j, at_j in stops.items():
+            acc = np.where(d == j, at_j, acc)
+        acc = np.where(upper, acc, lower)
+        zh = z[::2]
+        series = np.zeros_like(zh)
+        for c in rem[::-1]:
+            series *= zh
+            series += c
+        # the remainder over z^a w^(b-1) C: r^(b-3/2) z (2/pi) E(z)/C, with
+        # E(z) = sum_m e_(sigma-1+m) z^m
+        acc[::2] += zh * series * np.exp((b1[::2] - 0.5) * (lz - lw)[::2])
+        log_p = np.log(acc)
+        # g = log I - log v against log z; g' = h = z pdf/I and
+        # g''/g' = a - (b - 1) r - h
+        g = a * lz + b1 * lw + ln_c + log_p - lv
+        h = np.exp(-(ln_b + ln_c) - log_p)
+        step = g / h
+        z = z * np.exp(-step / (1.0 - 0.5 * step * (a - b1 * r - h)))
+    return np.where(upper, 1.0 - z, z).T
+
+
 def _jacobi_angles(group, size, seed, indices):
     """Non-trivial eigenangles of Haar SO(2N), SO(2N+1) or USp(2N), one
     ascending row in [0, pi] per index.
 
     The Jacobi matrix of Killip-Nenciu, Matrix models for circular
     ensembles, IMRN 2004, Thm 2, from 2N - 1 independent Beta variables
-    alpha_k, each the inverse CDF of one addressed uniform.
+    alpha_k, each the inverse CDF of one addressed uniform
+    (`_beta_quantiles`).
     """
-    # its only use in the package, imported here so that commands without
-    # an orthogonal or symplectic ensemble start without it
-    from scipy import special
-
-    # x = 2 cos(theta) has the density (2 - x)^a (2 + x)^b times the
-    # squared Vandermonde
-    a, b = {"SOeven": (-0.5, -0.5), "SOodd": (0.5, -0.5),
-            "USp": (0.5, 0.5)}[group]
     n = size
     u = rng.uniforms(seed, _STREAMS[group], indices, 0, 2 * n - 1)
-    k = np.arange(2 * n - 1)
-    # alpha_k on (-1, 1) has density prop. to (1 - x)^(s-1) (1 + x)^(t-1)
-    s = np.where(k % 2 == 0, (2 * n - k - 2) / 2 + a + 1,
-                 (2 * n - k - 3) / 2 + a + b + 2)
-    t = np.where(k % 2 == 0, (2 * n - k - 2) / 2 + b + 1, (2 * n - k - 1) / 2)
-    alpha = 2.0 * special.betaincinv(t, s, u) - 1.0
+    alpha = 2.0 * _beta_quantiles(group, n, u) - 1.0
     # ext[:, k + 2] is alpha_k, with alpha_-1 = -1; alpha_-2 only meets
     # the factor 1 + alpha_-1 = 0, and alpha_(2N-1) = -1 only the
     # off-diagonal entry past the matrix

@@ -65,10 +65,12 @@ def stream_key(seed, stream):
 
 
 def _to_unit(w_hi, w_lo):
-    # 26 + 27 high bits -> a double strictly inside (0, 1)
+    # 26 + 27 high bits -> a double strictly inside (0, 1); the top code's
+    # 2^53 - 1/2 rounds to 2^53, so it is held at 1 - 2^-53
     hi = (w_hi >> np.uint64(6)).astype(np.float64)
     lo = (w_lo >> np.uint64(5)).astype(np.float64)
-    return (hi * 134217728.0 + lo + 0.5) * (2.0 ** -53)
+    return np.minimum((hi * 134217728.0 + lo + 0.5) * (2.0 ** -53),
+                      1.0 - 2.0 ** -53)
 
 
 def uniforms(seed, stream, index, attempt=0, count=2):

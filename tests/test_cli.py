@@ -199,7 +199,7 @@ class TestParseErrors:
 
 
 class TestImportPath:
-    """Only orthogonal and symplectic sampling loads scipy.
+    """No command loads scipy.
 
     Each case runs in a subprocess, because this one has scipy loaded.
     """
@@ -228,12 +228,13 @@ class TestImportPath:
             "phi = K.fejer_test_function(0.3)\n"
             "K.prediction_with_error(K.SP, [phi, phi])", tmp_path)
 
-    def test_orthogonal_ensemble_loads_it(self, tmp_path):
-        assert self.loads_scipy(
+    def test_orthogonal_and_symplectic_ensembles(self, tmp_path):
+        assert not self.loads_scipy(
             "from lowlying import cli\n"
-            "assert cli.main(['rmt', '--group', 'SOeven', '--size', '4',\n"
-            "                 '--samples', '8', '--zmax', '50',\n"
-            "                 '--out', 'r.json']) == 0", tmp_path)
+            "for group in ('SOeven', 'SOodd', 'USp', 'O'):\n"
+            "    assert cli.main(['rmt', '--group', group, '--size', '4',\n"
+            "                     '--samples', '8', '--zmax', '50',\n"
+            "                     '--out', 'r.json']) == 0", tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +279,37 @@ class TestDensity:
         meta = read_json(str(out) + ".json")
         assert meta["pass"] is False
         assert meta["normalization_error"] == pytest.approx(1e-6, rel=1e-6)
+
+    def test_grid_goes_in_bounded_blocks(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        from lowlying import measures
+
+        density = measures.density_mu_p
+        sizes = []
+
+        def counted(spec, x, y):
+            sizes.append(np.broadcast(x, y).size)
+            return density(spec, x, y)
+
+        monkeypatch.setattr(measures, "density_mu_p", counted)
+        whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+        argv = ["density", "--p", "3", "--grid", "41"]
+        assert cli.main(argv + ["--out", str(whole)]) == 0
+        assert sizes == [41 * 41]
+        # 100 points per call: two rows of 41 at a time
+        monkeypatch.setattr(cli, "_DENSITY_BLOCK", 100)
+        sizes.clear()
+        assert cli.main(argv + ["--out", str(blocks)]) == 0
+        assert sizes == [82] * 20 + [41]
+        assert blocks.read_bytes() == whole.read_bytes()
+        monkeypatch.undo()
+        monkeypatch.setattr(measures, "density_mu_p", counted)
+        sizes.clear()
+        assert cli.main(["density", "--p", "3", "--grid", "300",
+                         "--out", str(whole)]) == 0
+        assert sum(sizes) == 300 * 300
+        assert max(sizes) <= cli._DENSITY_BLOCK
 
     def test_non_prime_exits_2(self, tmp_path):
         code = cli.main(["density", "--p", "6",

@@ -6,10 +6,10 @@ import random
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import special, stats
 
 from conftest import brute_d_n, haar_batch, random_small_spectrum
-from lowlying import kernels, rmt
+from lowlying import kernels, rmt, rng
 
 FEJER = kernels.fejer_test_function
 
@@ -162,6 +162,71 @@ class TestJacobiModel:
         assert np.array_equal(np.concatenate(chunks), stack)
         assert np.all(np.diff(stack, axis=1) >= 0.0)
         assert np.all((stack >= 0.0) & (stack <= math.pi))
+
+
+class TestBetaQuantiles:
+    """The numpy inverse of the Jacobi model's Beta CDFs."""
+
+    # rng's smallest and largest uniforms, a deep tail and the middle
+    EXTREMES = (2.0 ** -54, 1e-12, 0.5, 1.0 - 2.0 ** -53)
+
+    @staticmethod
+    def draws(group, size, rows):
+        u = rng.uniforms(20260822, rmt._STREAMS[group], np.arange(rows), 0,
+                         2 * size - 1)
+        extremes = np.array(TestBetaQuantiles.EXTREMES)
+        return np.concatenate(
+            [u, np.repeat(extremes[:, None], 2 * size - 1, axis=1)])
+
+    @staticmethod
+    def quantiles(group, size, u):
+        # in the 128-row chunks that _jacobi_angles takes
+        return np.concatenate([rmt._beta_quantiles(group, size, u[i:i + 128])
+                               for i in range(0, len(u), 128)])
+
+    @pytest.mark.parametrize("size", [2, 3, 9, 30])
+    @pytest.mark.parametrize("group", TestJacobiModel.GROUPS)
+    def test_against_scipy(self, group, size):
+        u = self.draws(group, size, 20000)
+        got = self.quantiles(group, size, u)
+        want = special.betaincinv(*rmt._jacobi_parameters(group, size), u)
+        # alpha = 2x - 1 to 1e-13, and small x to 1e-12 relative
+        assert np.max(np.abs(2.0 * got - 2.0 * want)) <= 1e-13
+        small = want < 1e-3
+        assert np.all(np.abs(got - want)[small] <= 1e-12 * want[small])
+
+    @pytest.mark.parametrize("group", TestJacobiModel.GROUPS)
+    def test_extreme_tails_against_mpmath(self, group):
+        import mpmath
+
+        t, s = rmt._jacobi_parameters(group, 2)
+        for u in (2.0 ** -54, 1e-12, 1.0 - 2.0 ** -40, 1.0 - 2.0 ** -53):
+            got = rmt._beta_quantiles(group, 2, np.full((1, 3), u))[0]
+            for k in range(3):
+                # the tail that holds u, as I_y(a, b) = v, solved in log y
+                a, b, v, y = ((t[k], s[k], u, got[k]) if u < 0.5 else
+                              (s[k], t[k], 1.0 - u, 1.0 - got[k]))
+                with mpmath.workdps(40):
+                    ref = float(mpmath.exp(mpmath.findroot(
+                        lambda ly: mpmath.log(mpmath.betainc(
+                            a, b, 0, mpmath.exp(ly), regularized=True) / v),
+                        mpmath.log(max(y, 1e-300)))))
+                if u < 0.5:
+                    assert abs(got[k] - ref) <= 1e-12 * ref, (u, k)
+                else:
+                    assert abs(got[k] - (1.0 - ref)) <= 5e-14, (u, k)
+
+    def test_three_halley_steps_reach_rounding(self, monkeypatch):
+        for group in TestJacobiModel.GROUPS:
+            u = self.draws(group, 30, 2000)
+            three = self.quantiles(group, 30, u)
+            with monkeypatch.context() as m:
+                m.setattr(rmt, "_HALLEY_STEPS", 4)
+                four = self.quantiles(group, 30, u)
+            # relative in the variable solved for, min(x, 1 - x)
+            near = np.minimum(three, 1.0 - three)
+            assert np.all(np.abs(four - three)
+                          <= 1e-14 * near + (three > 0.5) * 2.3e-16)
 
 
 class TestVerblunskyModel:

@@ -40,6 +40,16 @@ def test_uniforms_open_interval():
     assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
+def test_to_unit_extreme_words():
+    top = np.uint64(0xFFFFFFFF)
+    # the top code's 2^53 - 1/2 would round to 1.0
+    assert rng._to_unit(top, top) == 1.0 - 2.0 ** -53
+    assert rng._to_unit(np.uint64(0), np.uint64(0)) == 2.0 ** -54
+    # the next code down keeps its own value, one ulp below the top's
+    below = rng._to_unit(top, np.uint64(0xFFFFFFFF - 32))
+    assert below == (2.0 ** 53 - 1.5) * 2.0 ** -53 == 1.0 - 2.0 ** -52
+
+
 def test_uniforms_batch_invariance():
     whole = rng.uniforms(42, 5, np.arange(64), count=3)
     parts = np.concatenate(

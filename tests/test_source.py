@@ -50,6 +50,33 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def scipy_imports(source):
+    """Line numbers of the imports that load scipy or one of its modules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_a_planted_scipy_import():
+    source = ("import scipyx\nfrom scipy import special\n"
+              "def f():\n    import scipy.linalg as la\n    return la\n")
+    assert scipy_imports(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text()) == []
+
+
 _DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear"}
 
 
