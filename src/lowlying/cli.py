@@ -208,7 +208,8 @@ def _write_json(path, payload):
 
 # the smallest quadrature error target a command accepts: below it the
 # error estimate stalls at the rounding floor (about 2.4e-16 for the
-# density's normalization) and the panel budget runs out instead
+# density's normalization) and the midpoint rule reaches its node cap
+# instead
 _QUADRATURE_FLOOR = 1e-15
 
 

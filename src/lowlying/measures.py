@@ -104,9 +104,11 @@ def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8):
     """Expectation of integrand(x, y) under the normalized measure.
 
     integrand must accept equal-length coordinate arrays and broadcast.
-    Raises QuadratureError when the panel budget cannot meet `tol`.
+    The substitution x = 2 cos(alpha), y = 2 cos(beta) makes the
+    integrand even, 2 pi-periodic and smooth on [0, pi]^2, where the
+    doubling midpoint rule of adaptive_tensor converges geometrically.
+    Raises QuadratureError when its node cap cannot meet `tol`.
     """
-    # substitute x = 2 cos(alpha): the boundary square roots become smooth
     def f(al, be):
         x = 2.0 * np.cos(al)
         y = 2.0 * np.cos(be)

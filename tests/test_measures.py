@@ -6,7 +6,7 @@ from conftest import density_f, density_g, density_st_inf, limit_density
 from hypothesis import given, settings, strategies as st
 
 from lowlying import measures as M
-from lowlying.quadrature import QuadratureError, adaptive_tensor
+from lowlying.quadrature import QuadratureError, adaptive_tensor, panel_grid
 
 COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -159,7 +159,7 @@ def test_integrate_dual_route_against_sampler():
 
 
 def test_integrate_reports_nonconvergence(monkeypatch):
-    monkeypatch.setattr("lowlying.quadrature._MAX_PANELS", 40)
+    monkeypatch.setattr("lowlying.quadrature._M_MAX", 64)
     spec = M.vertical_measure(2)
     with pytest.raises(QuadratureError):
         M.integrate(spec, lambda x, y: np.cos(3000.0 * x * y), tol=1e-12)
@@ -196,8 +196,12 @@ def _box_mass(spec, x0, x1, y0, y1):
         d = np.asarray(M.density_mu_p(spec, x, y))
         return d * 4.0 * np.sin(al) * np.sin(be)
 
-    val, _, _ = adaptive_tensor(f, (a0, a1, b0, b1), 1e-9)
-    return val
+    # a fixed rule: f is not periodic on a sub-rectangle, so the midpoint
+    # rule of adaptive_tensor would converge only quadratically
+    ga, wa = panel_grid(a0, a1, 2, 20)
+    gb, wb = panel_grid(b0, b1, 2, 20)
+    fv = f(np.repeat(ga, gb.size), np.tile(gb, ga.size))
+    return float(wa @ fv.reshape(ga.size, gb.size) @ wb)
 
 
 def test_sampler_chisquare_p3():
