@@ -11,7 +11,10 @@ form.  Two independent evaluation routes are kept deliberately separate:
   its cycle expansion is one recursion over subsets of the inputs, for
   n <= 3.  The kernel commutes with x -> -x, so its double and triple
   cycle integrals are computed on the half line x > 0, one block per
-  parity the kernel does not annihilate;
+  parity the kernel does not annihilate.  The blocks are built from
+  sin(pi x) and cos(pi x) at the nodes, each node first reduced exactly
+  to |x - rint(x)| <= 1/2, by the angle-addition identities, 64 rows
+  at a time;
 * the combinatorial route works entirely on the Fourier side (grid
   convolutions of the triangle transforms); its sum over set
   partitions, even block subsets and pairings is one recursion over
@@ -139,13 +142,6 @@ class TrigSum:
         for (w, d), c in other.terms.items():
             out.add(w, d, c)
         return out
-
-    def eval(self, x):
-        xs = np.asarray(x, dtype=float)
-        acc = np.zeros_like(xs, dtype=complex)
-        for (w, d), c in sorted(self.terms.items()):
-            acc += c * np.exp(1j * w * xs) / xs ** d
-        return acc.real
 
     def integral_from(self, T):
         """Real value of int_T^inf f(x) dx (exact up to special functions)."""
@@ -277,7 +273,7 @@ def _j1_value(phi, eps, half_width):
     core = (weights * vals).tolist()
     tail_sum = phi.tail_terms()
     if eps:
-        tail_sum = tail_sum.plus((phi.tail_terms() * _SINC2X).scaled(eps))
+        tail_sum = tail_sum.plus((tail_sum * _SINC2X).scaled(eps))
     size = math.fsum(map(abs, core)) + sum(
         abs(c * _e_integral(w, d, half_width))
         for (w, d), c in tail_sum.terms.items())
@@ -306,16 +302,16 @@ def _grid_weights(phis, half_width, order):
     return nodes, [weights * phi.value(nodes) for phi in phis]
 
 
-def _sinc_outer(op, nodes):
-    """np.sinc(op.outer(nodes, nodes)), built in place to hold fewer
-    node-by-node temporaries."""
-    y = op.outer(nodes, nodes)
-    y *= np.pi
-    # np.sinc's guard: sin(y) / y is then exactly 1 where y was 0
-    y[y == 0.0] = np.finfo(float).eps
-    k = np.sin(y)
-    k /= y
-    return k
+_KMAT_ROWS = 64  # rows per pass; four (64, n) scratch arrays stay in cache
+
+
+def _sin_cos_pi(x):
+    """sin(pi x) and cos(pi x).  x - rint(x) is exact, so the only
+    rounding before sin and cos is that of pi r with |r| <= 1/2."""
+    m = np.rint(x)
+    sign = 1.0 - 2.0 * (m % 2.0)  # (-1)^m
+    r = np.pi * (x - m)
+    return sign * np.sin(r), sign * np.cos(r)
 
 
 def _kmat(nodes, eps):
@@ -326,16 +322,41 @@ def _kmat(nodes, eps):
     for x, y > 0.  A cycle sum over the whole box, the trace of a product
     of even weights and K_eps, is the sum of the same traces over these
     blocks.  For eps = +-1 one block vanishes and the other is
-    2 (S- + eps S+)."""
-    k = _sinc_outer(np.subtract, nodes)
-    plus = _sinc_outer(np.add, nodes)
-    if eps:
-        k += eps * plus
-        k *= 2.0
-        return [k]
-    even = k + plus
-    k -= plus
-    return [even, k]
+    2 (S- + eps S+).
+
+    sin pi(x -+ y) = s_x c_y -+ c_x s_y from the nodes' s = sin pi x and
+    c = cos pi x, over pi (x -+ y) from the nodes themselves: subtracting
+    pi y from pi x would leave an error of ulp(pi x) next to the diagonal.
+    The blocks are filled _KMAT_ROWS rows at a time."""
+    n = len(nodes)
+    s, c = _sin_cos_pi(nodes)
+    blocks = [np.empty((n, n)) for _ in range(1 if eps else 2)]
+    sc, cs, den, plus = (np.empty((min(_KMAT_ROWS, n), n)) for _ in range(4))
+    for i in range(0, n, _KMAT_ROWS):
+        rows = slice(i, min(i + _KMAT_ROWS, n))
+        m = rows.stop - i
+        sc, cs, den, plus = sc[:m], cs[:m], den[:m], plus[:m]
+        np.multiply.outer(s[rows], c, out=sc)
+        np.multiply.outer(c[rows], s, out=cs)
+        np.add.outer(nodes[rows], nodes, out=den)
+        den *= np.pi
+        np.add(sc, cs, out=plus)
+        plus /= den  # S+
+        np.subtract.outer(nodes[rows], nodes, out=den)
+        den *= np.pi
+        np.subtract(sc, cs, out=sc)
+        # S- is 1 on the diagonal, where x - y and its sine are both 0
+        np.fill_diagonal(den[:, i:], 1.0)
+        np.fill_diagonal(sc[:, i:], 1.0)
+        sc /= den  # S-
+        if eps:
+            out = blocks[0][rows]
+            (np.add if eps > 0 else np.subtract)(sc, plus, out=out)
+            out *= 2.0
+        else:
+            np.add(sc, plus, out=blocks[0][rows])
+            np.subtract(sc, plus, out=blocks[1][rows])
+    return blocks
 
 
 def _j2_table(phis, eps, half_width, order):

@@ -20,6 +20,7 @@ from scipy.special import sici
 from conftest import (PartitionStructure, brute_rubinstein, density_W,
                       enumerate_pairings, enumerate_partitions, kernel_eval)
 from lowlying import kernels as K
+from lowlying.quadrature import panel_grid
 
 
 def tf(beta):
@@ -113,10 +114,19 @@ def test_fejer_value_closed_form():
     assert np.max(np.abs(phi.value(xs) - want)) < 1e-12
 
 
+def trig_sum_eval(trig_sum, x):
+    """The value of a kernels.TrigSum at the points x."""
+    xs = np.asarray(x, dtype=float)
+    acc = np.zeros_like(xs, dtype=complex)
+    for (w, d), c in sorted(trig_sum.terms.items()):
+        acc += c * np.exp(1j * w * xs) / xs ** d
+    return acc.real
+
+
 def test_tail_series_matches_value():
     phi = tf(0.55)
     xs = np.linspace(0.2, 60.0, 907)
-    got = phi.tail_terms().eval(xs)
+    got = trig_sum_eval(phi.tail_terms(), xs)
     assert np.max(np.abs(got - phi.value(xs))) < 1e-12
 
 
@@ -131,7 +141,8 @@ def test_fejer_sides_agree(b):
             0.0, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         assert phi.value(x) == pytest.approx(want, abs=1e-11)
     xs = np.linspace(0.5, 40.0, 501)
-    assert np.max(np.abs(phi.tail_terms().eval(xs) - phi.value(xs))) < 1e-11
+    assert np.max(np.abs(trig_sum_eval(phi.tail_terms(), xs)
+                         - phi.value(xs))) < 1e-11
 
 
 def test_testfunction_validation():
@@ -395,6 +406,25 @@ def _small_box(phis, eps, half_width=6.0, order=8):
     kmat = np.sinc(x[:, None] - x[None, :]) \
         + eps * np.sinc(x[:, None] + x[None, :])
     return kmat, [wq * phi.value(x) for phi in phis]
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+@pytest.mark.parametrize("box", [(0.0, 100.0, 100, 12), (0.0, 100.0, 100, 10),
+                                 (0.0, 44.8, 44, 12)])
+def test_kmat_matches_np_sinc_on_the_production_boxes(box, eps):
+    # the j2 boxes and a triple-integral box of 528 nodes on panels of
+    # width 1.018, which is not a multiple of the row pass; rounding
+    # that grows with x would show here and not on _small_box's x <= 6
+    x, _ = panel_grid(*box)
+    minus = np.sinc(np.subtract.outer(x, x))
+    plus = np.sinc(np.add.outer(x, x))
+    want = [2.0 * (minus + eps * plus)] if eps else [minus + plus,
+                                                      minus - plus]
+    got = K._kmat(x, eps)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == (len(x), len(x))
+        assert np.max(np.abs(g - w)) <= 1e-14
 
 
 @pytest.mark.parametrize("eps", [-1, 0, 1])
