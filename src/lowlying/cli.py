@@ -312,8 +312,9 @@ def _cmd_rmt(args):
     spec = rmt.EnsembleSpec(group=args.group, size=args.size,
                             samples=args.samples, seed=args.seed)
     if len(args.beta) > 3:
-        raise UsageError("rmt predicts at most 3-level statistics, got %d "
-                         "--beta values" % len(args.beta))
+        raise UsageError("rmt takes at most 3 --beta values (its n-level "
+                         "statistic builds a size^n index mask), got %d"
+                         % len(args.beta))
     phis = [kernels.fejer_test_function(b) for b in args.beta]
     report = rmt.ensemble_average(spec, phis, args.include_zero)
     ok = abs(report.z_score) < args.zmax

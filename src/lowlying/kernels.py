@@ -6,15 +6,15 @@ and the x-space value beta sinc^2(beta x); each side is its own closed
 form.  Two independent evaluation routes are kept deliberately separate:
 
 * the determinant route integrates test functions against determinants
-  of the sine-plus-reflection kernel in x-space (panel quadrature of
-  beta sinc^2 on a large box, plus exact trigonometric tail integrals);
-  its cycle expansion is one recursion over subsets of the inputs, for
-  n <= 3.  The kernel commutes with x -> -x, so its double and triple
-  cycle integrals are computed on the half line x > 0, one block per
-  parity the kernel does not annihilate.  The blocks are built from
-  sin(pi x) and cos(pi x) at the nodes, each node first reduced exactly
-  to |x - rint(x)| <= 1/2, by the angle-addition identities, 64 rows
-  at a time;
+  of the sine-plus-reflection kernel in x-space, for n <= 8.  The kernel
+  commutes with x -> -x, so on a large box it splits into half-line
+  blocks, one per parity it does not annihilate, and each weighted
+  block is a low-rank L L^T from a pivoted Cholesky factorization built
+  a column at a time from sin(pi x) and cos(pi x) at the nodes.  Each
+  subset of the inputs takes the eigenvalues of a small matrix L^T
+  diag(phi) L; their power sums, with the exact-tailed one-level
+  integrals as p_1, give the determinant's coefficients by Newton's
+  identities and inclusion-exclusion over subsets;
 * the combinatorial route works entirely on the Fourier side (grid
   convolutions of the triangle transforms); its sum over set
   partitions, even block subsets and pairings is one recursion over
@@ -23,10 +23,11 @@ form.  Two independent evaluation routes are kept deliberately separate:
 Their agreement is a theorem, and the test suite checks it numerically;
 neither route borrows intermediate results from the other.
 
-The determinant route's box quadratures are BLAS matrix products, whose
-last bits can follow the BLAS thread count.  The CLI pins it to one before
-numpy loads; a library caller that wants bit-identical results across
-hosts must do the same (OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1).
+The determinant route's factorizations, products and eigenvalues run in
+BLAS and LAPACK, whose last bits can follow the BLAS thread count.  The
+CLI pins it to one before numpy loads; a library caller that wants
+bit-identical results across hosts must do the same
+(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1).
 """
 
 from __future__ import annotations
@@ -255,13 +256,13 @@ ALL_TYPES = (U, SOEVEN, SOODD, O_TYPE, SP)
 
 
 # ---------------------------------------------------------------------------
-# determinant-route predictions via cycle integrals
+# determinant-route predictions from a low-rank kernel basis
 
 _CORE_HALF_WIDTH = 24.0
-_BOX2 = (100.0, 12)  # half-width and per-unit order for the double integral
-_BOX3 = (56.0, 12)   # same for the triple integral
-# the double integral's box tail falls as T^-3, so the spread against a
-# box of 0.8 T is (0.8^-3 - 1) times the tail at T
+_BOX2 = (100.0, 12)  # half-width and per-unit order of the kernel's box
+# a cycle sum of length k >= 2 loses a box tail that falls as T^-3 (one
+# input far out gives phi ~ x^-2 and two kernel factors ~ x^-1), so the
+# spread against a box of 0.8 T is (0.8^-3 - 1) times the tail at T
 _TAIL_PER_SPREAD = 1.0 / (0.8 ** -3 - 1.0)
 
 
@@ -296,15 +297,6 @@ def _j1(phi: TestFunction, eps: int):
     return value, spread + 6.0 * np.finfo(float).eps * size
 
 
-def _grid_weights(phis, half_width, order):
-    """Nodes and weighted phis of the box's right half, x > 0."""
-    nodes, weights = panel_grid(0.0, half_width, int(half_width), order)
-    return nodes, [weights * phi.value(nodes) for phi in phis]
-
-
-_KMAT_ROWS = 64  # rows per pass; four (64, n) scratch arrays stay in cache
-
-
 def _sin_cos_pi(x):
     """sin(pi x) and cos(pi x).  x - rint(x) is exact, so the only
     rounding before sin and cos is that of pi r with |r| <= 1/2."""
@@ -314,124 +306,125 @@ def _sin_cos_pi(x):
     return sign * np.sin(r), sign * np.cos(r)
 
 
-def _kmat(nodes, eps):
-    """The non-zero parity blocks of K_eps on the half-line nodes.
+@lru_cache(maxsize=16)
+def _basis(half_width, order, eps):
+    """The nodes of the box's right half, x > 0, and for each non-zero
+    parity block B of K_eps a matrix L with W^1/2 B W^1/2 = L L^T up to a
+    residual trace of 1e-15 of the block's, W being the nodes' weights.
 
     K_eps commutes with x -> -x, so on the box's even and odd functions it
     is (1 + eps)(S- + S+) and (1 - eps)(S- - S+), with S-+ = sinc(x -+ y)
-    for x, y > 0.  A cycle sum over the whole box, the trace of a product
-    of even weights and K_eps, is the sum of the same traces over these
-    blocks.  For eps = +-1 one block vanishes and the other is
-    2 (S- + eps S+).
+    for x, y > 0.  A trace over the whole box of a product of even
+    weights and K_eps is the sum of the same traces over these blocks.
+    For eps = +-1 one block vanishes and the other is 2 (S- + eps S+).
 
-    sin pi(x -+ y) = s_x c_y -+ c_x s_y from the nodes' s = sin pi x and
-    c = cos pi x, over pi (x -+ y) from the nodes themselves: subtracting
-    pi y from pi x would leave an error of ulp(pi x) next to the diagonal.
-    The blocks are filled _KMAT_ROWS rows at a time."""
-    n = len(nodes)
+    L is a Cholesky factor with diagonal pivoting (Harbrecht, Peters and
+    Schneider, Appl. Numer. Math. 2012), one column of B per step; on the
+    100-wide box it stops after about 110 columns, the prolate count.  A
+    column's sin pi(x -+ y) = s_x c_y -+ c_x s_y comes from the nodes'
+    s = sin pi x and c = cos pi x, over pi (x -+ y) from the nodes
+    themselves: subtracting pi y from pi x would leave an error of
+    ulp(pi x) next to the diagonal."""
+    nodes, weights = panel_grid(0.0, half_width, int(half_width), order)
     s, c = _sin_cos_pi(nodes)
-    blocks = [np.empty((n, n)) for _ in range(1 if eps else 2)]
-    sc, cs, den, plus = (np.empty((min(_KMAT_ROWS, n), n)) for _ in range(4))
-    for i in range(0, n, _KMAT_ROWS):
-        rows = slice(i, min(i + _KMAT_ROWS, n))
-        m = rows.stop - i
-        sc, cs, den, plus = sc[:m], cs[:m], den[:m], plus[:m]
-        np.multiply.outer(s[rows], c, out=sc)
-        np.multiply.outer(c[rows], s, out=cs)
-        np.add.outer(nodes[rows], nodes, out=den)
-        den *= np.pi
-        np.add(sc, cs, out=plus)
-        plus /= den  # S+
-        np.subtract.outer(nodes[rows], nodes, out=den)
-        den *= np.pi
-        np.subtract(sc, cs, out=sc)
-        # S- is 1 on the diagonal, where x - y and its sine are both 0
-        np.fill_diagonal(den[:, i:], 1.0)
-        np.fill_diagonal(sc[:, i:], 1.0)
-        sc /= den  # S-
-        if eps:
-            out = blocks[0][rows]
-            (np.add if eps > 0 else np.subtract)(sc, plus, out=out)
-            out *= 2.0
-        else:
-            np.add(sc, plus, out=blocks[0][rows])
-            np.subtract(sc, plus, out=blocks[1][rows])
-    return blocks
+    root = np.sqrt(weights)
+    diag_plus = (s * c + c * s) / (np.pi * (nodes + nodes))
+    factors = []
+    for scale, sign in ([(2.0, eps)] if eps else [(1.0, 1), (1.0, -1)]):
+        residual = scale * weights * (1.0 + sign * diag_plus)
+        stop = 1e-15 * residual.sum()
+        rows, rank = np.empty((0, len(nodes))), 0  # L^T
+        while rank < len(nodes) and residual.sum() > stop:
+            j = int(np.argmax(residual))
+            den = np.pi * (nodes - nodes[j])
+            den[j] = 1.0
+            minus = (s * c[j] - c * s[j]) / den
+            minus[j] = 1.0  # S- is 1 on the diagonal
+            plus = (s * c[j] + c * s[j]) / (np.pi * (nodes + nodes[j]))
+            column = (scale * root[j]) * root * (minus + sign * plus)
+            if rank == len(rows):  # grow by 32 rows, not to n x n
+                rows = np.concatenate([rows, np.empty((32, len(nodes)))])
+            rows[rank] = ((column - rows[:rank, j] @ rows[:rank])
+                          / math.sqrt(residual[j]))
+            residual -= rows[rank] ** 2
+            rank += 1
+        factors.append(rows[:rank].T)
+    return nodes, factors
 
 
-def _j2_table(phis, eps, half_width, order):
-    """T[a][b] = sum_xy w_a[x] K(x,y)^2 w_b[y] for every pair of phis."""
-    nodes, weights = _grid_weights(phis, half_width, order)
-    w = np.column_stack(weights)
-    inner = sum((k * k) @ w for k in _kmat(nodes, eps))
-    # correctly rounded outer sums, as in _j3_value
-    return [[math.fsum((wa * col).tolist()) for col in inner.T]
-            for wa in weights]
+def _power_sums(phis, eps, half_width, order):
+    """p_k(S) = tr((D_S K_eps)^k) on the box, k = 2..len(phis), for every
+    non-empty ascending index tuple S, D_S being the sum of the phis in S:
+    the power sums of the eigenvalues of sum_{i in S} L^T diag(phi_i) L
+    over the kernel's blocks."""
+    nodes, factors = _basis(half_width, order, eps)
+    values = [phi.value(nodes) for phi in phis]
+    mats = [[(f.T * v) @ f for v in values] for f in factors]
+    n = len(phis)
+    sums = {}
+    for size in range(1, n + 1):
+        for s in combinations(range(n), size):
+            lam = np.concatenate([np.linalg.eigvalsh(sum(m[i] for i in s))
+                                  for m in mats])
+            sums[s] = [math.fsum((lam ** k).tolist())
+                       for k in range(2, n + 1)]
+    return sums
 
 
-@lru_cache(maxsize=64)
-def _j2_pairs(phis: tuple, eps):
-    """(value, error) of the double integral of phi_a phi_b K^2 over the
-    plane for every pair a < b of phis, from one kernel matrix per grid.
-    The error is the spread against a lower order, plus the estimated
-    box tail, plus the short-box spread as that estimate's uncertainty."""
-    t, order = _BOX2
-    v, coarse, short = (_j2_table(phis, eps, *box) for box in
-                        ((t, order), (t, order - 2), (0.8 * t, order)))
-    return {(a, b): (v[a][b], abs(v[a][b] - coarse[a][b])
-                     + abs(v[a][b] - short[a][b]) * (1.0 + _TAIL_PER_SPREAD))
-            for a, b in combinations(range(len(phis)), 2)}
+def _subset_expansion(j1, sums):
+    """(F(T), the sum of its terms' absolute values) for every ascending
+    index tuple T, F(T) = sum_{S <= T} (-1)^(|T|-|S|) e_|T|(S).
 
-
-def _j3_value(phis, eps, half_width, order):
-    nodes, (w1, w2, w3) = _grid_weights(phis, half_width, order)
-    inner = 0.0
-    for k in _kmat(nodes, eps):
-        # G[y, z] = sum_x w1[x] K[x,y] K[x,z]
-        g = (k * w1[:, None]).T @ k
-        inner += np.sum(g * k * w3[None, :], axis=1)
-    return math.fsum((w2 * inner).tolist())
-
-
-@lru_cache(maxsize=64)
-def _j3(phis: tuple, eps):
-    """triple integral of phi1 phi2 phi3 K(x,y)K(y,z)K(z,x)."""
-    t, order = _BOX3
-    value = _j3_value(phis, eps, t, order)
-    return value, abs(value - _j3_value(phis, eps, 0.8 * t, order))
-
-
-def _cycle(phis, eps, block):
-    """(value, error) of the cycle integral over the indices in `block`,
-    times its (|block| - 1)! cyclic orders.  With at most three inputs, a
-    three-index block is the whole list."""
-    if len(block) == 1:
-        return _j1(phis[block[0]], eps)
-    if len(block) == 2:
-        return _j2_pairs(phis, eps)[block]
-    value, err = _j3(phis, eps)
-    return 2.0 * value, 2.0 * err
+    e_m(S), the m-th elementary symmetric function of D_S K_eps's
+    eigenvalues, is the coefficient of t^m in det(I + t D_S K_eps); it
+    comes from the power sums by Newton's identities, p_1 being the sum
+    of the j1 values in S.  By inclusion and exclusion F(T) is then the
+    coefficient of prod_{i in T} z_i in det(I + sum z_i phi_i K_eps),
+    which is int prod_{i in T} phi_i det K_eps."""
+    n = len(j1)
+    elem = {(): [1.0] + [0.0] * n}
+    for s, p in sums.items():
+        p = [math.fsum(j1[i] for i in s)] + p
+        e = [1.0]
+        for m in range(1, n + 1):
+            e.append(math.fsum((-1) ** (k - 1) * e[m - k] * p[k - 1]
+                               for k in range(1, m + 1)) / m)
+        elem[s] = e
+    out = {}
+    for t in elem:
+        terms = [(-1) ** (len(t) - size) * elem[s][len(t)]
+                 for size in range(len(t) + 1)
+                 for s in combinations(t, size)]
+        out[t] = math.fsum(terms), math.fsum(map(abs, terms))
+    return out
 
 
 def _determinant_table(phis, eps):
-    """(value, error) of int prod_{i in S} phi_i det K_eps over R^|S| for
-    every ascending index tuple S, by the cycle expansion of det K_eps:
-    F(()) = 1, and F(S) sums (-1)^(|B|-1) c(B) F(S - B) over the blocks B
-    of S holding S's lowest index, c being `_cycle`'s value.  Errors
-    propagate to first order through the same sum."""
-    table = {(): (1.0, 0.0)}
-    for size in range(1, len(phis) + 1):
-        for s in combinations(range(len(phis)), size):
-            value = err = 0.0
-            for k in range(size):
-                for others in combinations(s[1:], k):
-                    block = s[:1] + others
-                    c, c_err = _cycle(phis, eps, block)
-                    f, f_err = table[tuple(i for i in s if i not in block)]
-                    value += (-1) ** k * c * f
-                    err += abs(c) * f_err + c_err * abs(f)
-            table[s] = value, err
-    return table
+    """(value, error) of int prod_{i in T} phi_i det K_eps over R^|T| for
+    every ascending index tuple T.
+
+    The power sums come from three boxes: _BOX2, its order less 2, and
+    0.8 times its width.  The value's add the estimated box tail,
+    (p_T - p_0.8T) _TAIL_PER_SPREAD.  The error is the spread of the
+    expansion of _BOX2's raw sums against each other box's, plus eps_mach
+    times the sum of the terms, plus the _j1 errors.  One input needs
+    _j1 alone."""
+    j1 = [_j1(phi, eps) for phi in phis]
+    if len(phis) == 1:
+        return {(): (1.0, 0.0), (0,): j1[0]}
+    width, order = _BOX2
+    raw, coarse, short = (_power_sums(phis, eps, *box) for box in (
+        (width, order), (width, order - 2), (0.8 * width, order)))
+    tailed = {s: [a + (a - b) * _TAIL_PER_SPREAD
+                  for a, b in zip(raw[s], short[s])] for s in raw}
+    values = [v for v, _ in j1]
+    out, f_raw, f_coarse, f_short = (_subset_expansion(values, sums)
+                                     for sums in (tailed, raw, coarse, short))
+    rounding = np.finfo(float).eps
+    return {t: (v, abs(f_raw[t][0] - f_coarse[t][0])
+                + abs(f_raw[t][0] - f_short[t][0]) + rounding * size
+                + math.fsum(j1[i][1] for i in t))
+            for t, (v, size) in out.items()}
 
 
 def _check_supports(phis):
@@ -447,12 +440,9 @@ def prediction_with_error(G: SymmetryType, phis):
     """n-level prediction and its quadrature error estimate."""
     phis = tuple(phis)
     n = len(phis)
-    if n < 1:
-        raise ValueError("need at least one test function")
+    if not 1 <= n <= 8:
+        raise ValueError("need 1..8 test functions")
     _check_supports(phis)
-    if n > 3:
-        raise NotImplementedError(
-            "determinant-route predictions are implemented for n <= 3")
     if G.epsilon is None:
         ve, ee = prediction_with_error(SOEVEN, phis)
         vo, eo = prediction_with_error(SOODD, phis)

@@ -779,18 +779,28 @@ class TestReproducibility:
         assert out.read_bytes() == first_csv
         assert (tmp_path / "d.csv.json").read_bytes() == first_meta
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    @staticmethod
+    def _rerun_rmt_with_threads(tmp_path, beta):
         # same command, same out path, different BLAS thread environments;
         # the in-process pin must make the outputs byte-identical
         out = tmp_path / "r.json"
         args = ["rmt", "--group", "USp", "--size", "6", "--samples", "60",
-                "--seed", "5", "--zmax", "50", "--out", str(out)]
+                "--seed", "5", "--beta", beta, "--zmax", "50",
+                "--out", str(out)]
         proc = run_subprocess(args, "1", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         first = out.read_bytes()
         proc = run_subprocess(args, "8", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert out.read_bytes() == first
+
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
+        # one level: the prediction needs no BLAS
+        self._rerun_rmt_with_threads(tmp_path, "0.9")
+
+    def test_two_level_thread_count_does_not_change_bytes(self, tmp_path):
+        # the determinant route's basis, products and eigenvalues
+        self._rerun_rmt_with_threads(tmp_path, "0.45,0.45")
 
     def test_family_thread_independence(self, tmp_path):
         out = tmp_path / "f.json"

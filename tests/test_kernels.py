@@ -243,8 +243,9 @@ def test_support_violation_raised():
 
 
 def test_no_high_n():
-    with pytest.raises(NotImplementedError):
-        K.n_level_prediction(K.U, [tf(0.2)] * 4)
+    # nine inputs at beta = 0.1 are within their supports
+    with pytest.raises(ValueError, match="1..8"):
+        K.n_level_prediction(K.U, [tf(0.1)] * 9)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +374,9 @@ def test_default_betas():
 
 
 def _cold_caches(monkeypatch):
-    """Give the cycle integrals empty caches for this test only; the
+    """Give j1 and the kernel bases empty caches for this test only; the
     shared caches stay warm for later tests."""
-    for name in ("_j1", "_j2_pairs", "_j3"):
+    for name in ("_j1", "_basis"):
         cached = getattr(K, name)
         monkeypatch.setattr(K, name, functools.lru_cache(
             maxsize=cached.cache_info().maxsize)(cached.__wrapped__))
@@ -385,12 +386,12 @@ def test_prediction_deterministic(monkeypatch):
     a = K.n_level_prediction(K.SOEVEN, [tf(0.45), tf(0.45)])
     _cold_caches(monkeypatch)
     b = K.n_level_prediction(K.SOEVEN, [tf(0.45), tf(0.45)])
-    assert K._j2_pairs.cache_info().misses == 1
+    assert K._basis.cache_info().misses == 3  # one per box
     assert a == b
 
 
 # ---------------------------------------------------------------------------
-# determinant-route cycle integrals against direct sums
+# the determinant route's kernel bases and power sums against dense sums
 
 
 def _small_box(phis, eps, half_width=6.0, order=8):
@@ -408,65 +409,59 @@ def _small_box(phis, eps, half_width=6.0, order=8):
     return kmat, [wq * phi.value(x) for phi in phis]
 
 
-@pytest.mark.parametrize("eps", [-1, 0, 1])
-@pytest.mark.parametrize("box", [(0.0, 100.0, 100, 12), (0.0, 100.0, 100, 10),
-                                 (0.0, 44.8, 44, 12)])
-def test_kmat_matches_np_sinc_on_the_production_boxes(box, eps):
-    # the j2 boxes and a triple-integral box of 528 nodes on panels of
-    # width 1.018, which is not a multiple of the row pass; rounding
-    # that grows with x would show here and not on _small_box's x <= 6
-    x, _ = panel_grid(*box)
+@functools.lru_cache(maxsize=2)
+def _dense_blocks(half_width, order, eps):
+    """The half-line nodes and W^1/2 B W^1/2 for each non-zero parity block
+    B of K_eps, from np.sinc."""
+    x, w = panel_grid(0.0, half_width, int(half_width), order)
+    root = np.sqrt(w)
     minus = np.sinc(np.subtract.outer(x, x))
     plus = np.sinc(np.add.outer(x, x))
-    want = [2.0 * (minus + eps * plus)] if eps else [minus + plus,
+    blocks = [2.0 * (minus + eps * plus)] if eps else [minus + plus,
                                                       minus - plus]
-    got = K._kmat(x, eps)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.shape == (len(x), len(x))
-        assert np.max(np.abs(g - w)) <= 1e-14
+    return x, [root[:, None] * b * root[None, :] for b in blocks]
 
 
 @pytest.mark.parametrize("eps", [-1, 0, 1])
-def test_j3_matches_direct_triple_sum(eps):
-    phis = (tf(0.3), tf(0.28), tf(0.25))
-    kmat, (w1, w2, w3) = _small_box(phis, eps)
-    direct = np.einsum("x,y,z,xy,yz,zx->", w1, w2, w3, kmat, kmat, kmat)
-    got = K._j3_value(phis, eps, 6.0, 8)
-    assert got == pytest.approx(direct, rel=1e-12)
-
-
-@pytest.mark.parametrize("eps", [-1, 0, 1])
-def test_j2_table_matches_direct_double_sums(eps):
-    phis = (tf(0.3), tf(0.28), tf(0.25))
-    kmat, weights = _small_box(phis, eps)
-    table = np.array(K._j2_table(phis, eps, 6.0, 8))
-    assert table.shape == (3, 3)
-    for a in range(3):
-        for b in range(3):
-            direct = np.einsum("x,y,xy->", weights[a], weights[b],
-                               kmat * kmat)
-            assert table[a, b] == pytest.approx(direct, rel=1e-12)
-    np.testing.assert_allclose(table, table.T, rtol=1e-13)
+@pytest.mark.parametrize("box", [(100.0, 12), (100.0, 10), (80.0, 12)])
+def test_kmat_matches_np_sinc_on_the_production_boxes(box, eps):
+    # the kernel matrix on each of the determinant route's boxes exists
+    # only as its low-rank factor; rounding that grows with x would show
+    # here and not on _small_box's x <= 6
+    x, want = _dense_blocks(*box, eps)
+    nodes, factors = K._basis(*box, eps)
+    np.testing.assert_array_equal(nodes, x)
+    assert len(factors) == len(want)
+    for f, g in zip(factors, want):
+        # about the prolate count, 2 box[0] + a few logarithmic terms
+        assert f.shape[0] == len(x) and f.shape[1] < 1.2 * box[0]
+        assert np.max(np.abs(f @ f.T - g)) <= 1e-14
 
 
 @pytest.mark.parametrize("eps", [-1, 0, 1])
 def test_half_grid_at_fractional_width_matches_mirrored_box(eps):
-    # at half-width 5.5 the half line holds five panels of width 1.1, so
-    # the full box is the ten mirrored panels, none straddling 0
+    # the power sums run on the half line over the kernel's parity
+    # blocks; they are the traces tr((D_S K)^k) over the mirrored full
+    # box, at an integer half-width and at 5.5, where the half line holds
+    # five panels of width 1.1 and none of the ten mirrored ones straddles
+    # 0
     phis = (tf(0.3), tf(0.28), tf(0.25))
-    kmat, weights = _small_box(phis, eps, half_width=5.5)
-    direct = np.einsum("x,y,z,xy,yz,zx->", *weights, kmat, kmat, kmat)
-    assert K._j3_value(phis, eps, 5.5, 8) == pytest.approx(direct, rel=1e-12)
-    table = K._j2_table(phis, eps, 5.5, 8)
-    for a, b in itertools.product(range(3), repeat=2):
-        direct = np.einsum("x,y,xy->", weights[a], weights[b], kmat * kmat)
-        assert table[a][b] == pytest.approx(direct, rel=1e-12)
+    subsets = [s for size in (1, 2, 3)
+               for s in itertools.combinations(range(3), size)]
+    for half_width in (6.0, 5.5):
+        kmat, weights = _small_box(phis, eps, half_width)
+        sums = K._power_sums(phis, eps, half_width, 8)
+        assert list(sums) == subsets
+        for s in subsets:
+            a = sum(weights[i] for i in s)[:, None] * kmat
+            want = [np.trace(np.linalg.matrix_power(a, k)) for k in (2, 3)]
+            assert sums[s] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_two_level_prediction_holds_one_half_line_block(monkeypatch):
-    # the j2 box has 1,200 nodes on the half line, so a kernel block is
-    # 11 MiB; matrices on the full 2,400-node box peak near 132 MiB
+    # the 100-wide box has 1,200 nodes on the half line, so one kernel
+    # block would be 11 MiB; the bases are built a column at a time and
+    # never form one
     _cold_caches(monkeypatch)
     tracemalloc.start()
     try:
@@ -474,39 +469,47 @@ def test_two_level_prediction_holds_one_half_line_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2 ** 20
+    assert peak < 1200 * 1200 * 8
 
 
 def test_j2_pairs_of_a_sublist_come_from_the_cache(monkeypatch):
     # the odd orthogonal prediction also integrates each two-element
-    # sub-list; those pairs must come from the whole list's table
+    # sub-list; those come from the whole list's table, whose three
+    # boxes each build their basis once
     _cold_caches(monkeypatch)
-    kmat = K._kmat
-    built = []
-
-    def counted(nodes, eps):
-        built.append(eps)
-        return kmat(nodes, eps)
-    monkeypatch.setattr(K, "_kmat", counted)
     K.prediction_with_error(K.SOODD, [tf(0.29), tf(0.27), tf(0.26)])
-    assert built == [-1] * 5  # three grids for the j2 table, two for j3
+    info = K._basis.cache_info()
+    assert (info.misses, info.hits) == (3, 0)
 
 
 @pytest.mark.parametrize("betas, soeven, sp", [
-    ((0.45, 0.4), 0.786296331649534, 0.29629633164824604),
-    ((0.3, 0.28, 0.25), 0.42832489241083815, 0.16529344426527548),
+    ((0.45, 0.4), 0.7862962961858865, 0.2962962961873664),
+    ((0.3, 0.28, 0.25), 0.428324731085337, 0.1652933412323171),
 ])
 def test_determinant_route_pins(betas, soeven, sp):
-    # values of the elementwise-reduction implementation that preceded
-    # the matrix-product one; a rewrite may move them by rounding only
+    # values of the low-rank basis implementation; a rewrite may move
+    # them by rounding only
     phis = [tf(b) for b in betas]
     assert K.n_level_prediction(K.SOEVEN, phis) == pytest.approx(
         soeven, abs=1e-12)
     assert K.n_level_prediction(K.SP, phis) == pytest.approx(sp, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_dual_route_wide(n):
+    # the two routes agree past criterion 4's n <= 3, each within the
+    # other's reported error
+    phis = [tf(0.1)] * n
+    for sign, G in [(1, K.SOEVEN), (-1, K.SP)]:
+        det, det_err = K.prediction_with_error(G, phis)
+        comb, comb_err = K.rubinstein_with_error(sign, phis)
+        assert abs(det - comb) < 1e-6
+        assert abs(det - comb) <= det_err + comb_err
+
+
 def _cycles(perm):
-    """The cycles of a permutation of range(len(perm)), each sorted."""
+    """The cycles of a permutation of range(len(perm)), each in the
+    order the permutation visits it."""
     seen, out = set(), []
     for start in range(len(perm)):
         cycle, i = [], start
@@ -515,25 +518,44 @@ def _cycles(perm):
             cycle.append(i)
             i = perm[i]
         if cycle:
-            out.append(tuple(sorted(cycle)))
+            out.append(tuple(cycle))
     return out
+
+
+def _box_cycle(phis, eps, box):
+    """sum over the blocks of tr(prod_i diag(phi_i) W^1/2 B W^1/2), the
+    box quadrature of the cycle integral through the phis in order."""
+    x, blocks = _dense_blocks(*box, eps)
+    total = 0.0
+    for g in blocks:
+        m = [phi.value(x)[:, None] * g for phi in phis]
+        head = functools.reduce(np.matmul, m[:-1])
+        total += np.sum(head * m[-1].T)
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _cycle_integral(phis, eps):
+    """The cycle integral through the phis in order: j1 for one input;
+    otherwise the box sum on the route's box plus its estimated tail, the
+    spread against the 0.8-wide box times the route's tail factor."""
+    if len(phis) == 1:
+        return K._j1(phis[0], eps)[0]
+    width, order = K._BOX2
+    full = _box_cycle(phis, eps, (width, order))
+    short = _box_cycle(phis, eps, (0.8 * width, order))
+    return full + (full - short) * K._TAIL_PER_SPREAD
 
 
 def _permutation_sum(phis, eps, idx):
     """int prod_{i in idx} phi_i det K_eps as the sum over permutations
-    sigma of idx of sgn(sigma) times the cached integral of each cycle."""
+    sigma of idx of sgn(sigma) times the integral of each cycle."""
     terms = []
     for perm in itertools.permutations(range(len(idx))):
         cycles = _cycles(perm)
         term = (-1.0) ** (len(idx) - len(cycles))
         for cycle in cycles:
-            block = tuple(idx[i] for i in cycle)
-            if len(block) == 1:
-                term *= K._j1(phis[block[0]], eps)[0]
-            elif len(block) == 2:
-                term *= K._j2_pairs(phis, eps)[block][0]
-            else:
-                term *= K._j3(phis, eps)[0]
+            term *= _cycle_integral(tuple(phis[idx[i]] for i in cycle), eps)
         terms.append(term)
     return math.fsum(terms)
 
@@ -554,10 +576,13 @@ def _permutation_oracle(G, phis):
 @pytest.mark.parametrize("betas", [(0.9,), (0.45, 0.4), (0.3, 0.28, 0.25)])
 @pytest.mark.parametrize("G", K.ALL_TYPES, ids=lambda g: g.tag)
 def test_determinant_route_matches_permutation_sum(G, betas):
+    # the route expands det K through eigenvalues of the low-rank factor,
+    # the oracle through dense cycle traces: the same box sums, rounded
+    # differently
     phis = [tf(b) for b in betas]
     got = K.n_level_prediction(G, phis)
     assert got == pytest.approx(_permutation_oracle(G, tuple(phis)),
-                                rel=1e-15, abs=0.0)
+                                rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("betas, soeven, sp", [
