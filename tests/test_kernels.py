@@ -439,6 +439,39 @@ def test_kmat_matches_np_sinc_on_the_production_boxes(box, eps):
 
 
 @pytest.mark.parametrize("eps", [-1, 0, 1])
+def test_j3_matches_direct_triple_sum(eps):
+    # K_eps is symmetric, so the six orderings of three distinct weights
+    # in tr((D_S K)^3) share one trace, and inclusion and exclusion over
+    # the subsets of {0, 1, 2} leaves 6 tr(D_0 K D_1 K D_2 K)
+    phis = (tf(0.3), tf(0.28), tf(0.25))
+    kmat, (w1, w2, w3) = _small_box(phis, eps)
+    direct = np.einsum("x,y,z,xy,yz,zx->", w1, w2, w3, kmat, kmat, kmat)
+    sums = K._power_sums(phis, eps, 6.0, 8)
+    got = math.fsum((-1) ** (3 - len(s)) * p[1]
+                    for s, p in sums.items()) / 6.0
+    assert got == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+def test_j2_table_matches_direct_double_sums(eps):
+    # tr(D_a K D_b K) is p_2({a}) on the diagonal and
+    # (p_2({a, b}) - p_2({a}) - p_2({b})) / 2 off it
+    phis = (tf(0.3), tf(0.28), tf(0.25))
+    kmat, weights = _small_box(phis, eps)
+    sums = K._power_sums(phis, eps, 6.0, 8)
+    table = np.array([[sums[(a,)][0] if a == b else
+                       0.5 * (sums[tuple(sorted((a, b)))][0]
+                              - sums[(a,)][0] - sums[(b,)][0])
+                       for b in range(3)] for a in range(3)])
+    for a in range(3):
+        for b in range(3):
+            direct = np.einsum("x,y,xy->", weights[a], weights[b],
+                               kmat * kmat)
+            assert table[a, b] == pytest.approx(direct, rel=1e-12)
+    np.testing.assert_allclose(table, table.T, rtol=1e-13)
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
 def test_half_grid_at_fractional_width_matches_mirrored_box(eps):
     # the power sums run on the half line over the kernel's parity
     # blocks; they are the traces tr((D_S K)^k) over the mirrored full
