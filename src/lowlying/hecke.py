@@ -56,20 +56,17 @@ class SpinSatake:
         return 2.0 * math.cos(self.theta2)
 
 
-def _coeff_recurrence(c, a, b, n_max):
-    """Series coefficients of 1/Q(t) where Q has coefficient arrays c(a, b).
+def _coeff_recurrence(c, n_max):
+    """Series coefficients of 1/Q(t) for Q(t) = 1 + sum_j c[j-1] t^j.
 
-    Returns an array of shape (n_max+1,) + shape(a).
+    Returns an array of shape (n_max+1,) + the broadcast shape of c.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
-    cs = [np.broadcast_to(np.asarray(ci, dtype=float), a.shape) for ci in c]
-    h = np.zeros((n_max + 1,) + a.shape)
+    shape = np.broadcast(*c).shape
+    h = np.zeros((n_max + 1,) + shape)
     h[0] = 1.0
     for n in range(1, n_max + 1):
-        acc = np.zeros(a.shape)
-        for j, cj in enumerate(cs, start=1):
+        acc = np.zeros(shape)
+        for j, cj in enumerate(c, start=1):
             if j > n:
                 break
             acc += cj * h[n - j]
@@ -77,26 +74,20 @@ def _coeff_recurrence(c, a, b, n_max):
     return h
 
 
-def _spin_c(a, b):
-    return (-(a + b), 2.0 + a * b, -(a + b), np.ones_like(np.asarray(a, float)))
-
-
-def _std_c(a, b):
-    e2 = a * a + a * b + b * b - 2.0
-    one = np.ones_like(np.asarray(a, float))
-    return (-(1.0 + a * b), e2, -e2, 1.0 + a * b, -one)
-
-
 def spin_coeff_grid(a, b, n_max):
     """Degree-4 Dirichlet coefficients at powers 0..n_max, vectorized."""
-    return _coeff_recurrence(_spin_c(np.asarray(a, float), np.asarray(b, float)),
-                             a, b, n_max)
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    return _coeff_recurrence((-(a + b), 2.0 + a * b, -(a + b), 1.0), n_max)
 
 
 def std_coeff_grid(a, b, n_max):
     """Degree-5 Dirichlet coefficients at powers 0..n_max, vectorized."""
-    return _coeff_recurrence(_std_c(np.asarray(a, float), np.asarray(b, float)),
-                             a, b, n_max)
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    e2 = a * a + a * b + b * b - 2.0
+    return _coeff_recurrence((-(1.0 + a * b), e2, -e2, 1.0 + a * b, -1.0),
+                             n_max)
 
 
 def spin_dirichlet_coeff(s: SpinSatake, n: int) -> float:

@@ -135,15 +135,6 @@ class TrigSum:
                 out.add(w1 + w2, d1 + d2, c1 * c2)
         return out
 
-    def scaled(self, factor):
-        return TrigSum({k: c * factor for k, c in self.terms.items()})
-
-    def plus(self, other):
-        out = TrigSum(self.terms)
-        for (w, d), c in other.terms.items():
-            out.add(w, d, c)
-        return out
-
     def integral_from(self, T):
         """Real value of int_T^inf f(x) dx (exact up to special functions)."""
         total = 0.0 + 0.0j
@@ -201,10 +192,6 @@ def _e_integral(omega, d, T):
     lower = _e_integral(omega, d - 1, T)
     return (np.exp(1j * omega * T) * T ** (1 - d)
             + 1j * omega * lower) / (d - 1)
-
-
-_SINC2X = TrigSum({(2.0 * math.pi, 1): -0.25j / math.pi,
-                   (-2.0 * math.pi, 1): 0.25j / math.pi})
 
 
 def fejer_test_function(beta: float) -> TestFunction:
@@ -272,12 +259,15 @@ def _j1_value(phi, eps, half_width):
     nodes, weights = panel_grid(0.0, half_width, int(2 * half_width), 16)
     vals = phi.value(nodes) * (1.0 + eps * np.sinc(2.0 * nodes))
     core = (weights * vals).tolist()
-    tail_sum = phi.tail_terms()
-    if eps:
-        tail_sum = tail_sum.plus((tail_sum * _SINC2X).scaled(eps))
+    # the kernel diagonal 1 + eps sinc 2x; sin 2 pi x = Re(-i e^{2 pi i x})
+    tail_sum = phi.tail_terms() * TrigSum({
+        (0.0, 0): 1.0, (2.0 * math.pi, 1): -0.25j * eps / math.pi,
+        (-2.0 * math.pi, 1): 0.25j * eps / math.pi})
+    # phi's own terms (power 2) first, then the cross terms (power 3):
+    # the order fixes the rounding of the error's size
+    by_power = sorted(tail_sum.terms.items(), key=lambda term: term[0][1])
     size = math.fsum(map(abs, core)) + sum(
-        abs(c * _e_integral(w, d, half_width))
-        for (w, d), c in tail_sum.terms.items())
+        abs(c * _e_integral(w, d, half_width)) for (w, d), c in by_power)
     return (2.0 * (math.fsum(core) + tail_sum.integral_from(half_width)),
             2.0 * size)
 

@@ -3,8 +3,8 @@
 Everything here is rational: the weight polynomial, the divisor
 convolutions over a square-free level, and the sign split of a trace
 pair.  Results are Fractions; callers convert to float only at the
-export boundary.  Remainder terms below the main terms are not modeled,
-and reports say so explicitly.
+export boundary.  Remainder terms below the main terms are not modeled:
+a DimensionReport and the `dims` table it feeds hold main terms only.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ __all__ = [
     "dimension_report",
 ]
 
-UNMODELED_NOTE = "remainder terms below the main term are not modeled"
-
 
 def omega(m: int) -> int:
     """Number of distinct prime factors."""
@@ -40,33 +38,27 @@ def omega(m: int) -> int:
 
 @dataclass(frozen=True)
 class LevelData:
-    """A square-free level with its prime factorization spelled out."""
+    """A square-free level; its prime factorization is read off n."""
 
     n: int
-    factorization: tuple
-    omega: int
 
     @classmethod
     def from_level(cls, n: int) -> "LevelData":
-        n = int(n)
-        if n < 1:
-            raise ValueError("level must be >= 1")
-        fac = _factorize(n)
-        if any(v > 1 for v in fac.values()):
-            raise ValueError("level must be square-free, got %d" % (n,))
-        primes = tuple(sorted(fac))
-        return cls(n=n, factorization=primes, omega=len(primes))
+        return cls(int(n))
 
     def __post_init__(self):
-        prod = 1
-        for p in self.factorization:
-            prod *= p
-        if prod != self.n:
-            raise ValueError("factorization does not multiply to the level")
-        if len(set(self.factorization)) != len(self.factorization):
-            raise ValueError("factorization must list distinct primes")
-        if self.omega != len(self.factorization):
-            raise ValueError("omega must equal the number of prime factors")
+        if self.n < 1:
+            raise ValueError("level must be >= 1")
+        if any(v > 1 for v in _factorize(self.n).values()):
+            raise ValueError("level must be square-free, got %d" % (self.n,))
+
+    @property
+    def factorization(self) -> tuple:
+        return tuple(sorted(_factorize(self.n)))
+
+    @property
+    def omega(self) -> int:
+        return len(_factorize(self.n))
 
     def divisors(self) -> tuple:
         out = []
@@ -154,20 +146,6 @@ class DimensionReport:
     main_term: Fraction
     newform_main_term: Fraction
     c: Fraction
-    unmodeled_error: str = UNMODELED_NOTE
-
-    def to_json_dict(self):
-        return {
-            "k1": self.k1,
-            "k2": self.k2,
-            "N": self.level.n,
-            "dim_main": float(self.main_term),
-            "dim_main_exact": str(self.main_term),
-            "dim_new_main": float(self.newform_main_term),
-            "dim_new_main_exact": str(self.newform_main_term),
-            "c_N": float(self.c),
-            "unmodeled_error": self.unmodeled_error,
-        }
 
 
 def dimension_report(k1: int, k2: int, level: LevelData) -> DimensionReport:

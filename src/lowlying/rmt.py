@@ -427,7 +427,8 @@ def scaled_spectrum(M, group: str) -> ScaledSpectrum:
 
 @lru_cache(maxsize=64)
 def _harmonics(phi, period):
-    kmax = int(math.floor(phi.beta * period - 1e-12))
+    # k = 0 always counts: it carries the mean phi_hat(0) / period
+    kmax = max(0, int(math.floor(phi.beta * period - 1e-12)))
     ks = np.arange(kmax + 1)
     return ks, phi.fourier(ks / period) / period
 

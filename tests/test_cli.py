@@ -589,6 +589,18 @@ class TestRmt:
         assert report["z_score"] == "inf"
         assert meta["pass"] is False
 
+    def test_tiny_beta_reports_and_exits_1(self, tmp_path):
+        # only the mean harmonic is left, so every sample gives the same
+        # statistic and any gap to the prediction is an infinite z
+        out = tmp_path / "r.json"
+        code = cli.main(["rmt", "--group", "U", "--size", "5",
+                         "--samples", "4", "--beta", "1e-14",
+                         "--out", str(out)])
+        assert code == 1
+        meta = read_strict_json(out)
+        assert meta["report"]["mc_stderr"] == 0.0
+        assert meta["pass"] is False
+
     def test_largest_seed_runs(self, tmp_path):
         out = tmp_path / "r.json"
         code = cli.main(["rmt", "--group", "U", "--size", "4",

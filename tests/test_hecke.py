@@ -77,6 +77,42 @@ def test_tempered_bounds(t1, t2, n):
         <= math.comb(n + 4, 4) + 1e-9
 
 
+def _recurrence_loop(c, n_max):
+    # 1/Q(t) one element at a time, adding c_j h_{n-j} in increasing j
+    h = [1.0]
+    for n in range(1, n_max + 1):
+        acc = 0.0
+        for j, cj in enumerate(c[:n], start=1):
+            acc += cj * h[n - j]
+        h.append(-acc)
+    return h
+
+
+def _spin_c(a, b):
+    return (-(a + b), 2.0 + a * b, -(a + b), 1.0)
+
+
+def _std_c(a, b):
+    e2 = a * a + a * b + b * b - 2.0
+    return (-(1.0 + a * b), e2, -e2, 1.0 + a * b, -1.0)
+
+
+@pytest.mark.parametrize("grid, coeffs", [(H.spin_coeff_grid, _spin_c),
+                                          (H.std_coeff_grid, _std_c)])
+def test_coeff_grid_matches_a_plain_recurrence_bit_for_bit(grid, coeffs):
+    # the term order is what `family` outputs depend on; the inputs also
+    # cover broadcasting an array against a scalar
+    u = np.random.default_rng(20261019)
+    a, b = u.uniform(-2.0, 2.0, size=(2, 1000))
+    for x, y in ((a, b), (0.37, -1.25), (a, -1.25)):
+        got = grid(x, y, 9)
+        assert got.shape == (10,) + np.shape(x)
+        xs, ys = np.broadcast_arrays(x, y)
+        for i in np.ndindex(xs.shape):
+            want = _recurrence_loop(coeffs(float(xs[i]), float(ys[i])), 9)
+            assert got[(slice(None),) + i].tolist() == want
+
+
 def test_conductor_examples():
     assert H.analytic_conductor(H.FormShape(10, 10, 1)) == 400
     assert H.analytic_conductor(H.FormShape(12, 10, 1)) == 4356

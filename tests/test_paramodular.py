@@ -52,14 +52,6 @@ class TestLevelData:
         with pytest.raises(ValueError):
             _level(0)
 
-    def test_rejects_inconsistent_fields(self):
-        with pytest.raises(ValueError):
-            pm.LevelData(n=6, factorization=(2,), omega=1)
-        with pytest.raises(ValueError):
-            pm.LevelData(n=6, factorization=(2, 3), omega=1)
-        with pytest.raises(ValueError):
-            pm.LevelData(n=4, factorization=(2, 2), omega=2)
-
 
 class TestDimensionMainTerms:
     def test_weight_four_level_one(self):
@@ -204,14 +196,3 @@ class TestLevelConstant:
             factor *= p * p + 1
         assert pm.c_constant(lvl) == Fraction(factor, lvl.n ** 2)
 
-
-class TestDimensionReport:
-    def test_serialization_round_trip(self):
-        report = pm.dimension_report(4, 4, _level(2))
-        payload = report.to_json_dict()
-        assert payload["k1"] == 4 and payload["N"] == 2
-        assert Fraction(payload["dim_main_exact"]) == report.main_term
-        assert Fraction(payload["dim_new_main_exact"]) \
-            == report.newform_main_term
-        assert payload["dim_new_main"] == float(Fraction(1, 384))
-        assert payload["unmodeled_error"] == pm.UNMODELED_NOTE

@@ -453,6 +453,13 @@ class TestPeriodizedValue:
             assert (rmt.periodized_value(phi, 12.0, x)
                     == rmt.periodized_value(phi, 12.0, -x))
 
+    def test_tiny_beta_keeps_the_mean_term(self):
+        # beta * period under the 1e-12 guard leaves only k = 0, whose
+        # coefficient phi_hat(0) / period is the whole value
+        phi = FEJER(1e-14)
+        for x in (0.0, 0.3, 17.2, -40.0):
+            assert rmt.periodized_value(phi, 59.0, x) == 1.0 / 59.0
+
     def test_periodicity(self):
         phi = FEJER(0.9)
         v0 = rmt.periodized_value(phi, 15.0, 2.2)

@@ -86,11 +86,15 @@ def _is_dict(node):
         and node.func.id == "dict")
 
 
+def _decorator_name(decorator):
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", "")
+
+
 def _unbounded(decorator):
     """functools.cache, or an lru_cache with maxsize=None."""
-    func = decorator.func if isinstance(decorator, ast.Call) else decorator
-    name = func.attr if isinstance(func, ast.Attribute) else \
-        getattr(func, "id", "")
+    name = _decorator_name(decorator)
     if name == "cache":
         return True
     if name != "lru_cache" or not isinstance(decorator, ast.Call):
@@ -350,3 +354,42 @@ def test_every_export_has_a_reader_outside_tests():
             pathlib.Path(__file__).parent / "test_acceptance.py"]:
         outside |= package_reads(path.read_text())
     assert unread_exports(_MODULES, outside) == UNREAD_EXPORTS
+
+
+def unread_fields(modules, outside_sources):
+    """"Class.field" for each field of a dataclass in `modules` (short
+    name -> source) that neither they nor `outside_sources` read as an
+    attribute."""
+    read = {node.attr
+            for source in list(modules.values()) + list(outside_sources)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted("%s.%s" % (cls.name, stmt.target.id)
+                  for source in modules.values()
+                  for cls in ast.parse(source).body
+                  if isinstance(cls, ast.ClassDef)
+                  and any(_decorator_name(d) == "dataclass"
+                          for d in cls.decorator_list)
+                  for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                  and stmt.target.id not in read)
+
+
+def test_field_scan_finds_a_planted_field():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+              "@dataclasses.dataclass\nclass B:\n    z: float\n"
+              "class C:\n    w: int\n"
+              "def f(a, b):\n    b.y = a.x\n")
+    assert unread_fields({"m": source}, []) == ["A.y", "B.z"]
+    assert unread_fields({"m": source}, ["print(b.z)\n"]) == ["A.y"]
+
+
+# dataclass fields that nothing but tests reads; this list may only shrink
+UNREAD_FIELDS = ["ScaledSpectrum.angles", "StdMainTerm.band"]
+
+
+def test_every_dataclass_field_has_a_reader_outside_tests():
+    outside = [path.read_text() for path in sorted(BENCH.glob("*.py")) + [
+        pathlib.Path(__file__).parent / "test_acceptance.py"]]
+    assert unread_fields(_MODULES, outside) == UNREAD_FIELDS
