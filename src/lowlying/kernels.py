@@ -11,14 +11,15 @@ form.  Two independent evaluation routes are kept deliberately separate:
   blocks, one per parity it does not annihilate, and each weighted
   block is a low-rank L L^T from a pivoted Cholesky factorization built
   a column at a time from sin(pi x) and cos(pi x) at the nodes.  Each
-  subset of the inputs takes the eigenvalues of a small matrix L^T
+  distinct tuple of inputs takes the eigenvalues of a small matrix L^T
   diag(phi) L; their power sums, with the exact-tailed one-level
   integrals as p_1, give the determinant's coefficients by Newton's
   identities and inclusion-exclusion over subsets;
 * the combinatorial route works entirely on the Fourier side (grid
   convolutions of the triangle transforms); its sum over set
   partitions, even block subsets and pairings is one recursion over
-  subsets of the inputs.
+  subsets of the inputs, whose grids and pair integrals are computed
+  once per distinct tuple of inputs.
 
 Their agreement is a theorem, and the test suite checks it numerically;
 neither route borrows intermediate results from the other.
@@ -346,18 +347,30 @@ def _power_sums(phis, eps, half_width, order):
     """p_k(S) = tr((D_S K_eps)^k) on the box, k = 2..len(phis), for every
     non-empty ascending index tuple S, D_S being the sum of the phis in S:
     the power sums of the eigenvalues of sum_{i in S} L^T diag(phi_i) L
-    over the kernel's blocks."""
+    over the kernel's blocks.
+
+    The sums depend only on the tuple of test functions at S, compared by
+    value, and that tuple is the lookup key: each distinct tuple is
+    solved once and the index tuples that hold it share one list, so n
+    equal inputs cost n eigen-solves per block, not 2^n - 1.  The lists
+    are read, never written, downstream.  Each distinct test function's
+    L^T diag(phi) L is formed once."""
     nodes, factors = _basis(half_width, order, eps)
-    values = [phi.value(nodes) for phi in phis]
-    mats = [[(f.T * v) @ f for v in values] for f in factors]
+    values = {phi: phi.value(nodes) for phi in phis}
+    mats = [{phi: (f.T * v) @ f for phi, v in values.items()}
+            for f in factors]
     n = len(phis)
-    sums = {}
+    by_tuple, sums = {}, {}
     for size in range(1, n + 1):
         for s in combinations(range(n), size):
-            lam = np.concatenate([np.linalg.eigvalsh(sum(m[i] for i in s))
-                                  for m in mats])
-            sums[s] = [math.fsum((lam ** k).tolist())
-                       for k in range(2, n + 1)]
+            key = tuple(phis[i] for i in s)
+            if key not in by_tuple:
+                lam = np.concatenate([
+                    np.linalg.eigvalsh(sum(m[phi] for phi in key))
+                    for m in mats])
+                by_tuple[key] = [math.fsum((lam ** k).tolist())
+                                 for k in range(2, n + 1)]
+            sums[s] = by_tuple[key]
     return sums
 
 
@@ -511,13 +524,27 @@ def _rubinstein_eval(sign, phis, h):
     F(all), where F(0) = 1 and F(S) sums g(U) F(S - U) over the units U of
     S holding the lowest index of S, g(U) being U's total worth.  A
     block's grid folds its transforms in ascending index order.
+
+    A mask's grid, phi0, unit and F depend only on its key: the tuple of
+    inputs at its bits, in ascending index order, compared by value.
+    first[mask] is the lowest mask with the same key, looked up under
+    (first[rest], top input).  That mask computes the values, every later
+    mask with its key copies them, and P(a, b) is computed once per
+    (first[a], first[b]).  So n equal inputs cost n - 1 convolutions and
+    n (n - 1) / 2 pair integrals, not 2^n - n - 1 and (3^n + 1) / 2 - 2^n.
     """
     size = 1 << len(phis)
     grids, weight, phi0 = [None] * size, [0.0] * size, [1.0] * size
     unit, total = [0.0] * size, [1.0] + [0.0] * (size - 1)
+    first, by_key, pairs = [0] * size, {}, {}
     for mask in range(1, size):
         top = mask.bit_length() - 1
         rest = mask ^ (1 << top)
+        c = first[mask] = by_key.setdefault((first[rest], phis[top]), mask)
+        if c != mask:
+            grids[mask], weight[mask] = grids[c], weight[c]
+            phi0[mask], unit[mask], total[mask] = phi0[c], unit[c], total[c]
+            continue
         if rest:
             v = np.convolve(_halved_ends(grids[rest][0]),
                             _halved_ends(grids[1 << top][0])) * h
@@ -531,11 +558,14 @@ def _rubinstein_eval(sign, phis, h):
         k = mask.bit_count()
         weight[mask] = (-2.0) ** (k - 1) * math.factorial(k - 1)
         low = mask & -mask
-        unit[mask] = math.fsum(
-            [weight[mask] * (hat0 + sign * 0.5 * phi0[mask])]
-            + [weight[mask ^ b] * weight[b] * 2.0
-               * _pair_integral(grids[mask ^ b], grids[b], h)
-               for b in _submasks(mask ^ low) if b])
+        terms = [weight[mask] * (hat0 + sign * 0.5 * phi0[mask])]
+        for b in _submasks(mask ^ low):
+            if b:
+                pair = first[mask ^ b], first[b]
+                if pair not in pairs:
+                    pairs[pair] = _pair_integral(grids[mask ^ b], grids[b], h)
+                terms.append(weight[mask ^ b] * weight[b] * 2.0 * pairs[pair])
+        unit[mask] = math.fsum(terms)
         total[mask] = math.fsum(unit[low | s] * total[mask ^ low ^ s]
                                 for s in _submasks(mask ^ low))
     return total[-1]

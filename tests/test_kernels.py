@@ -10,6 +10,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -345,6 +346,22 @@ def test_subset_recursion_matches_enumeration():
                            - brute_rubinstein(sign, phis, 0.005)) < 1e-12
 
 
+def test_subset_recursion_matches_enumeration_on_repeated_supports():
+    # two values per draw, the first two inputs always equal, so blocks
+    # and pairs of blocks with equal inputs at other indices share their
+    # grids and pair integrals
+    rng = np.random.default_rng(25)
+    for n in range(2, 7):
+        for _ in range(3):
+            two = rng.integers(4, 190 // n, size=2, endpoint=True) * 0.005
+            pick = rng.integers(0, 2, size=n)
+            pick[1] = pick[0]
+            phis = [tf(b) for b in two[pick]]
+            for sign in (1, -1):
+                assert abs(K._rubinstein_eval(sign, phis, 0.005)
+                           - brute_rubinstein(sign, phis, 0.005)) < 1e-12
+
+
 # rubinstein_rhs(sign, [tf(0.1)] * n), as the term-by-term enumeration
 # over partitions, block subsets and pairings computed it
 WIDE_PINS = {
@@ -538,6 +555,43 @@ def test_dual_route_wide(n):
         comb, comb_err = K.rubinstein_with_error(sign, phis)
         assert abs(det - comb) < 1e-6
         assert abs(det - comb) <= det_err + comb_err
+
+
+@pytest.mark.parametrize("make", [lambda n: [tf(0.1)] * n,
+                                  lambda n: [tf(0.1) for _ in range(n)]],
+                         ids=["shared", "equal"])
+def test_equal_inputs_cost_linear_work(monkeypatch, make):
+    # both routes look their subset work up by the tuple of inputs, by
+    # value: eight equal inputs are eight distinct tuples, not 255
+    # subsets.  Per evaluation (a call makes two) the recursion pairs
+    # each k-tuple's blocks k - 1 ways and convolves once per k >= 2;
+    # the determinant route solves each tuple once per block and box
+    n = 8
+    phis = make(n)
+    pairs = mock.Mock(wraps=K._pair_integral)
+    convolutions = mock.Mock(wraps=np.convolve)
+    solves = mock.Mock(wraps=np.linalg.eigvalsh)
+    monkeypatch.setattr(K, "_pair_integral", pairs)
+    monkeypatch.setattr(np, "convolve", convolutions)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solves)
+    K.rubinstein_with_error(1, phis)
+    assert pairs.call_count == n * (n - 1)
+    assert convolutions.call_count == 2 * (n - 1)
+    for G, blocks in [(K.SOEVEN, 1), (K.U, 2)]:
+        K.prediction_with_error(G, phis[:2])  # warm the three bases
+        solves.reset_mock()
+        K.prediction_with_error(G, phis)
+        assert solves.call_count == 3 * blocks * n
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_subset_lookup_is_by_value_not_identity(n):
+    shared, equal = [tf(0.1)] * n, [tf(0.1) for _ in range(n)]
+    for sign, G in [(1, K.SOEVEN), (-1, K.SP)]:
+        assert (K.rubinstein_with_error(sign, shared)
+                == K.rubinstein_with_error(sign, equal))
+        assert (K.prediction_with_error(G, shared)
+                == K.prediction_with_error(G, equal))
 
 
 def _cycles(perm):
