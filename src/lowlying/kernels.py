@@ -11,7 +11,7 @@ form.  Two independent evaluation routes are kept deliberately separate:
   blocks, one per parity it does not annihilate, and each weighted
   block is a low-rank L L^T from a pivoted Cholesky factorization built
   a column at a time from sin(pi x) and cos(pi x) at the nodes.  Each
-  distinct tuple of inputs takes the eigenvalues of a small matrix L^T
+  subset of the inputs takes the eigenvalues of a small matrix L^T
   diag(phi) L; their power sums, with the exact-tailed one-level
   integrals as p_1, give the determinant's coefficients by Newton's
   identities and inclusion-exclusion over subsets;
@@ -347,30 +347,18 @@ def _power_sums(phis, eps, half_width, order):
     """p_k(S) = tr((D_S K_eps)^k) on the box, k = 2..len(phis), for every
     non-empty ascending index tuple S, D_S being the sum of the phis in S:
     the power sums of the eigenvalues of sum_{i in S} L^T diag(phi_i) L
-    over the kernel's blocks.
-
-    The sums depend only on the tuple of test functions at S, compared by
-    value, and that tuple is the lookup key: each distinct tuple is
-    solved once and the index tuples that hold it share one list, so n
-    equal inputs cost n eigen-solves per block, not 2^n - 1.  The lists
-    are read, never written, downstream.  Each distinct test function's
-    L^T diag(phi) L is formed once."""
+    over the kernel's blocks."""
     nodes, factors = _basis(half_width, order, eps)
-    values = {phi: phi.value(nodes) for phi in phis}
-    mats = [{phi: (f.T * v) @ f for phi, v in values.items()}
-            for f in factors]
+    values = [phi.value(nodes) for phi in phis]
+    mats = [[(f.T * v) @ f for v in values] for f in factors]
     n = len(phis)
-    by_tuple, sums = {}, {}
+    sums = {}
     for size in range(1, n + 1):
         for s in combinations(range(n), size):
-            key = tuple(phis[i] for i in s)
-            if key not in by_tuple:
-                lam = np.concatenate([
-                    np.linalg.eigvalsh(sum(m[phi] for phi in key))
-                    for m in mats])
-                by_tuple[key] = [math.fsum((lam ** k).tolist())
-                                 for k in range(2, n + 1)]
-            sums[s] = by_tuple[key]
+            lam = np.concatenate([np.linalg.eigvalsh(sum(m[i] for i in s))
+                                  for m in mats])
+            sums[s] = [math.fsum((lam ** k).tolist())
+                       for k in range(2, n + 1)]
     return sums
 
 

@@ -561,37 +561,18 @@ def test_dual_route_wide(n):
                                   lambda n: [tf(0.1) for _ in range(n)]],
                          ids=["shared", "equal"])
 def test_equal_inputs_cost_linear_work(monkeypatch, make):
-    # both routes look their subset work up by the tuple of inputs, by
-    # value: eight equal inputs are eight distinct tuples, not 255
-    # subsets.  Per evaluation (a call makes two) the recursion pairs
-    # each k-tuple's blocks k - 1 ways and convolves once per k >= 2;
-    # the determinant route solves each tuple once per block and box
+    # the recursion looks its grids and pair integrals up by the tuple of
+    # inputs, by value: eight equal inputs are eight distinct tuples, not
+    # 255 subsets.  Per evaluation (a call makes two) it pairs each
+    # k-tuple's blocks k - 1 ways and convolves once per k >= 2
     n = 8
-    phis = make(n)
     pairs = mock.Mock(wraps=K._pair_integral)
     convolutions = mock.Mock(wraps=np.convolve)
-    solves = mock.Mock(wraps=np.linalg.eigvalsh)
     monkeypatch.setattr(K, "_pair_integral", pairs)
     monkeypatch.setattr(np, "convolve", convolutions)
-    monkeypatch.setattr(np.linalg, "eigvalsh", solves)
-    K.rubinstein_with_error(1, phis)
+    K.rubinstein_with_error(1, make(n))
     assert pairs.call_count == n * (n - 1)
     assert convolutions.call_count == 2 * (n - 1)
-    for G, blocks in [(K.SOEVEN, 1), (K.U, 2)]:
-        K.prediction_with_error(G, phis[:2])  # warm the three bases
-        solves.reset_mock()
-        K.prediction_with_error(G, phis)
-        assert solves.call_count == 3 * blocks * n
-
-
-@pytest.mark.parametrize("n", [2, 5, 8])
-def test_subset_lookup_is_by_value_not_identity(n):
-    shared, equal = [tf(0.1)] * n, [tf(0.1) for _ in range(n)]
-    for sign, G in [(1, K.SOEVEN), (-1, K.SP)]:
-        assert (K.rubinstein_with_error(sign, shared)
-                == K.rubinstein_with_error(sign, equal))
-        assert (K.prediction_with_error(G, shared)
-                == K.prediction_with_error(G, equal))
 
 
 def _cycles(perm):
