@@ -9,8 +9,8 @@ module imports nothing heavy at import time on purpose), so outputs
 never depend on the host's BLAS threading.
 
 Exit codes: 0 all checks passed; 1 a numeric check failed; 2 usage,
-domain, or i/o error; 3 numeric machinery failure (quadrature budget,
-rejection budget, or eigensolver trouble).
+domain, or i/o error; 3 numeric machinery failure (quadrature budget
+or rejection budget).
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ def _pin_threads():
 def _numeric_error_types():
     from lowlying.measures import EnvelopeViolation, RejectionBudgetError
     from lowlying.quadrature import QuadratureError
-    from lowlying.rmt import EigenSolverError
-    return (EnvelopeViolation, RejectionBudgetError, QuadratureError,
-            EigenSolverError)
+    return (EnvelopeViolation, RejectionBudgetError, QuadratureError)
 
 
 def _domain_error_types():
@@ -115,18 +113,17 @@ def _to_bool(raw):
     raise UsageError("expected a boolean, got %r" % (raw,))
 
 
-def _to_int_list(raw):
-    parts = [s for s in raw.split(",") if s.strip()]
-    if not parts:
-        raise UsageError("expected a comma-separated integer list")
-    return [_to_int(s.strip()) for s in parts]
+def _list_of(cast):
+    """A converter of comma-separated text to a list of `cast` values."""
+    what = "integer" if cast is _to_int else "number"
 
+    def convert(raw):
+        parts = [s for s in raw.split(",") if s.strip()]
+        if not parts:
+            raise UsageError("expected a comma-separated %s list" % what)
+        return [cast(s.strip()) for s in parts]
 
-def _to_float_list(raw):
-    parts = [s for s in raw.split(",") if s.strip()]
-    if not parts:
-        raise UsageError("expected a comma-separated number list")
-    return [_to_float(s.strip()) for s in parts]
+    return convert
 
 
 def _to_pair_list(raw):
@@ -464,22 +461,23 @@ def build_parser():
         _cmd_density, p=(_to_int, 2), grid=(_to_int, 41),
         tol=(_to_positive, 1e-8))
     add("moments", "quadrature coefficient moments against main terms",
-        _cmd_moments, primes=(_to_int_list, [2, 3, 5]), nmax=(_to_int, 6),
-        tol=(_to_positive, 1e-6))
+        _cmd_moments, primes=(_list_of(_to_int), [2, 3, 5]),
+        nmax=(_to_int, 6), tol=(_to_positive, 1e-6))
     add("rmt", "ensemble statistic against its kernel prediction",
         _cmd_rmt, group=(str, None), size=(_to_int, 30),
         samples=(_to_int, 20000), seed=(_to_seed, 20260822),
-        beta=(_to_float_list, [0.9]), include_zero=(_to_bool, True),
+        beta=(_list_of(_to_float), [0.9]), include_zero=(_to_bool, True),
         zmax=(_to_positive, 3.0))
     add("family", "synthetic family averages, joint moments, sign split",
-        _cmd_family, primes=(_to_int_list, [2, 3, 5]),
+        _cmd_family, primes=(_list_of(_to_int), [2, 3, 5]),
         forms=(_to_int, 100000), seed=(_to_seed, 20260822),
-        rule=(str, "balanced"), m=(_to_int_list, [1, 2, 4, 9, 12, 36]),
-        joint_primes=(_to_int_list, None), joint_degree=(_to_int, 2),
+        rule=(str, "balanced"),
+        m=(_list_of(_to_int), [1, 2, 4, 9, 12, 36]),
+        joint_primes=(_list_of(_to_int), None), joint_degree=(_to_int, 2),
         split_m=(_to_int, 4), zmax=(_to_positive, 3.0), csv=(str, ""))
     add("dims", "dimension main-term table over weights and levels",
         _cmd_dims, weights=(_to_pair_list, [(4, 4)]),
-        levels=(_to_int_list, [1]))
+        levels=(_list_of(_to_int), [1]))
     return parser
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "FamilySpec",
     "Family",
     "AverageReport",
-    "StdMainTerm",
     "MonomialEntry",
     "JointMomentReport",
     "SplitReport",
@@ -77,40 +76,21 @@ class FamilySpec:
                              % (EPSILON_RULES,))
 
 
+@dataclass(frozen=True, eq=False)
 class Family:
     """Sampled family, stored as arrays.
 
     `points[p]` is the (forms, 2) array of eigenvalue coordinates at
     prime p and `epsilons` the per-form sign array; treat both as
-    read-only.
+    read-only.  Families compare by identity.
     """
 
-    def __init__(self, spec: FamilySpec, points: dict, epsilons):
-        self._spec = spec
-        self._points = {int(p): np.asarray(v, dtype=float)
-                        for p, v in points.items()}
-        self._eps = np.asarray(epsilons, dtype=int)
-        for p in spec.primes:
-            if self._points[p].shape != (spec.forms, 2):
-                raise ValueError("point array at prime %d has shape %s"
-                                 % (p, self._points[p].shape))
-        if self._eps.shape != (spec.forms,):
-            raise ValueError("epsilon array has the wrong length")
-
-    @property
-    def spec(self) -> FamilySpec:
-        return self._spec
-
-    @property
-    def points(self) -> dict:
-        return self._points
-
-    @property
-    def epsilons(self):
-        return self._eps
+    spec: FamilySpec
+    points: dict
+    epsilons: np.ndarray
 
     def __len__(self):
-        return self._spec.forms
+        return self.spec.forms
 
 
 def _epsilons(spec: FamilySpec):
@@ -210,7 +190,7 @@ def average_coefficient(family: Family, m: int,
     if which == "spin":
         prediction = main_term_spin(m)
     else:
-        prediction = main_term_std(m).value
+        prediction = main_term_std(m)
     return AverageReport(m=int(m), which=which, estimate=mean, stderr=stderr,
                          prediction=prediction,
                          z_score=_z_against(mean, stderr, prediction))
@@ -236,27 +216,17 @@ def main_term_spin(m: int) -> float:
     return float(total)
 
 
-@dataclass(frozen=True)
-class StdMainTerm:
-    """Leading term of the degree-5 coefficient average.
+def main_term_std(m: int) -> float:
+    """Leading term of the degree-5 coefficient average at m.
 
-    `value` is the square-indicator product; the first correction is an
-    unresolved degree-one term in 1/p, so `band` records 1/min(p | m)
-    as the half-width of the unknown part (0 when m = 1).
+    1 if m is a perfect square and 0 otherwise.  The first correction,
+    a degree-one term in 1/p for the primes p dividing m, is not
+    modeled.
     """
-
-    value: float
-    band: float
-
-
-def main_term_std(m: int) -> StdMainTerm:
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    fac = _factorize(m)
-    value = 0.0 if any(v % 2 for v in fac.values()) else 1.0
-    band = 1.0 / min(fac) if fac else 0.0
-    return StdMainTerm(value=value, band=band)
+    return 0.0 if any(v % 2 for v in _factorize(m).values()) else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,6 @@ class LevelData:
     def factorization(self) -> tuple:
         return tuple(sorted(_factorize(self.n)))
 
-    @property
-    def omega(self) -> int:
-        return len(_factorize(self.n))
-
     def divisors(self) -> tuple:
         out = []
         for r in range(len(self.factorization) + 1):

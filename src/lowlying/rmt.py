@@ -99,17 +99,19 @@ def _period(group: str, dim: int) -> float:
 class ScaledSpectrum:
     """Folded eigenangles of one matrix, rescaled to unit mean spacing.
 
-    `angles` are the independent eigenangles in [0, pi], or [0, 2 pi)
-    for U (forced zero angles excluded), `scaled` the same multiplied by
-    period/(2 pi).
-    `reflect` records whether each angle stands for a conjugate pair.
+    `scaled` holds the independent eigenangles in [0, pi], or [0, 2 pi)
+    for U (forced zero angles excluded), multiplied by period/(2 pi).
+    `forced_zero` records whether the group forces an angle at zero,
+    `reflect` whether each angle stands for a conjugate pair.
     """
 
-    angles: tuple
     scaled: tuple
-    forced_zero: bool
     period: float
     group: str
+
+    @property
+    def forced_zero(self) -> bool:
+        return self.group == "SOodd"
 
     @property
     def reflect(self) -> bool:
@@ -414,10 +416,7 @@ def scaled_spectrum(M, group: str) -> ScaledSpectrum:
     angles = _angles(M[None], group)[0]
     period = _period(group, M.shape[-1])
     scaled = angles * (period / (2.0 * math.pi))
-    return ScaledSpectrum(angles=tuple(angles.tolist()),
-                          scaled=tuple(scaled.tolist()),
-                          forced_zero=group == "SOodd",
-                          period=period,
+    return ScaledSpectrum(scaled=tuple(scaled.tolist()), period=period,
                           group=group)
 
 
@@ -482,6 +481,16 @@ def _d_n(vals, zeros, with_zero, mult):
     return math.fsum(prod[_distinct(size, n)].tolist())
 
 
+def _statistics(group, period, rows, phis, include_zero):
+    """`_d_n` of each row of scaled angles of one concrete group."""
+    zeros = [periodized_value(phi, period, 0.0) for phi in phis]
+    with_zero = include_zero and group == "SOodd"
+    mult = 1.0 if group == "U" else 2.0
+    vals = np.stack([periodized_value(phi, period, rows) for phi in phis],
+                    axis=1)
+    return [_d_n(v, zeros, with_zero, mult) for v in vals]
+
+
 def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
     """Starred n-level sum over index tuples with distinct magnitudes.
 
@@ -493,12 +502,9 @@ def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
     """
     if len(phis) < 1:
         raise ValueError("need at least one test function")
-    xs = np.asarray(spectrum.scaled, dtype=float)
-    vals = np.array([periodized_value(phi, spectrum.period, xs)
-                     for phi in phis])
-    zeros = [periodized_value(phi, spectrum.period, 0.0) for phi in phis]
-    return _d_n(vals, zeros, include_zero and spectrum.forced_zero,
-                2.0 if spectrum.reflect else 1.0)
+    rows = np.asarray(spectrum.scaled, dtype=float)[None]
+    return _statistics(spectrum.group, spectrum.period, rows, phis,
+                       include_zero)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +517,6 @@ def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
 _CHUNK = 128
 
 
-def _sample_group_for_index(spec, index):
-    if spec.group == "O":
-        return "SOeven" if index % 2 == 0 else "SOodd"
-    return spec.group
-
-
 @lru_cache(maxsize=1)
 def _spectra(spec: EnsembleSpec):
     """{group: (scaled, period)} for every concrete group of the ensemble.
@@ -525,19 +525,18 @@ def _spectra(spec: EnsembleSpec):
     sample, in index order; the O mixture puts its even indices in the
     SOeven rows and its odd indices in the SOodd rows.
     """
-    blocks = {}
-    for start in range(0, spec.samples, _CHUNK):
-        by_group = {}
-        for i in range(start, min(start + _CHUNK, spec.samples)):
-            by_group.setdefault(_sample_group_for_index(spec, i), []).append(i)
-        for group, indices in by_group.items():
-            if group == "U":
-                angles = _verblunsky_angles(spec.size, spec.seed, indices)
-            else:
-                angles = _jacobi_angles(group, spec.size, spec.seed, indices)
-            blocks.setdefault(group, []).append(angles)
+    groups = ("SOeven", "SOodd") if spec.group == "O" else (spec.group,)
     out = {}
-    for group, parts in blocks.items():
+    for first, group in enumerate(groups):
+        indices = range(first, spec.samples, len(groups))
+        if not indices:
+            continue
+        parts = []
+        for start in range(0, len(indices), _CHUNK):
+            chunk = indices[start:start + _CHUNK]
+            parts.append(_verblunsky_angles(spec.size, spec.seed, chunk)
+                         if group == "U" else
+                         _jacobi_angles(group, spec.size, spec.seed, chunk))
         period = _period(group, _dimension(group, spec.size))
         scaled = np.concatenate(parts) * (period / (2.0 * math.pi))
         scaled.flags.writeable = False  # every cache hit shares it
@@ -552,11 +551,7 @@ clear_spectrum_cache = _spectra.cache_clear
 class EnsembleReport:
     """Monte Carlo summary of one statistic against its prediction."""
 
-    statistic: str
-    group: str
-    size: int
-    samples: int
-    seed: int
+    spec: EnsembleSpec
     mc_mean: float
     mc_stderr: float
     prediction: float
@@ -565,11 +560,11 @@ class EnsembleReport:
 
     def to_json_dict(self):
         return {
-            "statistic": self.statistic,
-            "group": self.group,
-            "N": self.size,
-            "samples": self.samples,
-            "seed": self.seed,
+            "statistic": "D%d" % len(self.betas),
+            "group": self.spec.group,
+            "N": self.spec.size,
+            "samples": self.spec.samples,
+            "seed": self.spec.seed,
             "n": len(self.betas),
             "beta": [float(b) for b in self.betas],
             "mc_mean": float(self.mc_mean),
@@ -601,25 +596,16 @@ def ensemble_average(spec: EnsembleSpec, phis,
     prediction = prediction_for(spec.group, phis, include_zero)
     values = []
     for group, (scaled, period) in _spectra(spec).items():
-        zeros = [periodized_value(phi, period, 0.0) for phi in phis]
-        with_zero = include_zero and group == "SOodd"
-        mult = 1.0 if group == "U" else 2.0
         for start in range(0, len(scaled), _CHUNK):
-            block = scaled[start:start + _CHUNK]
-            vals = np.stack([periodized_value(phi, period, block)
-                             for phi in phis], axis=1)
-            values.extend(_d_n(v, zeros, with_zero, mult) for v in vals)
+            values.extend(_statistics(group, period,
+                                      scaled[start:start + _CHUNK], phis,
+                                      include_zero))
     mean, stderr = _mean_stderr(values)
     return EnsembleReport(
-        statistic="D%d" % len(phis),
-        group=spec.group,
-        size=spec.size,
-        samples=spec.samples,
-        seed=spec.seed,
+        spec=spec,
         mc_mean=mean,
         mc_stderr=stderr,
         prediction=prediction,
         z_score=_z_against(mean, stderr, prediction),
         betas=tuple(p.beta for p in phis),
     )
-

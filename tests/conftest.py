@@ -245,14 +245,7 @@ def random_small_spectrum(rng: random.Random):
     m = rng.randrange(0, 6)
     period = rng.uniform(8.0, 40.0)
     xs = sorted(rng.uniform(0.05, 0.45 * period) for _ in range(m))
-    scale = 2.0 * math.pi / period
-    return rmt.ScaledSpectrum(
-        angles=tuple(x * scale for x in xs),
-        scaled=tuple(xs),
-        forced_zero=group == "SOodd",
-        period=period,
-        group=group,
-    )
+    return rmt.ScaledSpectrum(scaled=tuple(xs), period=period, group=group)
 
 
 @dataclass(frozen=True)

@@ -68,11 +68,11 @@ class TestMainTerms:
             family.main_term_spin(0)
 
     def test_std_leading_terms(self):
-        assert family.main_term_std(1) == family.StdMainTerm(1.0, 0.0)
-        assert family.main_term_std(5) == family.StdMainTerm(0.0, 0.2)
-        assert family.main_term_std(25) == family.StdMainTerm(1.0, 0.2)
-        assert family.main_term_std(4) == family.StdMainTerm(1.0, 0.5)
-        assert family.main_term_std(6) == family.StdMainTerm(0.0, 0.5)
+        assert family.main_term_std(1) == 1.0
+        assert family.main_term_std(5) == 0.0
+        assert family.main_term_std(25) == 1.0
+        assert family.main_term_std(4) == 1.0
+        assert family.main_term_std(6) == 0.0
 
 
 class TestGeneration:
@@ -184,8 +184,8 @@ class TestAverages:
     def test_std_average_stays_in_band(self):
         fam = _family(forms=20000)
         report = family.average_coefficient(fam, 4, "std")
-        band = family.main_term_std(4).band
-        assert abs(report.estimate - report.prediction) < band \
+        # the unmodeled degree-one term is at most 1/min(p | m) = 0.5
+        assert abs(report.estimate - report.prediction) < 0.5 \
             + 4.0 * report.stderr
 
 
@@ -325,7 +325,7 @@ class TestOutputs:
         spec = family.FamilySpec(primes=(2, 5), forms=forms, seed=0)
         points = {2: np.column_stack([planted, planted[::-1]]),
                   5: np.column_stack([planted[3:] + planted[:3], planted])}
-        fam = family.Family(spec, points, [1, -1] * 3 + [1])
+        fam = family.Family(spec, points, np.array([1, -1] * 3 + [1]))
         got = _csv_lines(family.write_family_csv, fam)
         assert got == _csv_lines(reference_family_csv, fam)
         assert got[1] == "0,2,-0.0,1.9999999999999998,1\n"

@@ -36,7 +36,7 @@ class TestOmega:
 class TestLevelData:
     def test_unit_level(self):
         lvl = _level(1)
-        assert (lvl.n, lvl.factorization, lvl.omega) == (1, (), 0)
+        assert (lvl.n, lvl.factorization, pm.omega(lvl.n)) == (1, (), 0)
         assert lvl.divisors() == (1,)
 
     def test_composite_levels(self):

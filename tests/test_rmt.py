@@ -19,14 +19,7 @@ def _spec(group, size, samples, seed=20260822):
 
 
 def _soodd_spectrum(xs, period):
-    scale = 2.0 * math.pi / period
-    return rmt.ScaledSpectrum(
-        angles=tuple(x * scale for x in xs),
-        scaled=tuple(xs),
-        forced_zero=True,
-        period=period,
-        group="SOodd",
-    )
+    return rmt.ScaledSpectrum(scaled=tuple(xs), period=period, group="SOodd")
 
 
 def _model_spectrum(group, size, seed, index):
@@ -37,9 +30,7 @@ def _model_spectrum(group, size, seed, index):
     else:
         angles = rmt._jacobi_angles(group, size, seed, [index])[0]
     return rmt.ScaledSpectrum(
-        angles=tuple(angles.tolist()),
         scaled=tuple((angles * (period / (2.0 * math.pi))).tolist()),
-        forced_zero=group == "SOodd",
         period=period,
         group=group,
     )
@@ -80,10 +71,8 @@ class TestHaarSampling:
 
     def test_mixture_alternates_parity(self):
         spec = _spec("O", 4, 4)
-        groups = [rmt._sample_group_for_index(spec, i) for i in range(4)]
-        assert groups == ["SOeven", "SOodd"] * 2
-        assert haar_batch(groups[0], 4, spec.seed, [0])[0].shape == (8, 8)
-        assert haar_batch(groups[1], 4, spec.seed, [1])[0].shape == (9, 9)
+        assert haar_batch("SOeven", 4, spec.seed, [0])[0].shape == (8, 8)
+        assert haar_batch("SOodd", 4, spec.seed, [1])[0].shape == (9, 9)
 
     def test_single_sample_matches_batch(self):
         batch = haar_batch("SOeven", 5, 20260822, range(8))
@@ -316,35 +305,32 @@ class TestScaledSpectrum:
     def test_even_orthogonal_structure(self):
         s = rmt.scaled_spectrum(haar_batch("SOeven", 6, 20260822, [0])[0],
                                 "SOeven")
-        assert len(s.angles) == 6
+        assert len(s.scaled) == 6
         assert s.period == 11.0
         assert not s.forced_zero
         assert s.reflect
-        assert all(0.0 <= a <= math.pi for a in s.angles)
-        assert list(s.angles) == sorted(s.angles)
-        assert_allclose(s.scaled,
-                        [a * 11.0 / (2.0 * math.pi) for a in s.angles],
-                        rtol=1e-14)
+        assert all(0.0 <= x <= 11.0 / 2.0 for x in s.scaled)
+        assert list(s.scaled) == sorted(s.scaled)
 
     def test_odd_orthogonal_forced_zero(self):
         s = rmt.scaled_spectrum(haar_batch("SOodd", 5, 20260822, [0])[0],
                                 "SOodd")
-        assert len(s.angles) == 5
+        assert len(s.scaled) == 5
         assert s.period == 10.0
         assert s.forced_zero
 
     def test_symplectic_structure(self):
         s = rmt.scaled_spectrum(haar_batch("USp", 4, 20260822, [0])[0], "USp")
-        assert len(s.angles) == 4
+        assert len(s.scaled) == 4
         assert s.period == 9.0
         assert not s.forced_zero
 
     def test_unitary_full_circle(self):
         s = rmt.scaled_spectrum(haar_batch("U", 5, 20260822, [0])[0], "U")
-        assert len(s.angles) == 5
+        assert len(s.scaled) == 5
         assert s.period == 5.0
         assert not s.reflect
-        assert all(0.0 <= a < 2.0 * math.pi for a in s.angles)
+        assert all(0.0 <= x < 5.0 for x in s.scaled)
 
     def test_missing_unit_eigenvalue_detected(self):
         c, sn = math.cos(0.3), math.sin(0.3)
@@ -513,8 +499,7 @@ class TestStatistic:
                         == brute_d_n(spectrum, phis, include))
 
     def test_empty_spectrum(self):
-        s = rmt.ScaledSpectrum(angles=(), scaled=(), forced_zero=False,
-                               period=10.0, group="U")
+        s = rmt.ScaledSpectrum(scaled=(), period=10.0, group="U")
         for n in (1, 2, 3):
             assert rmt.d_n_statistic(s, [FEJER(0.5)] * n, True) == 0.0
 
@@ -587,26 +572,30 @@ class TestEnsembleAverage:
         assert payload["beta"] == [0.5]
         assert payload["statistic"] == "D1"
 
-    def test_mixture_alternates_groups(self):
-        spec = _spec("O", 4, 6)
+    @pytest.mark.parametrize("samples", [1, 5, 20])
+    def test_mixture_alternates_groups(self, samples):
+        # one sample leaves no SOodd rows; an odd count one more SOeven
+        spec = _spec("O", 4, samples)
         spectra = rmt._spectra(spec)
         rmt.clear_spectrum_cache()
-        assert list(spectra) == ["SOeven", "SOodd"]
-        for group, indices in (("SOeven", (0, 2, 4)), ("SOodd", (1, 3, 5))):
-            scaled, _ = spectra[group]
-            assert scaled.shape == (3, 4)
+        indices = {"SOeven": range(0, samples, 2),
+                   "SOodd": range(1, samples, 2)}
+        assert list(spectra) == ["SOeven", "SOodd"][:samples]
+        for group, (scaled, _) in spectra.items():
+            assert scaled.shape == (len(indices[group]), 4)
             assert not scaled.flags.writeable
-            for row, i in zip(scaled, indices):
+            for row, i in zip(scaled, indices[group]):
                 single = _model_spectrum(group, 4, spec.seed, i)
                 assert single.scaled == tuple(row.tolist())
 
+    @pytest.mark.parametrize("samples", [1, 5, 20])
     @pytest.mark.parametrize("include_zero", [True, False])
     def test_mixture_mean_matches_one_spectrum_path(self, include_zero,
-                                                    monkeypatch):
+                                                    samples, monkeypatch):
         # the array path against the public one-spectrum path, with
-        # blocks of 7 and 3 rows per group
+        # blocks of at most 7 rows per group
         monkeypatch.setattr(rmt, "_CHUNK", 7)
-        spec = _spec("O", 5, 20)
+        spec = _spec("O", 5, samples)
         phis = [FEJER(0.3), FEJER(0.25), FEJER(0.2)]
         report = rmt.ensemble_average(spec, phis, include_zero)
         rmt.clear_spectrum_cache()
