@@ -21,6 +21,7 @@ import numpy as np
 from . import measures
 from .hecke import (FormShape, _factorize, spin_coeff_grid,
                     spin_root_number_level_one, std_coeff_grid)
+from .summary import _mean_stderr, _z_against
 
 __all__ = [
     "EPSILON_RULES",
@@ -135,29 +136,6 @@ def coefficient_values(family: Family, m: int, which: str = "spin"):
                 else std_coeff_grid(a, b, v))
         vals = vals * grid[v]
     return vals
-
-
-def _mean_stderr(values):
-    """Mean and standard error from exactly rounded sums.
-
-    The squares come from the C library's pow, as Python's float `**`
-    computes them; `x * x` can differ from pow in the last bit, and so
-    move a reported error."""
-    arr = np.asarray(values, dtype=float).ravel()
-    n = arr.size
-    mean = math.fsum(arr.tolist()) / n
-    if n > 1:
-        var = math.fsum(np.float_power(arr - mean, 2.0).tolist()) / (n - 1)
-        stderr = math.sqrt(var / n)
-    else:
-        stderr = 0.0
-    return mean, stderr
-
-
-def _z_against(mean, stderr, prediction):
-    if stderr > 0.0:
-        return (mean - prediction) / stderr
-    return 0.0 if mean == prediction else math.inf
 
 
 @dataclass(frozen=True)

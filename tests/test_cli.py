@@ -199,9 +199,10 @@ class TestParseErrors:
 
 
 class TestImportPath:
-    """No command loads scipy.
+    """No command loads scipy, and `rmt` loads no family-side module.
 
-    Each case runs in a subprocess, because this one has scipy loaded.
+    Each case runs in a subprocess, because this one has scipy and every
+    lowlying module loaded.
     """
 
     @staticmethod
@@ -212,6 +213,17 @@ class TestImportPath:
                               text=True)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.split()[-1] == "True"
+
+    def test_rmt_loads_no_family_modules(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, lowlying.rmt\nprint(*sys.modules)"],
+            cwd=tmp_path, env=cli_env("1"), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "lowlying.rmt" in loaded
+        assert not loaded & {"lowlying.family", "lowlying.measures",
+                             "lowlying.hecke"}
 
     def test_importing_every_module(self, tmp_path):
         assert not self.loads_scipy(

@@ -433,6 +433,46 @@ class TestPeriodizedValue:
             want = math.fsum(direct.tolist())
             assert abs(rmt.periodized_value(phi, period, x) - want) < 1e-7
 
+    @pytest.mark.parametrize("period", [59.0, 61.0])
+    @pytest.mark.parametrize("beta", [0.9, 0.45])
+    def test_matches_the_exactly_summed_series(self, beta, period):
+        # c_0 + 2 sum_k c_k cos(k t) by fsum, with each k t reduced
+        # exactly: |x| = num/den, so k t / (2 pi) is (k num mod
+        # period den) / (period den).  Clenshaw's recurrence on 2 cos(t)
+        # is 3e-14 off near t = 0
+        phi = FEJER(beta)
+        ks = np.arange(int(beta * period) + 2)
+        coeffs = (phi.fourier(ks / period) / period).tolist()
+        xs = np.concatenate([np.linspace(0.0, period / 2, 3001),
+                             [1e-9, period / 2 - 1e-9]])
+        got = rmt.periodized_value(phi, period, xs)
+        for x, value in zip(xs.tolist(), got.tolist()):
+            num, den = x.as_integer_ratio()
+            full = int(period) * den
+            terms = [coeffs[0]]
+            for k, c in enumerate(coeffs[1:], start=1):
+                r = k * num % full
+                terms.append(2.0 * c * math.cos(
+                    2.0 * math.pi * (min(r, full - r) / full)))
+            assert abs(value - math.fsum(terms)) < 2e-15
+
+    def test_scalar_and_array_calls_agree_bit_for_bit(self):
+        # brute_d_n evaluates one point per call and the statistic a block
+        # per call; at period 59 the recurrence switches form between
+        # period/4 and the next float up
+        period = 59.0
+        quarter = period / 4
+        xs = np.concatenate([
+            [0.0, period / 2, quarter, quarter - 1e-12, quarter + 1e-12,
+             -3.7, 1.5 * period],
+            np.nextafter(quarter, [0.0, period]),
+            np.linspace(0.01, period, 97)])
+        for beta in (0.9, 0.45):
+            phi = FEJER(beta)
+            whole = rmt.periodized_value(phi, period, xs)
+            for x, value in zip(xs.tolist(), whole.tolist()):
+                assert rmt.periodized_value(phi, period, x) == value
+
     def test_reflection_is_bit_identical(self):
         phi = FEJER(0.7)
         for x in (0.25, 1.3, 4.9):
