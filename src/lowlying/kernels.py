@@ -80,13 +80,10 @@ class TestFunction:
     # -- Fourier side -------------------------------------------------
 
     def fourier(self, u):
-        """Transform value(s) at u; even, zero outside [-beta, beta]."""
+        """Transform values at the points u; even, zero outside the band."""
         ua = np.abs(np.asarray(u, dtype=float))
-        out = np.where(ua <= self.beta + 1e-15,
-                       (-1.0 / self.beta) * ua + 1.0, 0.0)
-        if np.isscalar(u):
-            return float(out)
-        return out
+        return np.where(ua <= self.beta + 1e-15,
+                        (-1.0 / self.beta) * ua + 1.0, 0.0)
 
     @property
     def fourier_at_zero(self) -> float:
@@ -105,45 +102,10 @@ class TestFunction:
 
     def tail_terms(self):
         """phi(x) = (1 - cos 2 pi beta x) / (2 pi^2 beta x^2) for x > 0, as
-        a TrigSum."""
+        the triples (w, d, c) of Re sum c e^{i w x} x^-d."""
         c = 1.0 / (4.0 * math.pi ** 2 * self.beta)
         w = 2.0 * math.pi * self.beta
-        out = TrigSum()
-        out.add(-w, 2, -c)
-        out.add(0.0, 2, 2.0 * c)
-        out.add(w, 2, -c)
-        return out
-
-
-class TrigSum:
-    """Finite sum f(x) = Re sum_j c_j e^{i w_j x} x^{-d_j}.
-
-    Closed under products; integrable term by term on [T, infinity) via
-    sine/cosine integrals.  Terms are kept in a dict keyed by the
-    (frequency, power) pair, built in deterministic order.
-    """
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms or {})
-
-    def add(self, omega, d, c):
-        self.terms[omega, d] = self.terms.get((omega, d), 0.0 + 0.0j) + c
-
-    def __mul__(self, other):
-        out = TrigSum()
-        for (w1, d1), c1 in self.terms.items():
-            for (w2, d2), c2 in other.terms.items():
-                out.add(w1 + w2, d1 + d2, c1 * c2)
-        return out
-
-    def integral_from(self, T):
-        """Real value of int_T^inf f(x) dx (exact up to special functions)."""
-        total = 0.0 + 0.0j
-        for (w, d), c in sorted(self.terms.items()):
-            total += c * _e_integral(w, d, T)
-        if abs(total.imag) > 1e-10 * (1.0 + abs(total.real)):
-            raise ArithmeticError("tail integral has a non-real residue")
-        return total.real
+        return (-w, 2, -c), (0.0, 2, 2.0 * c), (w, 2, -c)
 
 
 def _sici(x):
@@ -256,21 +218,30 @@ _TAIL_PER_SPREAD = 1.0 / (0.8 ** -3 - 1.0)
 
 def _j1_value(phi, eps, half_width):
     """The integral over |x| <= half_width by panel quadrature and beyond
-    it by exact tails, and the sum of the absolute values of its terms."""
+    it by exact tails, and the sum of the absolute values of its terms.
+    The tails are the nine products of phi's tail terms with those of the
+    kernel diagonal 1 + eps sinc 2x, each integrated once."""
     nodes, weights = panel_grid(0.0, half_width, int(2 * half_width), 16)
     vals = phi.value(nodes) * (1.0 + eps * np.sinc(2.0 * nodes))
     core = (weights * vals).tolist()
-    # the kernel diagonal 1 + eps sinc 2x; sin 2 pi x = Re(-i e^{2 pi i x})
-    tail_sum = phi.tail_terms() * TrigSum({
-        (0.0, 0): 1.0, (2.0 * math.pi, 1): -0.25j * eps / math.pi,
-        (-2.0 * math.pi, 1): 0.25j * eps / math.pi})
+    # sin 2 pi x = Re(-i e^{2 pi i x})
+    diagonal = ((0.0, 0, 1.0), (2.0 * math.pi, 1, -0.25j * eps / math.pi),
+                (-2.0 * math.pi, 1, 0.25j * eps / math.pi))
+    tails = []
+    for w1, d1, c1 in phi.tail_terms():
+        for w2, d2, c2 in diagonal:
+            w, d = w1 + w2, d1 + d2
+            tails.append((w, d, c1 * c2 * _e_integral(w, d, half_width)))
+    tail = 0.0 + 0.0j
+    for _, _, t in sorted(tails, key=lambda t: t[:2]):
+        tail += t
+    if abs(tail.imag) > 1e-10 * (1.0 + abs(tail.real)):
+        raise ArithmeticError("tail integral has a non-real residue")
     # phi's own terms (power 2) first, then the cross terms (power 3):
     # the order fixes the rounding of the error's size
-    by_power = sorted(tail_sum.terms.items(), key=lambda term: term[0][1])
     size = math.fsum(map(abs, core)) + sum(
-        abs(c * _e_integral(w, d, half_width)) for (w, d), c in by_power)
-    return (2.0 * (math.fsum(core) + tail_sum.integral_from(half_width)),
-            2.0 * size)
+        abs(t) for _, _, t in sorted(tails, key=lambda t: t[1]))
+    return 2.0 * (math.fsum(core) + tail.real), 2.0 * size
 
 
 @lru_cache(maxsize=64)

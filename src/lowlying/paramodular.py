@@ -44,6 +44,8 @@ class LevelData:
 
     @classmethod
     def from_level(cls, n: int) -> "LevelData":
+        if int(n) != n:
+            raise ValueError("level must be an integer, got %r" % (n,))
         return cls(int(n))
 
     def __post_init__(self):

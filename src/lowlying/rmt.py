@@ -83,6 +83,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.group not in GROUPS:
             raise ValueError("group must be one of %s" % (GROUPS,))
+        if any(int(v) != v for v in (self.size, self.samples, self.seed)):
+            raise ValueError("size, samples and seed must be integers")
         if self.size < 2:
             raise ValueError("size parameter must be at least 2")
         if self.samples < 1:
@@ -104,21 +106,11 @@ class ScaledSpectrum:
 
     `scaled` holds the independent eigenangles in [0, pi], or [0, 2 pi)
     for U (forced zero angles excluded), multiplied by period/(2 pi).
-    `forced_zero` records whether the group forces an angle at zero,
-    `reflect` whether each angle stands for a conjugate pair.
     """
 
     scaled: tuple
     period: float
     group: str
-
-    @property
-    def forced_zero(self) -> bool:
-        return self.group == "SOodd"
-
-    @property
-    def reflect(self) -> bool:
-        return self.group != "U"
 
 
 class EigenSolverError(RuntimeError):

@@ -214,14 +214,16 @@ def brute_d_n(spectrum, phis, include_zero):
     """Sum over signed index tuples with pairwise distinct magnitudes.
 
     Products are taken in slot order, so every individual term is the
-    same float the production code folds into its term list.
+    same float the production code folds into its term list.  Every group
+    but U pairs each angle with its conjugate, and SOodd alone forces an
+    angle at zero.
     """
     points = {}
     for j, x in enumerate(spectrum.scaled, start=1):
         points[j] = x
-        if spectrum.reflect:
+        if spectrum.group != "U":
             points[-j] = -x
-    if include_zero and spectrum.forced_zero:
+    if include_zero and spectrum.group == "SOodd":
         points[0] = 0.0
     values = {
         idx: [rmt.periodized_value(phi, spectrum.period, x) for phi in phis]

@@ -52,6 +52,11 @@ class TestLevelData:
         with pytest.raises(ValueError):
             _level(0)
 
+    @pytest.mark.parametrize("n", [6.5, 2.9, 30.000001])
+    def test_rejects_non_integral_level(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            _level(n)
+
 
 class TestDimensionMainTerms:
     def test_weight_four_level_one(self):

@@ -300,6 +300,13 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             rmt.EnsembleSpec(group="U", size=4, samples=0, seed=0)
 
+    @pytest.mark.parametrize("size, samples, seed", [
+        (2.5, 3, 0), (4, 3.5, 0), (4, 3, 0.5)])
+    def test_rejects_non_integral_fields(self, size, samples, seed):
+        with pytest.raises(ValueError, match="integers"):
+            rmt.EnsembleSpec(group="U", size=size, samples=samples,
+                             seed=seed)
+
 
 class TestScaledSpectrum:
     def test_even_orthogonal_structure(self):
@@ -307,8 +314,6 @@ class TestScaledSpectrum:
                                 "SOeven")
         assert len(s.scaled) == 6
         assert s.period == 11.0
-        assert not s.forced_zero
-        assert s.reflect
         assert all(0.0 <= x <= 11.0 / 2.0 for x in s.scaled)
         assert list(s.scaled) == sorted(s.scaled)
 
@@ -317,19 +322,16 @@ class TestScaledSpectrum:
                                 "SOodd")
         assert len(s.scaled) == 5
         assert s.period == 10.0
-        assert s.forced_zero
 
     def test_symplectic_structure(self):
         s = rmt.scaled_spectrum(haar_batch("USp", 4, 20260822, [0])[0], "USp")
         assert len(s.scaled) == 4
         assert s.period == 9.0
-        assert not s.forced_zero
 
     def test_unitary_full_circle(self):
         s = rmt.scaled_spectrum(haar_batch("U", 5, 20260822, [0])[0], "U")
         assert len(s.scaled) == 5
         assert s.period == 5.0
-        assert not s.reflect
         assert all(0.0 <= x < 5.0 for x in s.scaled)
 
     def test_missing_unit_eigenvalue_detected(self):

@@ -393,3 +393,92 @@ def test_every_dataclass_field_has_a_reader_outside_tests():
     outside = [path.read_text() for path in sorted(BENCH.glob("*.py")) + [
         pathlib.Path(__file__).parent / "test_acceptance.py"]]
     assert unread_fields(_MODULES, outside) == UNREAD_FIELDS
+
+
+def _top_level_names(source):
+    """Names a module binds at its top level: definitions, assignments
+    and imports."""
+    names = {name for names, _ in definitions(source) for name in names}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+    return names
+
+
+def constant_fields(modules):
+    """"Class.field" for each field of a dataclass in `modules` (short
+    name -> source) that every construction in them sets to one constant,
+    counting the defaults it inherits.  A constant is an expression that
+    loads no name but its module's top-level ones, such as a literal, a
+    module-level name, or a call of a module-level class on literals."""
+    trees = {mod: ast.parse(source) for mod, source in modules.items()}
+    tops = {mod: _top_level_names(source) for mod, source in modules.items()}
+    classes = {}  # name -> (field names, {field: default's constant})
+    values = {}  # "Class.field" -> set of constants, None if not constant
+
+    def constant(expr, mod):
+        if all(n.id in tops[mod] for n in ast.walk(expr)
+               if isinstance(n, ast.Name)):
+            return ast.dump(expr)
+        return None
+
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and any(
+                    _decorator_name(d) == "dataclass"
+                    for d in cls.decorator_list):
+                stmts = [s for s in cls.body if isinstance(s, ast.AnnAssign)]
+                classes[cls.name] = (
+                    [s.target.id for s in stmts],
+                    {s.target.id: constant(s.value, mod)
+                     for s in stmts if s.value is not None})
+    for mod, tree in trees.items():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name not in classes:
+                continue
+            fields, defaults = classes[name]
+            given = dict(zip(fields, call.args))
+            given.update((k.arg, k.value) for k in call.keywords)
+            opaque = None in given or any(isinstance(a, ast.Starred)
+                                          for a in call.args)
+            for field in fields:
+                key = "%s.%s" % (name, field)
+                if opaque:
+                    value = None
+                elif field in given:
+                    value = constant(given[field], mod)
+                else:
+                    value = defaults.get(field)
+                values.setdefault(key, set()).add(value)
+    return sorted(key for key, seen in values.items()
+                  if len(seen) == 1 and None not in seen)
+
+
+def test_constant_field_scan_finds_planted_fields():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "from .x import Shape\nNOTE = 'n'\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    note: str\n"
+        "    shape: object = Shape(4, 3)\n    y: int = 0\n    z: int = 0\n"
+        "@dataclasses.dataclass\nclass B:\n    u: int\n"
+        "@dataclass\nclass C:\n    v: int\n"
+        "def f(v, args, kw):\n    A(v, NOTE, z=1)\n"
+        "    m.A(x=2, note=NOTE, y=v, z=1)\n"
+        "    B(*args)\n    B(u=1)\n    C(**kw)\n    C(1)\n"
+        "    return A(v, 'n' if v else NOTE, z=1)\n")
+    assert constant_fields({"m": source}) == ["A.shape", "A.z"]
+    assert constant_fields({"m": source.replace(
+        "'n' if v else NOTE", "NOTE")}) == ["A.note", "A.shape", "A.z"]
+
+
+# dataclass fields that every construction in the package sets to one
+# constant; this list may only stay empty
+CONSTANT_FIELDS = []
+
+
+def test_no_dataclass_field_holds_one_constant():
+    assert constant_fields(_MODULES) == CONSTANT_FIELDS
