@@ -44,13 +44,6 @@ def _numeric_error_types():
     return (EnvelopeViolation, RejectionBudgetError, QuadratureError)
 
 
-def _domain_error_types():
-    # a support violation means the requested test functions are outside
-    # the command's admissible range: a caller mistake, not a numeric one
-    from lowlying.kernels import SupportViolation
-    return (SupportViolation, ValueError, KeyError)
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -80,14 +73,6 @@ def _to_int(raw):
         return int(raw)
     except ValueError:
         raise UsageError("expected an integer, got %r" % (raw,))
-
-
-def _to_seed(raw):
-    # rng keys streams by the seed mod 2^64, so only these seeds are distinct
-    value = _to_int(raw)
-    if not 0 <= value < 2 ** 64:
-        raise UsageError("seed must be in [0, 2^64), got %d" % (value,))
-    return value
 
 
 def _to_float(raw):
@@ -192,11 +177,16 @@ def _finite_json(value):
     return value
 
 
-def _write_json(path, payload):
-    text = json.dumps(_finite_json(payload), sort_keys=True, indent=2,
+def _finish(args, path, ok, payload):
+    """Write `payload`, the command, its configuration and `ok` as "pass"
+    to `path` in strict, sorted JSON; return the exit code for `ok`."""
+    record = dict(payload, command=args.command, config=_echo(args))
+    record["pass"] = ok
+    text = json.dumps(_finite_json(record), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +237,12 @@ def _cmd_density(args):
                 fh.writelines("%r,%r,%r\n" % (x, y, d)
                               for y, d in zip(ys, row))
     err = abs(mass - 1.0)
-    ok = err < args.tol
-    _write_json(args.out + ".json", {
-        "command": "density",
-        "config": _echo(args),
+    return _finish(args, args.out + ".json", err < args.tol, {
         "p": args.p,
         "grid": args.grid,
         "normalization": mass,
         "normalization_error": err,
-        "pass": ok,
     })
-    return 0 if ok else 1
 
 
 def _cmd_moments(args):
@@ -271,36 +256,26 @@ def _cmd_moments(args):
     if len(set(args.primes)) != len(args.primes):
         raise UsageError("primes must be distinct, got %s" % (args.primes,))
     args.primes = sorted(args.primes)
-    for p in args.primes:
-        measures.check_prime(p)
+    # checks every prime before any quadrature
+    specs = [measures.vertical_measure(p) for p in args.primes]
     rows = []
-    all_ok = True
-    for p in args.primes:
-        spec = measures.vertical_measure(p)
+    for p, spec in zip(args.primes, specs):
         for n in range(1, args.nmax + 1):
             quad = float(measures.integrate(
                 spec, lambda x, y, _n=n: hecke.spin_coeff_grid(x, y, _n)[_n],
                 tol=target))
             prediction = family_mod.main_term_spin(p ** n)
             err = abs(quad - prediction)
-            ok = err < args.tol
-            all_ok = all_ok and ok
             rows.append({
                 "p": p,
                 "n": n,
                 "quadrature": quad,
                 "prediction": prediction,
                 "abs_err": err,
-                "pass": ok,
+                "pass": err < args.tol,
             })
-    _write_json(args.out, {
-        "command": "moments",
-        "config": _echo(args),
-        "tol": args.tol,
-        "rows": rows,
-        "pass": all_ok,
-    })
-    return 0 if all_ok else 1
+    return _finish(args, args.out, all(row["pass"] for row in rows),
+                   {"tol": args.tol, "rows": rows})
 
 
 def _cmd_rmt(args):
@@ -308,21 +283,12 @@ def _cmd_rmt(args):
 
     spec = rmt.EnsembleSpec(group=args.group, size=args.size,
                             samples=args.samples, seed=args.seed)
-    if len(args.beta) > 3:
-        raise UsageError("rmt takes at most 3 --beta values (its n-level "
-                         "statistic builds a size^n index mask), got %d"
-                         % len(args.beta))
     phis = [kernels.fejer_test_function(b) for b in args.beta]
     report = rmt.ensemble_average(spec, phis, args.include_zero)
-    ok = abs(report.z_score) < args.zmax
-    _write_json(args.out, {
-        "command": "rmt",
-        "config": _echo(args),
+    return _finish(args, args.out, abs(report.z_score) < args.zmax, {
         "report": report.to_json_dict(),
         "zmax": args.zmax,
-        "pass": ok,
     })
-    return 0 if ok else 1
 
 
 def _check_in_window(what, m, primes):
@@ -364,25 +330,20 @@ def _cmd_family(args):
                                             args.joint_degree)
     ok = all(abs(r.z_score) < args.zmax for r in averages) \
         and joint.max_abs_z < args.zmax
-    split_payload = None
+    split = None
     if args.rule == "balanced":
         split = family_mod.plus_minus_split_test(fam, args.split_m)
         ok = ok and abs(split.plus.z_score) < args.zmax \
             and abs(split.minus.z_score) < args.zmax
-        split_payload = split.to_json_dict()
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             family_mod.write_family_csv(fam, fh)
-    _write_json(args.out, {
-        "command": "family",
-        "config": _echo(args),
+    return _finish(args, args.out, ok, {
         "averages": [r.to_json_dict() for r in averages],
         "joint": joint.to_json_dict(),
-        "split": split_payload,
+        "split": split.to_json_dict() if split else None,
         "zmax": args.zmax,
-        "pass": ok,
     })
-    return 0 if ok else 1
 
 
 def _cmd_dims(args):
@@ -404,14 +365,8 @@ def _cmd_dims(args):
                 float(r.newform_main_term), float(r.c)))
     c_ok = all(r.c == 1 if r.level.n == 1
                else Fraction(1) < r.c < Fraction(5) for r in reports)
-    _write_json(args.out + ".json", {
-        "command": "dims",
-        "config": _echo(args),
-        "rows": len(reports),
-        "c_bound_pass": c_ok,
-        "pass": c_ok,
-    })
-    return 0 if c_ok else 1
+    return _finish(args, args.out + ".json", c_ok,
+                   {"rows": len(reports), "c_bound_pass": c_ok})
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +420,12 @@ def build_parser():
         nmax=(_to_int, 6), tol=(_to_positive, 1e-6))
     add("rmt", "ensemble statistic against its kernel prediction",
         _cmd_rmt, group=(str, None), size=(_to_int, 30),
-        samples=(_to_int, 20000), seed=(_to_seed, 20260822),
+        samples=(_to_int, 20000), seed=(_to_int, 20260822),
         beta=(_list_of(_to_float), [0.9]), include_zero=(_to_bool, True),
         zmax=(_to_positive, 3.0))
     add("family", "synthetic family averages, joint moments, sign split",
         _cmd_family, primes=(_list_of(_to_int), [2, 3, 5]),
-        forms=(_to_int, 100000), seed=(_to_seed, 20260822),
+        forms=(_to_int, 100000), seed=(_to_int, 20260822),
         rule=(str, "balanced"),
         m=(_list_of(_to_int), [1, 2, 4, 9, 12, 36]),
         joint_primes=(_list_of(_to_int), None), joint_degree=(_to_int, 2),
@@ -497,7 +452,9 @@ def main(argv=None) -> int:
     except _numeric_error_types() as exc:
         print("numeric failure: %s" % (exc,), file=sys.stderr)
         return 3
-    except _domain_error_types() as exc:
+    except (ValueError, KeyError) as exc:
+        # a kernels.SupportViolation is a ValueError too: test functions
+        # outside the command's admissible range are a caller mistake
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
     except OSError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 from . import measures
 from .hecke import (_factorize, spin_coeff_grid, spin_root_number_level_one,
                     std_coeff_grid)
-from .summary import _mean_stderr, _z_against
+from .summary import _check_seed, _integer, _mean_stderr, _z_against
 
 __all__ = [
     "EPSILON_RULES",
@@ -70,10 +70,12 @@ class FamilySpec:
             raise ValueError("need at least one prime")
         if len(set(primes)) != len(primes):
             raise ValueError("primes must be distinct")
-        if any(int(v) != v for v in (self.forms, self.seed)):
-            raise ValueError("forms and seed must be integers")
+        for name in ("forms", "seed"):
+            object.__setattr__(self, name, _integer(
+                getattr(self, name), "forms and seed must be integers"))
         if self.forms < 1:
             raise ValueError("forms must be >= 1")
+        _check_seed(self.seed)
         if self.epsilon_rule not in EPSILON_RULES:
             raise ValueError("epsilon_rule must be one of %s"
                              % (EPSILON_RULES,))
@@ -121,9 +123,6 @@ def generate_family(spec: FamilySpec) -> Family:
 
 def coefficient_values(family: Family, m: int):
     """Per-form spin coefficient at m, vectorized over the family."""
-    if int(m) != m or m < 1:
-        raise ValueError("m must be an integer >= 1, got %r" % (m,))
-    m = int(m)
     vals = np.ones(len(family))
     for p, v in sorted(_factorize(m).items()):
         if p not in family.points:
@@ -155,14 +154,18 @@ class AverageReport:
         }
 
 
-def average_coefficient(family: Family, m: int) -> AverageReport:
-    """Ensemble mean and standard error of the spin coefficient at m."""
-    vals = coefficient_values(family, m)
+def _average(m, vals) -> AverageReport:
+    """The report on `vals`, the spin coefficients at an m already checked."""
     mean, stderr = _mean_stderr(vals)
     prediction = main_term_spin(m)
     return AverageReport(m=int(m), estimate=mean, stderr=stderr,
                          prediction=prediction,
                          z_score=_z_against(mean, stderr, prediction))
+
+
+def average_coefficient(family: Family, m: int) -> AverageReport:
+    """Ensemble mean and standard error of the spin coefficient at m."""
+    return _average(m, coefficient_values(family, m))
 
 
 def main_term_spin(m: int) -> float:
@@ -173,9 +176,6 @@ def main_term_spin(m: int) -> float:
     sum 1 + p^-2 + ... + p^-v.  Evaluated in exact rationals, then
     rounded once.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
     fac = _factorize(m)
     if any(v % 2 for v in fac.values()):
         return 0.0
@@ -257,6 +257,7 @@ def joint_sato_tate_test(family: Family, primes_subset,
     jointly equidistributed for the product measure.
     """
     primes = tuple(measures.check_prime(p) for p in primes_subset)
+    max_degree = _integer(max_degree, "max_degree must be an integer")
     if len(set(primes)) != len(primes):
         raise ValueError("primes_subset must be distinct")
     for p in primes:
@@ -292,7 +293,7 @@ def joint_sato_tate_test(family: Family, primes_subset,
             prediction=prediction,
             z_score=_z_against(mean, stderr, prediction)))
     max_abs_z = max(abs(e.z_score) for e in entries)
-    return JointMomentReport(primes=primes, max_degree=int(max_degree),
+    return JointMomentReport(primes=primes, max_degree=max_degree,
                              entries=tuple(entries), max_abs_z=max_abs_z)
 
 
@@ -324,22 +325,16 @@ def plus_minus_split_test(family: Family, m: int) -> SplitReport:
     if family.spec.epsilon_rule != "balanced":
         raise ValueError("split test needs the balanced sign rule")
     vals = coefficient_values(family, m)
-    prediction = main_term_spin(m)
     reports = {}
-    counts = {}
     for sign, tag in ((1, "plus"), (-1, "minus")):
         sub = vals[family.epsilons == sign]
         if not len(sub):
             raise ValueError("the %s sign class is empty" % tag)
-        counts[tag] = len(sub)
-        mean, stderr = _mean_stderr(sub)
-        reports[tag] = AverageReport(
-            m=int(m), estimate=mean, stderr=stderr,
-            prediction=prediction,
-            z_score=_z_against(mean, stderr, prediction))
-    balance = abs(counts["plus"] - counts["minus"]) / len(family)
-    return SplitReport(m=int(m), plus=reports["plus"], minus=reports["minus"],
-                       balance=balance)
+        reports[tag] = _average(m, sub)
+    # the signs are +-1, so their sum is the plus count less the minus one
+    balance = abs(int(family.epsilons.sum())) / len(family)
+    return SplitReport(m=reports["plus"].m, plus=reports["plus"],
+                       minus=reports["minus"], balance=balance)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .summary import _integer
+
 __all__ = [
     "SpinSatake",
     "FormShape",
@@ -93,14 +95,17 @@ def std_coeff_grid(a, b, n_max):
 def spin_dirichlet_coeff(s: SpinSatake, n: int) -> float:
     """Coefficient at the n-th prime power: the complete homogeneous
     symmetric function of the four spin parameters."""
+    n = _integer(n, "n must be an integer")
     if n < 0:
         raise ValueError("n must be >= 0")
     return float(spin_coeff_grid(s.a, s.b, n)[n])
 
 
 def _factorize(m: int):
+    """{p: v} with m = prod p^v; checks every m and every level."""
+    m = _integer(m, "expected an integer >= 1")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ValueError("expected an integer >= 1, got %d" % (m,))
     out = {}
     d = 2
     while d * d <= m:
@@ -122,8 +127,9 @@ class FormShape:
     q: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.k1, int) and isinstance(self.k2, int)):
-            raise ValueError("weights must be integers")
+        for name in ("k1", "k2", "q"):
+            object.__setattr__(self, name, _integer(
+                getattr(self, name), "weights and level must be integers"))
         if not self.k1 >= self.k2 >= 3:
             raise ValueError("need k1 >= k2 >= 3, got (%r, %r)"
                              % (self.k1, self.k2))
@@ -138,6 +144,7 @@ def analytic_conductor(shape: FormShape) -> int:
 
 def spin_root_number_level_one(k2: int) -> int:
     """Functional-equation sign at level one: parity of the smaller weight."""
+    k2 = _integer(k2, "k2 must be an integer")
     if k2 < 3:
         raise ValueError("k2 must be >= 3")
     return -1 if k2 % 2 else 1

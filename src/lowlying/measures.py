@@ -18,6 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .quadrature import adaptive_tensor
+from .summary import _integer
 
 __all__ = [
     "MeasureSpec",
@@ -40,9 +41,9 @@ class RejectionBudgetError(RuntimeError):
 
 def check_prime(p):
     """Validate a prime modulus by trial division (inputs are small)."""
-    n = int(p)
-    if n != p or n < 2:
-        raise ValueError("p must be a prime >= 2, got %r" % (p,))
+    n = _integer(p, "p must be a prime >= 2")
+    if n < 2:
+        raise ValueError("p must be a prime >= 2, got %d" % (n,))
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -136,6 +137,7 @@ def sample_array(spec: MeasureSpec, seed, count):
     own (index, attempt) substream, so the result is independent of
     batching.
     """
+    count = _integer(count, "count must be an integer")
     if count < 1:
         raise ValueError("count must be >= 1")
     env = _envelope(spec)

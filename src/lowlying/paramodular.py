@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hecke import _factorize
+from .summary import _integer
 
 __all__ = [
     "LevelData",
@@ -30,9 +31,6 @@ __all__ = [
 
 def omega(m: int) -> int:
     """Number of distinct prime factors."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("argument must be >= 1")
     return len(_factorize(m))
 
 
@@ -44,13 +42,9 @@ class LevelData:
 
     @classmethod
     def from_level(cls, n: int) -> "LevelData":
-        if int(n) != n:
-            raise ValueError("level must be an integer, got %r" % (n,))
-        return cls(int(n))
+        return cls(n)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("level must be >= 1")
         if any(v > 1 for v in _factorize(self.n).values()):
             raise ValueError("level must be square-free, got %d" % (self.n,))
 
@@ -70,8 +64,7 @@ class LevelData:
 
 
 def _weight_poly(k1: int, k2: int) -> int:
-    if not (isinstance(k1, int) and isinstance(k2, int)):
-        raise ValueError("weights must be integers")
+    k1, k2 = (_integer(k, "weights must be integers") for k in (k1, k2))
     if not k1 >= k2 >= 4:
         raise ValueError("dimension formulas need k1 >= k2 >= 4, got (%r, %r)"
                          % (k1, k2))
@@ -118,7 +111,7 @@ def pm_trace_split(trace_plain, trace_atkin_lehner, k2: int):
     weight.  Both halves are exact rationals, so plus + minus returns
     the plain trace without rounding.
     """
-    sign = -1 if int(k2) % 2 else 1
+    sign = -1 if _integer(k2, "k2 must be an integer") % 2 else 1
     plain = Fraction(trace_plain)
     signed = sign * Fraction(trace_atkin_lehner)
     return ((plain + signed) / 2, (plain - signed) / 2)

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import kernels, rng
 from .rng import normals
-from .summary import _mean_stderr, _z_against
+from .summary import _check_seed, _integer, _mean_stderr, _z_against
 
 __all__ = [
     "EnsembleSpec",
@@ -83,12 +83,15 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.group not in GROUPS:
             raise ValueError("group must be one of %s" % (GROUPS,))
-        if any(int(v) != v for v in (self.size, self.samples, self.seed)):
-            raise ValueError("size, samples and seed must be integers")
+        for name in ("size", "samples", "seed"):
+            object.__setattr__(self, name, _integer(
+                getattr(self, name),
+                "size, samples and seed must be integers"))
         if self.size < 2:
             raise ValueError("size parameter must be at least 2")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        _check_seed(self.seed)
 
 
 def _dimension(group: str, n: int) -> int:
@@ -619,6 +622,9 @@ def ensemble_average(spec: EnsembleSpec, phis,
                      include_zero: bool) -> EnsembleReport:
     """Mean, standard error, and z-score of the n-level statistic."""
     phis = list(phis)
+    if len(phis) > 3:  # `_distinct` masks all size^n index tuples
+        raise ValueError("the ensemble statistic takes at most 3 test "
+                         "functions, got %d" % len(phis))
     # validates n and the supports before any matrix is sampled
     prediction = prediction_for(spec.group, phis, include_zero)
     values = []

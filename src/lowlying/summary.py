@@ -1,11 +1,13 @@
 """Sample means, standard errors and z-scores, shared by the ensemble
-averages in `rmt` and the family averages in `family`.
+averages in `rmt` and the family averages in `family`, and the integer
+and seed rules of every library entry point.
 
-It imports only math and numpy, so `rmt` loads none of `family`,
-`measures` or `hecke`.
+It imports only the standard library and numpy, so `rmt` loads none of
+`family`, `measures` or `hecke`.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -31,3 +33,20 @@ def _z_against(mean, stderr, prediction):
     if stderr > 0.0:
         return (mean - prediction) / stderr
     return 0.0 if mean == prediction else math.inf
+
+
+def _integer(value, message):
+    """`value` as a Python int, by operator.index: Python and numpy
+    integers pass, and anything else, even the float 5.0, raises
+    ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s, got %r" % (message, value)) from None
+
+
+def _check_seed(seed):
+    # the random streams see a seed modulo 2^64, so one outside
+    # [0, 2^64) would silently repeat another seed's streams
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be in [0, 2^64), got %d" % (seed,))

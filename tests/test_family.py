@@ -58,6 +58,26 @@ def test_rejects_non_integral_inputs(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda fam: family.generate_family(family.FamilySpec((2,), 10.0, 1)),
+    lambda fam: family.FamilySpec((2,), 10, -1),
+    lambda fam: family.FamilySpec((2,), 10, 2 ** 64),
+    lambda fam: family.main_term_spin(4.5),
+    lambda fam: family.average_coefficient(fam, 4.0),
+    lambda fam: family.joint_sato_tate_test(fam, [2], 2.0)],
+    ids=["integral_float_forms", "negative_seed", "seed_past_64_bits",
+         "main_term_m", "integral_float_m", "integral_float_degree"])
+def test_rejects_before_sampling_and_quadrature(call, monkeypatch):
+    fam = _family(forms=5)
+
+    def ran(*args, **kwargs):
+        raise AssertionError("ran before validation")
+    monkeypatch.setattr(measures, "sample_array", ran)
+    monkeypatch.setattr(measures, "integrate", ran)
+    with pytest.raises(ValueError):
+        call(fam)
+
+
 class TestMainTerms:
     def test_spin_hand_values(self):
         assert family.main_term_spin(1) == 1.0

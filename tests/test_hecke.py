@@ -149,3 +149,19 @@ def test_shape_validation():
         H.FormShape(4, 2)
     with pytest.raises(ValueError):
         H.FormShape(4, 4, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: H.spin_root_number_level_one(10.5),
+    lambda: H.spin_dirichlet_coeff(H.SpinSatake(0.5, 1.0), 2.0),
+    lambda: H.FormShape(4, 3, 1.5)],
+    ids=["root_number_k2", "coefficient_power", "shape_level"])
+def test_rejects_every_float(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
+
+
+def test_shape_stores_numpy_integers_as_ints():
+    shape = H.FormShape(np.int64(5), np.int32(4), np.uint8(2))
+    assert (shape.k1, shape.k2, shape.q) == (5, 4, 2)
+    assert {type(v) for v in (shape.k1, shape.k2, shape.q)} == {int}

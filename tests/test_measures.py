@@ -71,6 +71,18 @@ def test_input_validation():
         M.density_mu_p(M.vertical_measure(2), 2.5, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: M.check_prime(2.0), lambda: M.vertical_measure(3.0),
+    lambda: M.sample_array(M.vertical_measure(2), 1, 3.0)],
+    ids=["check_prime", "vertical_measure", "sample_count"])
+def test_rejects_every_float_before_sampling(call, monkeypatch):
+    def drew(*args):
+        raise AssertionError("sampled before validation")
+    monkeypatch.setattr(M._rng, "uniforms", drew)
+    with pytest.raises(ValueError, match="prime|integer"):
+        call()
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 11, 101])
 def test_normalization(p):
     spec = M.vertical_measure(p)

@@ -52,10 +52,20 @@ class TestLevelData:
         with pytest.raises(ValueError):
             _level(0)
 
-    @pytest.mark.parametrize("n", [6.5, 2.9, 30.000001])
+    @pytest.mark.parametrize("n", [6.0, 6.5, 2.9, 30.000001])
     def test_rejects_non_integral_level(self, n):
         with pytest.raises(ValueError, match="integer"):
             _level(n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pm.LevelData(6.0), lambda: pm.LevelData(6.5),
+    lambda: pm.omega(6.5), lambda: pm.pm_trace_split(3, 1, 10.5)],
+    ids=["level_integral_float", "level_fraction", "omega",
+         "trace_split_k2"])
+def test_rejects_every_float(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
 
 
 class TestDimensionMainTerms:

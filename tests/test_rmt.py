@@ -1,5 +1,6 @@
 """Tests for Haar eigenangles on the compact groups and n-level statistics."""
 
+import json
 import math
 import random
 
@@ -306,6 +307,29 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError, match="integers"):
             rmt.EnsembleSpec(group="U", size=size, samples=samples,
                              seed=seed)
+
+    @pytest.mark.parametrize("fields, n", [
+        ({"size": 5.0}, 1), ({"seed": -1}, 1), ({"seed": 2 ** 64}, 1),
+        ({}, 4)], ids=["integral_float_size", "negative_seed",
+                       "seed_past_64_bits", "four_test_functions"])
+    def test_rejects_before_prediction_and_sampling(self, fields, n,
+                                                    monkeypatch):
+        def ran(*args):
+            raise AssertionError("ran before validation")
+        monkeypatch.setattr(rmt, "prediction_for", ran)
+        monkeypatch.setattr(rmt, "_spectra", ran)
+        given = dict({"group": "U", "size": 5, "samples": 10, "seed": 1},
+                     **fields)
+        with pytest.raises(ValueError):
+            rmt.ensemble_average(rmt.EnsembleSpec(**given),
+                                 [FEJER(0.2)] * n, True)
+
+    def test_stores_numpy_integers_as_ints(self):
+        spec = rmt.EnsembleSpec("U", np.int64(5), np.int32(10), np.uint64(1))
+        assert [type(v) for v in (spec.size, spec.samples, spec.seed)] \
+            == [int, int, int]
+        report = rmt.ensemble_average(spec, [FEJER(0.9)], True)
+        assert json.loads(json.dumps(report.to_json_dict()))["N"] == 5
 
 
 class TestScaledSpectrum:

@@ -77,6 +77,50 @@ def test_no_scipy_imports(path):
     assert scipy_imports(path.read_text()) == []
 
 
+def _int_call(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", "") \
+        == "int" and len(node.args) == 1
+
+
+def integer_checks(source):
+    """Line numbers of ad-hoc integer rules, which bypass
+    `summary._integer`: isinstance(x, int), int(x) compared with x, and
+    x = int(x)."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) \
+                and getattr(node.func, "id", "") == "isinstance" \
+                and any(getattr(n, "id", "") == "int"
+                        for n in ast.walk(node.args[-1])):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Compare):
+            sides = [node.left] + node.comparators
+            texts = {ast.unparse(s) for s in sides}
+            if any(_int_call(s) and ast.unparse(s.args[0]) in texts
+                   for s in sides):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Assign) and _int_call(node.value) \
+                and ast.unparse(node.value.args[0]) in map(ast.unparse,
+                                                          node.targets):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_planted_integer_checks():
+    source = ("def f(x, y, n, a):\n    if not isinstance(x, int):\n"
+              "        pass\n    if int(y) != y or y == int(y):\n"
+              "        pass\n    n = int(n)\n    k = int(y)\n"
+              "    isinstance(x, (float, int))\n    a.m = int(a.m)\n"
+              "    return isinstance(x, str), int(x) < y, k != int(y)\n")
+    assert integer_checks(source) == [2, 4, 6, 8, 9]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_integer_inputs_pass_one_rule(path):
+    assert integer_checks(path.read_text()) == []
+
+
 _DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear"}
 
 
