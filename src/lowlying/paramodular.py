@@ -45,6 +45,8 @@ class LevelData:
         return cls(n)
 
     def __post_init__(self):
+        object.__setattr__(self, "n",
+                           _integer(self.n, "level must be an integer"))
         if any(v > 1 for v in _factorize(self.n).values()):
             raise ValueError("level must be square-free, got %d" % (self.n,))
 
@@ -140,6 +142,7 @@ class DimensionReport:
 
 
 def dimension_report(k1: int, k2: int, level: LevelData) -> DimensionReport:
+    k1, k2 = (_integer(k, "weights must be integers") for k in (k1, k2))
     return DimensionReport(
         k1=k1,
         k2=k2,

@@ -2,6 +2,10 @@
 averages in `rmt` and the family averages in `family`, and the integer
 and seed rules of every library entry point.
 
+Means and variances are exactly rounded sums: `_exact_sum` returns the
+bits of math.fsum from exponent buckets that numpy fills exactly, a
+small superaccumulator in the sense of Neal (arXiv:1505.05571).
+
 It imports only the standard library and numpy, so `rmt` loads none of
 `family`, `measures` or `hecke`.
 """
@@ -12,17 +16,58 @@ import operator
 import numpy as np
 
 
+# frexp exponents of finite doubles lie in [-1073, 1024]; bucket
+# b = e + 1073 sums integer mantissas M, each standing for M * 2^(b - 1126)
+_EXP_OFFSET = 1073
+
+
+def _exact_sum(x):
+    """math.fsum(x.tolist()) of a 1-D float64 array, at array speed.
+
+    Each value is an integer mantissa M, |M| < 2^53, times 2^(e - 53).
+    M = high * 2^26 + low with |high| <= 2^27 and 0 <= low < 2^26, and
+    bincount adds each part into its exponent's bucket: with at most
+    2^26 values every partial sum is an integer of magnitude at most
+    2^53, so every bucket is exact.  The buckets meet as Python ints,
+    and one int true division rounds the exact total correctly, half to
+    even, as fsum does.  Non-finite entries, longer arrays, sums that could
+    overflow (where fsum raises OverflowError) and exact zeros (whose
+    sign is fsum's to choose) go to fsum itself.
+    """
+    n = x.size
+    if not n or n > 2 ** 26 or not np.isfinite(x).all():
+        return math.fsum(x.tolist())
+    mant, exp = np.frexp(x)
+    exp += _EXP_OFFSET
+    if int(exp.max()) - _EXP_OFFSET + n.bit_length() > 1023:
+        return math.fsum(x.tolist())
+    mant *= 2.0 ** 27
+    high = np.floor(mant)
+    mant -= high
+    mant *= 2.0 ** 26
+    high_sums = np.bincount(exp, weights=high)
+    low_sums = np.bincount(exp, weights=mant)
+    used = np.flatnonzero((high_sums != 0.0) | (low_sums != 0.0))
+    total = 0
+    for b, hi, lo in zip(used.tolist(), high_sums[used].tolist(),
+                         low_sums[used].tolist()):
+        total += ((int(hi) << 26) + int(lo)) << b
+    if not total:
+        return math.fsum(x.tolist())
+    return total / (1 << (_EXP_OFFSET + 53))
+
+
 def _mean_stderr(values):
-    """Mean and standard error from exactly rounded sums.
+    """Mean and standard error from exactly rounded sums (`_exact_sum`).
 
     The squares come from the C library's pow, as Python's float `**`
     computes them; `x * x` can differ from pow in the last bit, and so
     move a reported error."""
     arr = np.asarray(values, dtype=float).ravel()
     n = arr.size
-    mean = math.fsum(arr.tolist()) / n
+    mean = _exact_sum(arr) / n
     if n > 1:
-        var = math.fsum(np.float_power(arr - mean, 2.0).tolist()) / (n - 1)
+        var = _exact_sum(np.float_power(arr - mean, 2.0)) / (n - 1)
         stderr = math.sqrt(var / n)
     else:
         stderr = 0.0

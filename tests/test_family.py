@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import reference_family_csv
-from lowlying import family, hecke, measures
+from lowlying import family, hecke, measures, summary
 
 
 def _family(forms=30, seed=20260822, primes=(2, 3, 5), rule="balanced"):
@@ -355,6 +355,76 @@ def _square_sensitive_triple():
     x = next((x for x in xs if math.sqrt(x ** 2 / 3) != math.sqrt(x * x / 3)),
              xs[0])
     return [x, -x, 0.0]
+
+
+def _sum_outcome(total, x):
+    # the sum's bits, or the exception it raised
+    try:
+        return total(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _sweep_arrays(kind, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n = int(rng.integers(1, 2000))
+        signs = rng.choice([-1.0, 1.0], n)
+        if kind == "uniform":
+            yield rng.uniform(-1.0, 1.0, n)
+        elif kind == "power":
+            yield signs * rng.uniform(0.0, 1.0, n) ** 7
+        elif kind == "wide":
+            yield np.ldexp(signs * rng.uniform(0.5, 1.0, n),
+                           rng.integers(-1080, 900, n))
+        elif kind == "subnormal":
+            yield rng.integers(-2 ** 52, 2 ** 52, n) * 5e-324
+        else:
+            half = signs * rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(
+                -30, 30, n)
+            x = np.concatenate([half, -half])
+            rng.shuffle(x)
+            yield x
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("kind", ["uniform", "power", "wide",
+                                      "subnormal", "cancelling"])
+    def test_sweep_matches_fsum(self, kind):
+        for x in _sweep_arrays(kind, len(kind)):
+            assert (summary._exact_sum(x).hex()
+                    == math.fsum(x.tolist()).hex())
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0 ** -53],
+        [1.0 + 2.0 ** -52, 2.0 ** -53],
+        [-1.0, -(2.0 ** -53)],
+        [1.0] + [2.0 ** -60] * 128,
+        [1.0, 2.0 ** -53, 5e-324],
+        [3.0 * 2.0 ** 970, 2.0 ** 918]],
+        ids=["to_even_down", "to_even_up", "negative", "many_pieces",
+             "past_the_tie", "near_the_top"])
+    def test_ties_at_half_an_ulp(self, values):
+        x = np.array(values)
+        assert summary._exact_sum(x).hex() == math.fsum(values).hex()
+
+    @pytest.mark.parametrize("values", [
+        [-0.0], [0.0, -0.0], [5e-324, -5e-324], [],
+        [math.inf, 1.0], [-math.inf, -math.inf], [math.nan, 1.0],
+        [math.inf, -math.inf], [1e308, -1e308, 5.0]],
+        ids=["negative_zero", "signed_zeros", "tiny_cancel", "empty",
+             "inf", "minus_inf", "nan", "inf_minus_inf", "near_overflow"])
+    def test_special_values_follow_fsum(self, values):
+        x = np.array(values, dtype=float)
+        assert (_sum_outcome(summary._exact_sum, x)
+                == _sum_outcome(math.fsum, values))
+
+    def test_overflow_raises_as_fsum_does(self):
+        x = np.array([1e308, 1e308, -1e308])
+        with pytest.raises(OverflowError):
+            math.fsum(x.tolist())
+        with pytest.raises(OverflowError):
+            summary._exact_sum(x)
 
 
 class TestMeanStderr:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,6 +67,15 @@ class TestLevelData:
 def test_rejects_every_float(call):
     with pytest.raises(ValueError, match="integer"):
         call()
+
+
+def test_numpy_integers_are_stored_as_int():
+    level = pm.LevelData(np.int64(6))
+    report = pm.dimension_report(np.int64(5), np.int32(4), level)
+    assert type(level.n) is int
+    assert type(report.k1) is int
+    assert type(report.k2) is int
+    assert (level.n, report.k1, report.k2) == (6, 5, 4)
 
 
 class TestDimensionMainTerms:

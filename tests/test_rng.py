@@ -26,6 +26,32 @@ def test_philox_known_answers(ctr, key, expected):
     assert got == expected
 
 
+@pytest.mark.parametrize("size", [rng._BLOCK - 1, rng._BLOCK,
+                                  rng._BLOCK + 1])
+@pytest.mark.parametrize("ctr,key,expected", KAT)
+def test_philox_known_answers_across_block_edges(ctr, key, expected, size):
+    out = rng.philox4x32(key, tuple(np.full(size, c) for c in ctr))
+    for words, want in zip(out, expected):
+        assert words.shape == (size,)
+        assert np.all(words == want)
+
+
+def test_philox_broadcast_matches_per_address():
+    # counters laid out as uniforms lays them: (addresses, lanes)
+    index = np.arange(rng._BLOCK + 3, dtype=np.uint64)[:, None] * 977
+    lane = np.arange(3, dtype=np.uint64)
+    key = rng.stream_key(5, 2)
+    batch = rng.philox4x32(key, (index, np.uint64(7), np.uint64(1), lane))
+    for words in batch:
+        assert words.shape == (rng._BLOCK + 3, 3)
+    # the rows on either side of each block edge of the flat counters
+    edges = [k * rng._BLOCK // 3 for k in (1, 2, 3)]
+    for i in [0] + [e + d for e in edges for d in (-1, 0, 1)]:
+        single = rng.philox4x32(key, (index[i, 0], 7, 1, lane))
+        for b, s in zip(batch, single):
+            assert np.array_equal(b[i], s)
+
+
 def test_philox_vectorized_matches_scalar():
     ctrs = [(i, 7 * i + 1, 0, 3) for i in range(10)]
     batch = rng.philox4x32((123, 456), tuple(np.array(col) for col in zip(*ctrs)))
