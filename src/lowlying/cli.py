@@ -291,17 +291,6 @@ def _cmd_rmt(args):
     })
 
 
-def _check_in_window(what, m, primes):
-    """Reject m unless it is a positive product of the given primes."""
-    rest = m
-    for p in primes:
-        while rest > 0 and rest % p == 0:
-            rest //= p
-    if rest != 1:
-        raise UsageError("%s must be a positive product of the family "
-                         "primes %s, got %d" % (what, primes, m))
-
-
 def _cmd_family(args):
     from lowlying import family as family_mod
 
@@ -310,20 +299,10 @@ def _cmd_family(args):
     spec = family_mod.FamilySpec(primes=tuple(args.primes), forms=args.forms,
                                  seed=args.seed, epsilon_rule=args.rule)
     for m in args.m:
-        _check_in_window("m", m, args.primes)
-    if len(set(args.joint_primes)) != len(args.joint_primes) \
-            or not set(args.joint_primes) <= set(args.primes):
-        raise UsageError("joint primes must be distinct primes of the "
-                         "family window %s, got %s"
-                         % (args.primes, args.joint_primes))
-    if not 1 <= args.joint_degree <= 4:
-        raise UsageError("joint degree must be in 1..4, got %d"
-                         % args.joint_degree)
+        spec.factor(m)
+    spec.check_joint(args.joint_primes, args.joint_degree)
     if args.rule == "balanced":
-        _check_in_window("split m", args.split_m, args.primes)
-        if args.forms < 2:
-            raise UsageError("the balanced split needs at least 2 forms, "
-                             "got %d" % args.forms)
+        spec.check_split(args.split_m)
     fam = family_mod.generate_family(spec)
     averages = [family_mod.average_coefficient(fam, m) for m in args.m]
     joint = family_mod.joint_sato_tate_test(fam, args.joint_primes,
@@ -452,7 +431,7 @@ def main(argv=None) -> int:
     except _numeric_error_types() as exc:
         print("numeric failure: %s" % (exc,), file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         # a kernels.SupportViolation is a ValueError too: test functions
         # outside the command's admissible range are a caller mistake
         print("error: %s" % (exc,), file=sys.stderr)

@@ -56,7 +56,8 @@ _K2 = 3  # the smaller weight of the family's forms, of weights (4, 3)
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Prime window, family size, seed, and sign rule for a simulation."""
+    """Prime window, family size, seed, and sign rule for a simulation;
+    its methods check the requests on a family before it is sampled."""
 
     primes: tuple
     forms: int
@@ -79,6 +80,38 @@ class FamilySpec:
         if self.epsilon_rule not in EPSILON_RULES:
             raise ValueError("epsilon_rule must be one of %s"
                              % (EPSILON_RULES,))
+
+    def factor(self, m):
+        """{p: v} with m = prod p^v, for m a product of the window's primes."""
+        fac = _factorize(m)
+        if not fac.keys() <= set(self.primes):
+            raise ValueError("m must be a product of the family primes %s, "
+                             "got %d" % (self.primes, m))
+        return fac
+
+    def check_joint(self, primes, max_degree):
+        """The checked (primes, max_degree): distinct primes of the window
+        and a degree in 1..4."""
+        primes = tuple(measures.check_prime(p) for p in primes)
+        max_degree = _integer(max_degree, "max_degree must be an integer")
+        # a prime outside the window or a repeat shortens the overlap
+        if not primes or len(set(primes) & set(self.primes)) < len(primes):
+            raise ValueError("joint primes must be distinct primes of the "
+                             "window %s, got %s" % (self.primes, primes))
+        if not 1 <= max_degree <= 4:
+            raise ValueError("max_degree must lie in 1..4, got %d"
+                             % max_degree)
+        return primes, max_degree
+
+    def check_split(self, m):
+        """Check the split at m: the balanced rule, 2 forms or more (one per
+        sign class) and m in the window."""
+        if self.epsilon_rule != "balanced":
+            raise ValueError("split test needs the balanced sign rule")
+        if self.forms < 2:
+            raise ValueError("the balanced split needs at least 2 forms to "
+                             "fill its minus sign class, got %d" % self.forms)
+        self.factor(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +157,7 @@ def generate_family(spec: FamilySpec) -> Family:
 def coefficient_values(family: Family, m: int):
     """Per-form spin coefficient at m, vectorized over the family."""
     vals = np.ones(len(family))
-    for p, v in sorted(_factorize(m).items()):
-        if p not in family.points:
-            raise KeyError("prime %d divides %d but lies outside the family "
-                           "window" % (p, m))
+    for p, v in sorted(family.spec.factor(m).items()):
         points = family.points[p]
         vals = vals * spin_coeff_grid(points[:, 0], points[:, 1], v)[v]
     return vals
@@ -256,15 +286,7 @@ def joint_sato_tate_test(family: Family, primes_subset,
     quadrature moments is exactly the statement that the local data are
     jointly equidistributed for the product measure.
     """
-    primes = tuple(measures.check_prime(p) for p in primes_subset)
-    max_degree = _integer(max_degree, "max_degree must be an integer")
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes_subset must be distinct")
-    for p in primes:
-        if p not in family.points:
-            raise ValueError("prime %d is not in the family window" % (p,))
-    if not 1 <= max_degree <= 4:
-        raise ValueError("max_degree must lie in 1..4")
+    primes, max_degree = family.spec.check_joint(primes_subset, max_degree)
     per_prime = [[(e, f) for e in range(max_degree + 1)
                   for f in range(max_degree + 1 - e)]
                  for _ in primes]
@@ -322,19 +344,13 @@ class SplitReport:
 
 def plus_minus_split_test(family: Family, m: int) -> SplitReport:
     """Spin-coefficient averages restricted to each sign subfamily."""
-    if family.spec.epsilon_rule != "balanced":
-        raise ValueError("split test needs the balanced sign rule")
+    family.spec.check_split(m)
     vals = coefficient_values(family, m)
-    reports = {}
-    for sign, tag in ((1, "plus"), (-1, "minus")):
-        sub = vals[family.epsilons == sign]
-        if not len(sub):
-            raise ValueError("the %s sign class is empty" % tag)
-        reports[tag] = _average(m, sub)
+    plus, minus = (_average(m, vals[family.epsilons == sign])
+                   for sign in (1, -1))
     # the signs are +-1, so their sum is the plus count less the minus one
     balance = abs(int(family.epsilons.sum())) / len(family)
-    return SplitReport(m=reports["plus"].m, plus=reports["plus"],
-                       minus=reports["minus"], balance=balance)
+    return SplitReport(m=plus.m, plus=plus, minus=minus, balance=balance)
 
 
 # ---------------------------------------------------------------------------

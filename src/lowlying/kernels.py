@@ -365,26 +365,25 @@ def _determinant_table(phis, eps):
     """(value, error) of int prod_{i in T} phi_i det K_eps over R^|T| for
     every ascending index tuple T.
 
-    The power sums come from three boxes: _BOX2, its order less 2, and
-    0.8 times its width.  The value's add the estimated box tail,
-    (p_T - p_0.8T) _TAIL_PER_SPREAD.  The error is the spread of the
-    expansion of _BOX2's raw sums against each other box's, plus eps_mach
-    times the sum of the terms, plus the _j1 errors.  One input needs
-    _j1 alone."""
+    The power sums come from two boxes, _BOX2 and 0.8 times its width;
+    _BOX2's order is converged (test_box_order_is_converged).  The
+    value's add the estimated box tail, (p_T - p_0.8T) _TAIL_PER_SPREAD.
+    The error is the spread of the expansions of the two boxes' raw sums,
+    plus eps_mach times the sum of the terms, plus the _j1 errors.  One
+    input needs _j1 alone."""
     j1 = [_j1(phi, eps) for phi in phis]
     if len(phis) == 1:
         return {(): (1.0, 0.0), (0,): j1[0]}
     width, order = _BOX2
-    raw, coarse, short = (_power_sums(phis, eps, *box) for box in (
-        (width, order), (width, order - 2), (0.8 * width, order)))
+    raw, short = (_power_sums(phis, eps, w, order)
+                  for w in (width, 0.8 * width))
     tailed = {s: [a + (a - b) * _TAIL_PER_SPREAD
                   for a, b in zip(raw[s], short[s])] for s in raw}
     values = [v for v, _ in j1]
-    out, f_raw, f_coarse, f_short = (_subset_expansion(values, sums)
-                                     for sums in (tailed, raw, coarse, short))
+    out, f_raw, f_short = (_subset_expansion(values, sums)
+                           for sums in (tailed, raw, short))
     rounding = np.finfo(float).eps
-    return {t: (v, abs(f_raw[t][0] - f_coarse[t][0])
-                + abs(f_raw[t][0] - f_short[t][0]) + rounding * size
+    return {t: (v, abs(f_raw[t][0] - f_short[t][0]) + rounding * size
                 + math.fsum(j1[i][1] for i in t))
             for t, (v, size) in out.items()}
 

@@ -64,9 +64,24 @@ def test_rejects_non_integral_inputs(call):
     lambda fam: family.FamilySpec((2,), 10, 2 ** 64),
     lambda fam: family.main_term_spin(4.5),
     lambda fam: family.average_coefficient(fam, 4.0),
-    lambda fam: family.joint_sato_tate_test(fam, [2], 2.0)],
+    lambda fam: family.joint_sato_tate_test(fam, [2], 2.0),
+    lambda fam: fam.spec.factor(7),
+    lambda fam: fam.spec.factor(14),
+    lambda fam: fam.spec.factor(0),
+    lambda fam: fam.spec.check_joint([2, 2], 2),
+    lambda fam: fam.spec.check_joint([7], 2),
+    lambda fam: fam.spec.check_joint([2, 3], 5),
+    lambda fam: fam.spec.check_split(14),
+    lambda fam: fam.spec.check_split(0),
+    lambda fam: family.FamilySpec(
+        (2,), 10, 1, "level_one_parity").check_split(4),
+    lambda fam: family.FamilySpec((2,), 1, 1).check_split(4)],
     ids=["integral_float_forms", "negative_seed", "seed_past_64_bits",
-         "main_term_m", "integral_float_m", "integral_float_degree"])
+         "main_term_m", "integral_float_m", "integral_float_degree",
+         "factor_outside_window", "factor_partly_outside", "factor_zero",
+         "joint_duplicate", "joint_foreign", "joint_degree_5",
+         "split_m_outside", "split_m_zero", "split_parity_rule",
+         "split_one_form"])
 def test_rejects_before_sampling_and_quadrature(call, monkeypatch):
     fam = _family(forms=5)
 
@@ -151,9 +166,9 @@ class TestCoefficients:
 
     def test_uncovered_prime(self):
         fam = _family(forms=5)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             family.coefficient_values(fam, 7)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             family.coefficient_values(fam, 14)
 
     def test_validation(self):

@@ -403,7 +403,7 @@ def test_prediction_deterministic(monkeypatch):
     a = K.n_level_prediction(K.SOEVEN, [tf(0.45), tf(0.45)])
     _cold_caches(monkeypatch)
     b = K.n_level_prediction(K.SOEVEN, [tf(0.45), tf(0.45)])
-    assert K._basis.cache_info().misses == 3  # one per box
+    assert K._basis.cache_info().misses == 2  # one per box
     assert a == b
 
 
@@ -524,12 +524,30 @@ def test_two_level_prediction_holds_one_half_line_block(monkeypatch):
 
 def test_j2_pairs_of_a_sublist_come_from_the_cache(monkeypatch):
     # the odd orthogonal prediction also integrates each two-element
-    # sub-list; those come from the whole list's table, whose three
+    # sub-list; those come from the whole list's table, whose two
     # boxes each build their basis once
     _cold_caches(monkeypatch)
     K.prediction_with_error(K.SOODD, [tf(0.29), tf(0.27), tf(0.26)])
     info = K._basis.cache_info()
-    assert (info.misses, info.hits) == (3, 0)
+    assert (info.misses, info.hits) == (2, 0)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("betas", [(0.45, 0.4), (0.3, 0.28, 0.25),
+                                   (0.1,) * 8])
+def test_box_order_is_converged(betas, eps):
+    # the determinant route's error leaves out the quadrature order of
+    # its box: two orders less moves every subset's expansion by
+    # rounding only, far below the error it reports
+    phis = [tf(b) for b in betas]
+    width, order = K._BOX2
+    values = [K._j1(phi, eps)[0] for phi in phis]
+    fine, coarse = (
+        K._subset_expansion(values, K._power_sums(phis, eps, width, o))
+        for o in (order, order - 2))
+    for t, (_, err) in K._determinant_table(phis, eps).items():
+        gap = abs(fine[t][0] - coarse[t][0])
+        assert gap <= 1e-12 and gap <= 1e-4 * err
 
 
 @pytest.mark.parametrize("betas, soeven, sp", [
