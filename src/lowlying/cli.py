@@ -8,9 +8,10 @@ environment variables are pinned to one before numpy first loads (this
 module imports nothing heavy at import time on purpose), so outputs
 never depend on the host's BLAS threading.
 
-Exit codes: 0 all checks passed; 1 a numeric check failed; 2 usage,
-domain, or i/o error; 3 numeric machinery failure (quadrature budget
-or rejection budget).
+Exit codes: 0 all checks passed; 1 a check that could have passed did
+not; 2 usage, domain or i/o error (a bad request raises UsageError or
+ValueError before any compute); 3 numeric machinery failure
+(summary.NumericFailure).
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 
 class UsageError(Exception):
-    """Bad parameters or config; maps to exit code 2."""
+    """Bad parameters or config; maps to exit code 2.  Not a ValueError,
+    which argparse would rewrap when a type converter raises it."""
 
 
 def _pin_threads():
@@ -38,10 +40,9 @@ def _pin_threads():
         os.environ[var] = "1"
 
 
-def _numeric_error_types():
-    from lowlying.measures import EnvelopeViolation, RejectionBudgetError
-    from lowlying.quadrature import QuadratureError
-    return (EnvelopeViolation, RejectionBudgetError, QuadratureError)
+def _numeric_failure():
+    from lowlying.summary import NumericFailure
+    return NumericFailure
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +194,6 @@ def _finish(args, path, ok, payload):
 # commands
 
 
-# the smallest quadrature error target a command accepts: below it the
-# error estimate stalls at the rounding floor (about 2.4e-16 for the
-# density's normalization) and the midpoint rule reaches its node cap
-# instead
-_QUADRATURE_FLOOR = 1e-15
-
-
-def _check_quadrature_target(target):
-    if target < _QUADRATURE_FLOOR:
-        raise UsageError("tol asks quadrature for an error of %g, below "
-                         "the %g that double arithmetic can reach"
-                         % (target, _QUADRATURE_FLOOR))
-
-
 # density grid points per density_mu_p call
 _DENSITY_BLOCK = 1 << 16
 
@@ -219,7 +206,6 @@ def _cmd_density(args):
     if args.grid < 2:
         raise UsageError("grid must be at least 2")
     target = min(args.tol, 1e-8)
-    _check_quadrature_target(target)
     spec = measures.vertical_measure(args.p)
     # normalize first, so a quadrature failure leaves no partial CSV
     mass = float(measures.integrate(spec, lambda a, b: np.ones_like(a),
@@ -252,7 +238,6 @@ def _cmd_moments(args):
     if args.nmax < 1:
         raise UsageError("nmax must be at least 1")
     target = args.tol / 10.0
-    _check_quadrature_target(target)
     if len(set(args.primes)) != len(args.primes):
         raise UsageError("primes must be distinct, got %s" % (args.primes,))
     args.primes = sorted(args.primes)
@@ -423,19 +408,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(_expand_config(argv, parser.options))
         _check_out_dirs(args)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
-    except SystemExit:  # --help; the clauses below would load numpy
+    except SystemExit:  # --help; the clause below would load numpy
         raise
-    except _numeric_error_types() as exc:
+    except _numeric_failure() as exc:
         print("numeric failure: %s" % (exc,), file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # a kernels.SupportViolation is a ValueError too: test functions
-        # outside the command's admissible range are a caller mistake
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 2
     except OSError as exc:
         print("i/o error: %s" % (exc,), file=sys.stderr)
         return 2

@@ -71,15 +71,15 @@ class FamilySpec:
             raise ValueError("need at least one prime")
         if len(set(primes)) != len(primes):
             raise ValueError("primes must be distinct")
-        for name in ("forms", "seed"):
-            object.__setattr__(self, name, _integer(
-                getattr(self, name), "forms and seed must be integers"))
-        if self.forms < 1:
-            raise ValueError("forms must be >= 1")
-        _check_seed(self.seed)
         if self.epsilon_rule not in EPSILON_RULES:
             raise ValueError("epsilon_rule must be one of %s"
                              % (EPSILON_RULES,))
+        for name in ("forms", "seed"):
+            object.__setattr__(self, name, _integer(
+                getattr(self, name), "forms and seed must be integers"))
+        if self.forms < 2:  # one form has no standard error
+            raise ValueError("forms must be >= 2")
+        _check_seed(self.seed)
 
     def factor(self, m):
         """{p: v} with m = prod p^v, for m a product of the window's primes."""
@@ -104,13 +104,13 @@ class FamilySpec:
         return primes, max_degree
 
     def check_split(self, m):
-        """Check the split at m: the balanced rule, 2 forms or more (one per
-        sign class) and m in the window."""
+        """Check the split at m: the balanced rule, 4 forms or more (two per
+        sign class, for a standard error in each) and m in the window."""
         if self.epsilon_rule != "balanced":
             raise ValueError("split test needs the balanced sign rule")
-        if self.forms < 2:
-            raise ValueError("the balanced split needs at least 2 forms to "
-                             "fill its minus sign class, got %d" % self.forms)
+        if self.forms < 4:
+            raise ValueError("the balanced split needs 2 forms in its minus "
+                             "sign class, so 4 in all, got %d" % self.forms)
         self.factor(m)
 
 

@@ -41,11 +41,11 @@ from itertools import combinations
 import numpy as np
 
 from .quadrature import panel_grid
+from .summary import NumericFailure
 
 __all__ = [
     "TestFunction",
     "SymmetryType",
-    "SupportViolation",
     "n_level_prediction",
     "prediction_with_error",
     "rubinstein_rhs",
@@ -53,10 +53,6 @@ __all__ = [
     "fejer_test_function",
     "default_betas",
 ]
-
-
-class SupportViolation(ValueError):
-    """A Fourier support exceeds the admissible window."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +140,6 @@ def _sici(x):
 def _e_integral(omega, d, T):
     """int_T^inf e^{i omega x} x^{-d} dx for d >= 1 (d >= 2 when omega=0)."""
     if omega == 0.0:
-        if d < 2:
-            raise ArithmeticError("divergent tail term (omega=0, d=1)")
         return (T ** (1 - d)) / (d - 1) + 0.0j
     if d == 1:
         z = abs(omega) * T
@@ -236,7 +230,7 @@ def _j1_value(phi, eps, half_width):
     for _, _, t in sorted(tails, key=lambda t: t[:2]):
         tail += t
     if abs(tail.imag) > 1e-10 * (1.0 + abs(tail.real)):
-        raise ArithmeticError("tail integral has a non-real residue")
+        raise NumericFailure("tail integral has a non-real residue")
     # phi's own terms (power 2) first, then the cross terms (power 3):
     # the order fixes the rounding of the error's size
     size = math.fsum(map(abs, core)) + sum(
@@ -392,7 +386,7 @@ def _check_supports(phis):
     beta_n = default_betas(len(phis))
     for i, phi in enumerate(phis):
         if phi.beta > beta_n + 1e-12:
-            raise SupportViolation(
+            raise ValueError(
                 "input %d has Fourier support %g, exceeding the allowed %g"
                 % (i, phi.beta, beta_n))
 
@@ -440,7 +434,7 @@ def _aligned_step(betas, step):
     for b in betas:
         ratio = b / h
         if abs(ratio - round(ratio)) > 1e-6:
-            raise SupportViolation(
+            raise ValueError(
                 "cannot align Fourier supports %s on a common grid" % (betas,))
     return h
 

@@ -18,25 +18,15 @@ import numpy as np
 
 from . import rng as _rng
 from .quadrature import adaptive_tensor
-from .summary import _integer
+from .summary import NumericFailure, _integer
 
 __all__ = [
     "MeasureSpec",
-    "EnvelopeViolation",
-    "RejectionBudgetError",
     "vertical_measure",
     "density_mu_p",
     "integrate",
     "sample_array",
 ]
-
-
-class EnvelopeViolation(RuntimeError):
-    """A density evaluation exceeded the cached rejection envelope."""
-
-
-class RejectionBudgetError(RuntimeError):
-    """Rejection sampling used up its attempt budget."""
 
 
 def check_prime(p):
@@ -101,6 +91,11 @@ def vertical_measure(p) -> MeasureSpec:
     return MeasureSpec(p, 2 * (p + 1) ** 2 / (p * p + 1))
 
 
+# below this error the estimate stalls at the rounding floor (2.4e-16
+# for the density's normalization) and the node cap comes first
+_TOL_FLOOR = 1e-15
+
+
 def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8):
     """Expectation of integrand(x, y) under the normalized measure.
 
@@ -108,8 +103,14 @@ def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8):
     The substitution x = 2 cos(alpha), y = 2 cos(beta) makes the
     integrand even, 2 pi-periodic and smooth on [0, pi]^2, where the
     doubling midpoint rule of adaptive_tensor converges geometrically.
-    Raises QuadratureError when its node cap cannot meet `tol`.
+    Raises ValueError for a `tol` below _TOL_FLOOR before any
+    evaluation, and QuadratureError when the node cap cannot meet `tol`.
     """
+    if not tol >= _TOL_FLOOR:  # NaN fails this too
+        raise ValueError("tol must be positive and at least %g, the error "
+                         "double arithmetic can reach, got %g"
+                         % (_TOL_FLOOR, tol))
+
     def f(al, be):
         x = 2.0 * np.cos(al)
         y = 2.0 * np.cos(be)
@@ -146,7 +147,7 @@ def sample_array(spec: MeasureSpec, seed, count):
     attempt = 0
     while pending.size:
         if attempt >= _MAX_ATTEMPTS:
-            raise RejectionBudgetError(
+            raise NumericFailure(
                 "rejection budget %d exhausted with %d draws pending"
                 % (_MAX_ATTEMPTS, pending.size))
         u = _rng.uniforms(seed, spec.p, pending, attempt, 3)
@@ -154,7 +155,7 @@ def sample_array(spec: MeasureSpec, seed, count):
         y = 4.0 * u[:, 1] - 2.0
         d = density_mu_p(spec, x, y)
         if np.any(d > env):
-            raise EnvelopeViolation(
+            raise NumericFailure(
                 "density %.6g exceeds cached envelope %.6g (stale bound)"
                 % (float(d.max()), env))
         acc = u[:, 2] * env <= d

@@ -99,7 +99,7 @@ def newform_trace(traces, level: LevelData):
     divs = level.divisors()
     missing = [d for d in divs if d not in traces]
     if missing:
-        raise KeyError("trace table is missing divisors %s" % (missing,))
+        raise ValueError("trace table is missing divisors %s" % (missing,))
     total = 0
     for m in divs:
         total += (-2) ** omega(m) * traces[level.n // m]

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .summary import _exact_sum
+from .summary import NumericFailure, _exact_sum
 
 __all__ = [
     "QuadratureError",
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericFailure):
     """Raised when the node cap is reached before the tolerance.
 
     Carries the best available estimate and its error bound so callers

@@ -50,7 +50,8 @@ import numpy as np
 
 from . import kernels, rng
 from .rng import normals
-from .summary import _check_seed, _integer, _mean_stderr, _z_against
+from .summary import (NumericFailure, _check_seed, _integer, _mean_stderr,
+                      _z_against)
 
 __all__ = [
     "EnsembleSpec",
@@ -89,8 +90,8 @@ class EnsembleSpec:
                 "size, samples and seed must be integers"))
         if self.size < 2:
             raise ValueError("size parameter must be at least 2")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        if self.samples < 2:  # one sample has no standard error
+            raise ValueError("samples must be at least 2")
         _check_seed(self.seed)
 
 
@@ -114,10 +115,6 @@ class ScaledSpectrum:
     scaled: tuple
     period: float
     group: str
-
-
-class EigenSolverError(RuntimeError):
-    """Eigenvalue extraction failed or left the unit circle."""
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +372,7 @@ def _fail_rows(bad, what, indices):
         where = ""
         if indices is not None:
             where = "sample index %d: " % indices[int(np.argmax(bad))]
-        raise EigenSolverError(where + what)
+        raise NumericFailure(where + what)
 
 
 def _angles(mats, group, indices=None):
@@ -559,8 +556,6 @@ def _spectra(spec: EnsembleSpec):
     out = {}
     for first, group in enumerate(groups):
         indices = range(first, spec.samples, len(groups))
-        if not indices:
-            continue
         parts = []
         for start in range(0, len(indices), _CHUNK):
             chunk = indices[start:start + _CHUNK]

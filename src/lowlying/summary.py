@@ -1,6 +1,6 @@
 """Sample means, standard errors and z-scores, shared by the ensemble
-averages in `rmt` and the family averages in `family`, and the integer
-and seed rules of every library entry point.
+averages in `rmt` and the family averages in `family`, the integer and
+seed rules of every library entry point, and NumericFailure.
 
 Means and variances are exactly rounded sums: `_exact_sum` returns the
 bits of math.fsum from exponent buckets that numpy fills exactly, a
@@ -14,6 +14,11 @@ import math
 import operator
 
 import numpy as np
+
+
+class NumericFailure(RuntimeError):
+    """Numeric machinery failed on a valid request: a quadrature, sampling
+    or eigensolver budget or bound did not hold."""
 
 
 # frexp exponents of finite doubles lie in [-1073, 1024]; bucket
@@ -58,7 +63,7 @@ def _exact_sum(x):
 
 
 def _mean_stderr(values):
-    """Mean and standard error from exactly rounded sums (`_exact_sum`).
+    """Mean and standard error of n >= 2 values from exact sums (`_exact_sum`).
 
     The squares come from the C library's pow, as Python's float `**`
     computes them; `x * x` can differ from pow in the last bit, and so
@@ -66,12 +71,8 @@ def _mean_stderr(values):
     arr = np.asarray(values, dtype=float).ravel()
     n = arr.size
     mean = _exact_sum(arr) / n
-    if n > 1:
-        var = _exact_sum(np.float_power(arr - mean, 2.0)) / (n - 1)
-        stderr = math.sqrt(var / n)
-    else:
-        stderr = 0.0
-    return mean, stderr
+    var = _exact_sum(np.float_power(arr - mean, 2.0)) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 def _z_against(mean, stderr, prediction):

@@ -492,7 +492,7 @@ class TestMoments:
                                                monkeypatch, capsys):
         def integrated(*args, **kwargs):
             raise AssertionError("quadrature ran before validation")
-        monkeypatch.setattr("lowlying.measures.integrate", integrated)
+        monkeypatch.setattr("lowlying.measures.adaptive_tensor", integrated)
         code = cli.main(["moments", "--primes", "2", "--nmax", "1",
                          "--tol", tol, "--out", str(tmp_path / "m.json")])
         assert code == 2
@@ -587,19 +587,34 @@ class TestRmt:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
-    def test_one_sample_off_prediction_exits_1(self, tmp_path):
-        # one sample has no spread, so any gap to the prediction is
-        # infinitely many standard errors wide, as in `family`
-        out = tmp_path / "r.json"
-        code = cli.main(["rmt", "--group", "U", "--size", "5",
-                         "--samples", "1", "--out", str(out)])
-        assert code == 1
-        meta = read_strict_json(out)
-        report = meta["report"]
-        assert report["mc_stderr"] == 0.0
-        assert report["mc_mean"] != report["prediction"]
-        assert report["z_score"] == "inf"
-        assert meta["pass"] is False
+    @pytest.mark.parametrize("group", ["SOeven", "SOodd", "USp", "U", "O"])
+    def test_one_sample_exits_2_before_sampling(self, group, tmp_path,
+                                                monkeypatch, capsys):
+        # one sample has no standard error, so its z-score could not pass
+        self._forbid_sampling(monkeypatch)
+        code = cli.main(["rmt", "--group", group, "--samples", "1",
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_tail_residue_exits_3_before_sampling(self, tmp_path,
+                                                  monkeypatch, capsys):
+        from lowlying import kernels
+
+        self._forbid_sampling(monkeypatch)
+        # an imaginary part on one tail term survives the sum, so the
+        # prediction's one-level integral is not real
+        monkeypatch.setattr(kernels, "_e_integral",
+                            lambda omega, d, T: 1e3j if omega > 0 else 0j)
+        kernels._j1.cache_clear()
+        code = cli.main(["rmt", "--group", "U",
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
 
     def test_tiny_beta_reports_and_exits_1(self, tmp_path):
         # only the mean harmonic is left, so every sample gives the same
@@ -676,7 +691,9 @@ class TestFamily:
         ["--m", "7"], ["--m", "1,0"], ["--joint-primes", "7"],
         ["--joint-primes", "2,2"], ["--joint-degree", "9"],
         ["--split-m", "0"], ["--split-m", "14"], ["--zmax", "0"],
-        ["--zmax", "-3"], ["--zmax", "nan"], ["--forms", "1"]],
+        ["--zmax", "-3"], ["--zmax", "nan"], ["--forms", "1"],
+        ["--forms", "2"], ["--forms", "3"],
+        ["--rule", "level_one_parity", "--forms", "1"]],
         ids=lambda flags: "=".join(flags).lstrip("-"))
     def test_bad_report_input_exits_2_before_sampling(self, flags, tmp_path,
                                                       monkeypatch, capsys):
@@ -691,15 +708,15 @@ class TestFamily:
         assert "'" not in err
         assert not (tmp_path / "f.json").exists()
 
-    def test_infinite_z_is_strict_json(self, tmp_path):
-        # two forms: the balanced split leaves one per sign class, with
-        # no spread, so its z-scores are infinite
+    def test_infinite_z_is_strict_json(self, tmp_path, monkeypatch):
+        # the coefficient at m = 1 is 1 for every form, with no spread,
+        # so any other prediction is infinitely many standard errors off
+        monkeypatch.setattr("lowlying.family.main_term_spin", lambda m: 0.0)
         out = tmp_path / "f.json"
-        code = cli.main(["family", "--primes", "2", "--forms", "2",
+        code = cli.main(["family", "--primes", "2", "--forms", "10",
                          "--m", "1", "--out", str(out)])
         assert code == 1
-        split = read_strict_json(out)["split"]
-        assert split["plus"]["z"] == split["minus"]["z"] == "inf"
+        assert read_strict_json(out)["averages"][0]["z"] == "inf"
 
     def test_split_m_is_not_checked_without_the_split(self, tmp_path):
         out = tmp_path / "f.json"

@@ -40,7 +40,7 @@ class TestFamilySpec:
                               epsilon_rule="random")
 
     def test_normalizes_primes_to_ints(self):
-        spec = family.FamilySpec(primes=[np.int64(2), 3], forms=1, seed=0)
+        spec = family.FamilySpec(primes=[np.int64(2), 3], forms=2, seed=0)
         assert spec.primes == (2, 3)
 
 
@@ -75,13 +75,15 @@ def test_rejects_non_integral_inputs(call):
     lambda fam: fam.spec.check_split(0),
     lambda fam: family.FamilySpec(
         (2,), 10, 1, "level_one_parity").check_split(4),
-    lambda fam: family.FamilySpec((2,), 1, 1).check_split(4)],
+    lambda fam: family.FamilySpec((2,), 1, 1).check_split(4),
+    lambda fam: family.FamilySpec((2,), 1, 1, "level_one_parity"),
+    lambda fam: family.FamilySpec((2,), 3, 1).check_split(4)],
     ids=["integral_float_forms", "negative_seed", "seed_past_64_bits",
          "main_term_m", "integral_float_m", "integral_float_degree",
          "factor_outside_window", "factor_partly_outside", "factor_zero",
          "joint_duplicate", "joint_foreign", "joint_degree_5",
          "split_m_outside", "split_m_zero", "split_parity_rule",
-         "split_one_form"])
+         "split_one_form", "spec_one_form", "split_three_forms"])
 def test_rejects_before_sampling_and_quadrature(call, monkeypatch):
     fam = _family(forms=5)
 
@@ -278,7 +280,7 @@ class TestSplit:
 
     def test_empty_sign_class_raises(self):
         with pytest.raises(ValueError, match="minus"):
-            family.plus_minus_split_test(_family(forms=1), 4)
+            family.plus_minus_split_test(_family(forms=3), 4)
 
     def test_square_modulus(self):
         fam = _family(forms=20000)
@@ -330,7 +332,7 @@ class TestOutputs:
         assert first[4] in ("1", "-1")
 
     @pytest.mark.parametrize("forms", [
-        1, family._CSV_BLOCK - 1, family._CSV_BLOCK,
+        2, family._CSV_BLOCK - 1, family._CSV_BLOCK,
         family._CSV_BLOCK + 1, 2 * family._CSV_BLOCK + 3])
     @pytest.mark.parametrize("rule", family.EPSILON_RULES)
     def test_csv_matches_row_writer(self, forms, rule):
@@ -356,8 +358,6 @@ def _float_list_mean_stderr(values):
     vals = [float(v) for v in np.asarray(values).ravel()]
     n = len(vals)
     mean = math.fsum(vals) / n
-    if n == 1:
-        return mean, 0.0
     var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
     return mean, math.sqrt(var / n)
 
@@ -448,13 +448,9 @@ class TestMeanStderr:
         np.random.default_rng(4).integers(-9, 10, 777),
         np.random.default_rng(5).uniform(-2.0, 2.0, (40, 25)),
         _square_sensitive_triple(),
-        [0.1] * 3 + [1e-300, 1e150, -1e150],
-        np.array([2.5])],
-        ids=["float", "int", "2d", "square_sensitive", "cancelling",
-             "single"])
+        [0.1] * 3 + [1e-300, 1e150, -1e150]],
+        ids=["float", "int", "2d", "square_sensitive", "cancelling"])
     def test_bit_equal_to_float_list(self, values):
         got = family._mean_stderr(values)
         want = _float_list_mean_stderr(values)
         assert [x.hex() for x in got] == [x.hex() for x in want]
-        if len(values) == 1:
-            assert got[1] == 0.0

@@ -165,7 +165,7 @@ class TestNewformTrace:
             == 5 * pm.newform_trace(t1, lvl) - 7 * pm.newform_trace(t2, lvl)
 
     def test_missing_divisor(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="missing divisors"):
             pm.newform_trace({1: 1, 2: 1, 3: 1}, _level(6))
 
     def test_inversion_recovers_new_tables(self):

@@ -11,6 +11,7 @@ from scipy import special, stats
 
 from conftest import brute_d_n, haar_batch, random_small_spectrum
 from lowlying import kernels, rmt, rng
+from lowlying.summary import NumericFailure
 
 FEJER = kernels.fejer_test_function
 
@@ -301,6 +302,12 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             rmt.EnsembleSpec(group="U", size=4, samples=0, seed=0)
 
+    @pytest.mark.parametrize("group", rmt.GROUPS)
+    def test_rejects_one_sample(self, group):
+        # one sample has no standard error
+        with pytest.raises(ValueError, match="at least 2"):
+            rmt.EnsembleSpec(group=group, size=4, samples=1, seed=0)
+
     @pytest.mark.parametrize("size, samples, seed", [
         (2.5, 3, 0), (4, 3.5, 0), (4, 3, 0.5)])
     def test_rejects_non_integral_fields(self, size, samples, seed):
@@ -365,11 +372,11 @@ class TestScaledSpectrum:
         m[:2, :2] = block
         m[2:4, 2:4] = block
         m[4, 4] = -1.0
-        with pytest.raises(rmt.EigenSolverError):
+        with pytest.raises(NumericFailure):
             rmt.scaled_spectrum(m, "SOodd")
 
     def test_off_circle_eigenvalues_detected(self):
-        with pytest.raises(rmt.EigenSolverError):
+        with pytest.raises(NumericFailure):
             rmt.scaled_spectrum(2.0 * np.eye(4), "U")
 
     def test_mixture_tag_rejected(self):
@@ -383,7 +390,7 @@ class TestScaledSpectrum:
         m = np.zeros((4, 4))
         m[:2, :2] = block
         m[2:, 2:] = block
-        with pytest.raises(rmt.EigenSolverError):
+        with pytest.raises(NumericFailure):
             rmt.scaled_spectrum(1.001 * m, group)
 
 
@@ -411,7 +418,7 @@ class TestBatchedAngles:
         for group in ("SOeven", "U"):
             mats = haar_batch(group, 3, 79, range(4))
             mats[2] *= 1.001
-            with pytest.raises(rmt.EigenSolverError,
+            with pytest.raises(NumericFailure,
                                match="sample index 12"):
                 rmt._angles(mats, group, [10, 11, 12, 13])
 
@@ -638,15 +645,15 @@ class TestEnsembleAverage:
         assert payload["beta"] == [0.5]
         assert payload["statistic"] == "D1"
 
-    @pytest.mark.parametrize("samples", [1, 5, 20])
+    @pytest.mark.parametrize("samples", [2, 5, 20])
     def test_mixture_alternates_groups(self, samples):
-        # one sample leaves no SOodd rows; an odd count one more SOeven
+        # an odd count leaves one more SOeven row than SOodd rows
         spec = _spec("O", 4, samples)
         spectra = rmt._spectra(spec)
         rmt.clear_spectrum_cache()
         indices = {"SOeven": range(0, samples, 2),
                    "SOodd": range(1, samples, 2)}
-        assert list(spectra) == ["SOeven", "SOodd"][:samples]
+        assert list(spectra) == ["SOeven", "SOodd"]
         for group, (scaled, _) in spectra.items():
             assert scaled.shape == (len(indices[group]), 4)
             assert not scaled.flags.writeable
@@ -654,7 +661,7 @@ class TestEnsembleAverage:
                 single = _model_spectrum(group, 4, spec.seed, i)
                 assert single.scaled == tuple(row.tolist())
 
-    @pytest.mark.parametrize("samples", [1, 5, 20])
+    @pytest.mark.parametrize("samples", [2, 5, 20])
     @pytest.mark.parametrize("include_zero", [True, False])
     def test_mixture_mean_matches_one_spectrum_path(self, include_zero,
                                                     samples, monkeypatch):

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import builtins
 import importlib.util
 import pathlib
 
@@ -255,7 +256,7 @@ def test_route_scan_finds_a_planted_cycle_integral():
 
 def test_determinant_and_combinatorial_routes_share_only_validation():
     assert shared_route_names(_KERNELS) == [
-        "SupportViolation", "_check_supports", "default_betas"]
+        "_check_supports", "default_betas"]
 
 
 def route_attributes(source, entry):
@@ -526,3 +527,70 @@ CONSTANT_FIELDS = []
 
 def test_no_dataclass_field_holds_one_constant():
     assert constant_fields(_MODULES) == CONSTANT_FIELDS
+
+
+# the exit-2 and exit-3 types of the CLI, and the exit-3 subclass that
+# carries a quadrature estimate; ValueError is the library's exit-2 type
+_EXCEPTION_CLASSES = ["NumericFailure", "QuadratureError", "UsageError"]
+_RAISED = {"ValueError", *_EXCEPTION_CLASSES}
+_BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()
+                       if isinstance(obj, type)
+                       and issubclass(obj, BaseException)}
+
+
+def _last_name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def exception_classes(modules):
+    """Classes that `modules` (short name -> source) derive from a
+    built-in exception, directly or through one another."""
+    classes = [node for source in modules.values()
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)]
+    found, size = set(), -1
+    while len(found) != size:
+        size = len(found)
+        found |= {c.name for c in classes if any(
+            _last_name(b) in found | _BUILTIN_EXCEPTIONS for b in c.bases)}
+    return sorted(found)
+
+
+def foreign_raises(modules):
+    """"module:line name" for each raise in `modules` of a name outside
+    _RAISED.  A bare re-raise names nothing, and __main__ may raise
+    SystemExit."""
+    out = []
+    for mod, source in modules.items():
+        allowed = _RAISED | ({"SystemExit"} if mod == "__main__" else set())
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if _last_name(exc) not in allowed:
+                    out.append("%s:%d %s" % (mod, node.lineno,
+                                             _last_name(exc)))
+    return sorted(out)
+
+
+def test_exception_scan_finds_planted_classes_and_raises():
+    source = ("import builtins\nclass Bad(KeyError):\n    pass\n"
+              "class Worse(Bad):\n    pass\nclass Plain:\n    pass\n"
+              "class Mixed(Plain, builtins.ArithmeticError):\n    pass\n"
+              "def f(x):\n    if x:\n        raise Worse('w')\n"
+              "    try:\n        raise ValueError('v') from None\n"
+              "    except ValueError:\n        raise\n"
+              "    raise RuntimeError\n")
+    planted = {"m": source, "__main__": "raise SystemExit(0)\n",
+               "n": "raise SystemExit(1)\n"}
+    assert exception_classes(planted) == ["Bad", "Mixed", "Worse"]
+    assert foreign_raises(planted) == [
+        "m:12 Worse", "m:17 RuntimeError", "n:1 SystemExit"]
+
+
+def test_package_defines_only_the_contract_exceptions():
+    assert exception_classes(_MODULES) == _EXCEPTION_CLASSES
+
+
+def test_every_raise_names_a_contract_exception():
+    assert foreign_raises(_MODULES) == []
