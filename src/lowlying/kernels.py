@@ -12,7 +12,7 @@ form.  Two independent evaluation routes are kept deliberately separate:
   block is a low-rank L L^T from a pivoted Cholesky factorization built
   a column at a time from sin(pi x) and cos(pi x) at the nodes.  Each
   subset of the inputs takes the eigenvalues of a small matrix L^T
-  diag(phi) L; their power sums, with the exact-tailed one-level
+  diag(phi) L; their power sums, with the closed-form one-level
   integrals as p_1, give the determinant's coefficients by Newton's
   identities and inclusion-exclusion over subsets;
 * the combinatorial route works entirely on the Fourier side (grid
@@ -41,7 +41,6 @@ from itertools import combinations
 import numpy as np
 
 from .quadrature import panel_grid
-from .summary import NumericFailure
 
 __all__ = [
     "TestFunction",
@@ -96,60 +95,6 @@ class TestFunction:
         """phi(x) = beta * sinc^2(beta x)."""
         return self.beta * np.sinc(self.beta * np.asarray(x, dtype=float)) ** 2
 
-    def tail_terms(self):
-        """phi(x) = (1 - cos 2 pi beta x) / (2 pi^2 beta x^2) for x > 0, as
-        the triples (w, d, c) of Re sum c e^{i w x} x^-d."""
-        c = 1.0 / (4.0 * math.pi ** 2 * self.beta)
-        w = 2.0 * math.pi * self.beta
-        return (-w, 2, -c), (0.0, 2, 2.0 * c), (w, 2, -c)
-
-
-def _sici(x):
-    """(Si(x), Ci(x)) for x > 0, after Numerical Recipes' cisi: the power
-    series up to x = 2 and the modified-Lentz continued fraction for
-    E1(ix) = -Ci(x) + i (Si(x) - pi/2) beyond."""
-    if x > 2.0:
-        b = complex(1.0, x)
-        c = 1e300
-        d = h = 1.0 / b
-        # at most 81 steps, near x = 2
-        for i in range(1, 200):
-            a = -i * i
-            b += 2.0
-            d = 1.0 / (a * d + b)
-            c = b + a / c
-            delta = c * d
-            h *= delta
-            if abs(delta - 1.0) < 1e-15:
-                break
-        h *= complex(math.cos(x), -math.sin(x))
-        return math.pi / 2.0 + h.imag, -h.real
-    # x^k / (k k!) with signs + - - + + - - ..., odd k to Si, even k to
-    # Ci, until a term is under 1e-17 x: below the last bit of Si (about
-    # x here) and, as x <= 2, of Ci at unit scale
-    sums = [0.0, 0.0]
-    term = 1.0
-    for k in range(1, 30):
-        term *= x / k
-        sums[k % 2] += (-1.0 if k % 4 in (2, 3) else 1.0) * term / k
-        if term < 1e-17 * x:
-            break
-    return sums[1], sums[0] + math.log(x) + 0.5772156649015329
-
-
-def _e_integral(omega, d, T):
-    """int_T^inf e^{i omega x} x^{-d} dx for d >= 1 (d >= 2 when omega=0)."""
-    if omega == 0.0:
-        return (T ** (1 - d)) / (d - 1) + 0.0j
-    if d == 1:
-        z = abs(omega) * T
-        si, ci = _sici(z)
-        val = -ci + 1j * (math.pi / 2.0 - si)
-        return val if omega > 0 else np.conj(val)
-    lower = _e_integral(omega, d - 1, T)
-    return (np.exp(1j * omega * T) * T ** (1 - d)
-            + 1j * omega * lower) / (d - 1)
-
 
 def fejer_test_function(beta: float) -> TestFunction:
     """Triangle transform max(0, 1-|u|/beta); x-space value beta*sinc^2."""
@@ -202,7 +147,6 @@ ALL_TYPES = (U, SOEVEN, SOODD, O_TYPE, SP)
 # ---------------------------------------------------------------------------
 # determinant-route predictions from a low-rank kernel basis
 
-_CORE_HALF_WIDTH = 24.0
 _BOX2 = (100.0, 12)  # half-width and per-unit order of the kernel's box
 # a cycle sum of length k >= 2 loses a box tail that falls as T^-3 (one
 # input far out gives phi ~ x^-2 and two kernel factors ~ x^-1), so the
@@ -210,47 +154,14 @@ _BOX2 = (100.0, 12)  # half-width and per-unit order of the kernel's box
 _TAIL_PER_SPREAD = 1.0 / (0.8 ** -3 - 1.0)
 
 
-def _j1_value(phi, eps, half_width):
-    """The integral over |x| <= half_width by panel quadrature and beyond
-    it by exact tails, and the sum of the absolute values of its terms.
-    The tails are the nine products of phi's tail terms with those of the
-    kernel diagonal 1 + eps sinc 2x, each integrated once."""
-    nodes, weights = panel_grid(0.0, half_width, int(2 * half_width), 16)
-    vals = phi.value(nodes) * (1.0 + eps * np.sinc(2.0 * nodes))
-    core = (weights * vals).tolist()
-    # sin 2 pi x = Re(-i e^{2 pi i x})
-    diagonal = ((0.0, 0, 1.0), (2.0 * math.pi, 1, -0.25j * eps / math.pi),
-                (-2.0 * math.pi, 1, 0.25j * eps / math.pi))
-    tails = []
-    for w1, d1, c1 in phi.tail_terms():
-        for w2, d2, c2 in diagonal:
-            w, d = w1 + w2, d1 + d2
-            tails.append((w, d, c1 * c2 * _e_integral(w, d, half_width)))
-    tail = 0.0 + 0.0j
-    for _, _, t in sorted(tails, key=lambda t: t[:2]):
-        tail += t
-    if abs(tail.imag) > 1e-10 * (1.0 + abs(tail.real)):
-        raise NumericFailure("tail integral has a non-real residue")
-    # phi's own terms (power 2) first, then the cross terms (power 3):
-    # the order fixes the rounding of the error's size
-    size = math.fsum(map(abs, core)) + sum(
-        abs(t) for _, _, t in sorted(tails, key=lambda t: t[1]))
-    return 2.0 * (math.fsum(core) + tail.real), 2.0 * size
-
-
-@lru_cache(maxsize=64)
 def _j1(phi: TestFunction, eps: int):
-    """int phi(x) K_eps(x,x) dx with exact trigonometric tails; the error
-    is the spread against a shorter box plus the terms' rounding."""
-    value, size = _j1_value(phi, eps, _CORE_HALF_WIDTH)
-    spread = abs(value - _j1_value(phi, eps, 0.8 * _CORE_HALF_WIDTH)[0])
-    # Every term passes through at most a dozen roundings of eps_mach / 2
-    # each: a core term through the two sinc evaluations (argument, sin,
-    # division), the square, the products and the weight; a tail term
-    # through its coefficient, sici, the phase exponential and the
-    # recursion in _e_integral.  So each is off by at most 6 eps_mach of
-    # its size, and the fsums add no more than that to first order.
-    return value, spread + 6.0 * np.finfo(float).eps * size
+    """int phi(x) K_eps(x,x) dx = int phi(x) (1 + eps sinc 2x) dx, in
+    closed form from the x side: int phi = 1, and 2 sinc 2x reproduces
+    every function band-limited to [-1, 1], so int phi(x) sinc 2x dx is
+    phi(0) / 2 for beta <= 1.  The error bounds the one rounding of
+    the sum."""
+    value = 1.0 + eps * phi.value_at_zero / 2.0
+    return value, np.finfo(float).eps * abs(value)
 
 
 def _sin_cos_pi(x):
@@ -363,8 +274,9 @@ def _determinant_table(phis, eps):
     _BOX2's order is converged (test_box_order_is_converged).  The
     value's add the estimated box tail, (p_T - p_0.8T) _TAIL_PER_SPREAD.
     The error is the spread of the expansions of the two boxes' raw sums,
-    plus eps_mach times the sum of the terms, plus the _j1 errors.  One
-    input needs _j1 alone."""
+    plus eps_mach times the sum of the terms, plus the rounding errors of
+    the one-level integrals.  One input needs its one-level integral
+    alone."""
     j1 = [_j1(phi, eps) for phi in phis]
     if len(phis) == 1:
         return {(): (1.0, 0.0), (0,): j1[0]}
@@ -398,17 +310,23 @@ def prediction_with_error(G: SymmetryType, phis):
     if not 1 <= n <= 8:
         raise ValueError("need 1..8 test functions")
     _check_supports(phis)
+    # each sum and product below rounds once, by at most eps_mach of its
+    # result
+    rounding = np.finfo(float).eps
     if G.epsilon is None:
         ve, ee = prediction_with_error(SOEVEN, phis)
         vo, eo = prediction_with_error(SOODD, phis)
-        return 0.5 * (ve + vo), 0.5 * (ee + eo)
+        value = 0.5 * (ve + vo)
+        return value, 0.5 * (ee + eo) + rounding * abs(value)
     table = _determinant_table(phis, G.epsilon)
     value, err = table[tuple(range(n))]
     if G.has_delta:
         for nu in range(n):
             sub, sub_err = table[tuple(i for i in range(n) if i != nu)]
-            value += phis[nu].value_at_zero * sub
-            err += abs(phis[nu].value_at_zero) * sub_err
+            term = phis[nu].value_at_zero * sub
+            value += term
+            err += (abs(phis[nu].value_at_zero) * sub_err
+                    + rounding * (abs(term) + abs(value)))
     return value, err
 
 

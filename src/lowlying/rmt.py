@@ -544,18 +544,21 @@ def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
 _CHUNK = 128
 
 
+def _parts(spec: EnsembleSpec):
+    """(concrete group, sample indices) for each part of the ensemble; the
+    O mixture draws its even indices from SOeven and its odd ones from
+    SOodd."""
+    groups = ("SOeven", "SOodd") if spec.group == "O" else (spec.group,)
+    return [(group, range(first, spec.samples, len(groups)))
+            for first, group in enumerate(groups)]
+
+
 @lru_cache(maxsize=1)
 def _spectra(spec: EnsembleSpec):
-    """{group: (scaled, period)} for every concrete group of the ensemble.
-
-    `scaled` holds one row of folded angles times period/(2 pi) per
-    sample, in index order; the O mixture puts its even indices in the
-    SOeven rows and its odd indices in the SOodd rows.
-    """
-    groups = ("SOeven", "SOodd") if spec.group == "O" else (spec.group,)
+    """{group: (scaled, period)} for each of `_parts`, `scaled` holding
+    one row of folded angles times period/(2 pi) per index, in order."""
     out = {}
-    for first, group in enumerate(groups):
-        indices = range(first, spec.samples, len(groups))
+    for group, indices in _parts(spec):
         parts = []
         for start in range(0, len(indices), _CHUNK):
             chunk = indices[start:start + _CHUNK]
@@ -600,14 +603,10 @@ class EnsembleReport:
 
 
 def prediction_for(group: str, phis, include_zero: bool) -> float:
-    """Kernel-side prediction matching an ensemble statistic; for O, the
-    average of its two parities."""
+    """Kernel-side prediction matching the statistic of a concrete group."""
     # without its forced zero an SO(2N+1) spectrum follows Sp
     types = {"SOeven": kernels.SOEVEN, "USp": kernels.SP, "U": kernels.U,
              "SOodd": kernels.SOODD if include_zero else kernels.SP}
-    if group == "O":
-        return 0.5 * (prediction_for("SOeven", phis, include_zero)
-                      + prediction_for("SOodd", phis, include_zero))
     if group not in types:
         raise ValueError("unknown group %r" % (group,))
     return float(kernels.n_level_prediction(types[group], phis))
@@ -620,8 +619,11 @@ def ensemble_average(spec: EnsembleSpec, phis,
     if len(phis) > 3:  # `_distinct` masks all size^n index tuples
         raise ValueError("the ensemble statistic takes at most 3 test "
                          "functions, got %d" % len(phis))
-    # validates n and the supports before any matrix is sampled
-    prediction = prediction_for(spec.group, phis, include_zero)
+    # validates n and the supports before any matrix is sampled; each
+    # part's prediction weighs by its share of the rows
+    prediction = sum(len(indices) / spec.samples
+                     * prediction_for(group, phis, include_zero)
+                     for group, indices in _parts(spec))
     values = []
     for group, (scaled, period) in _spectra(spec).items():
         for start in range(0, len(scaled), _CHUNK):

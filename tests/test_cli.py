@@ -599,34 +599,19 @@ class TestRmt:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
-    def test_tail_residue_exits_3_before_sampling(self, tmp_path,
-                                                  monkeypatch, capsys):
-        from lowlying import kernels
-
-        self._forbid_sampling(monkeypatch)
-        # an imaginary part on one tail term survives the sum, so the
-        # prediction's one-level integral is not real
-        monkeypatch.setattr(kernels, "_e_integral",
-                            lambda omega, d, T: 1e3j if omega > 0 else 0j)
-        kernels._j1.cache_clear()
-        code = cli.main(["rmt", "--group", "U",
-                         "--out", str(tmp_path / "r.json")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numeric failure:") and err.count("\n") == 1
-        assert not (tmp_path / "r.json").exists()
-
-    def test_tiny_beta_reports_and_exits_1(self, tmp_path):
+    def test_tiny_beta_meets_its_prediction_and_exits_0(self, tmp_path):
         # only the mean harmonic is left, so every sample gives the same
-        # statistic and any gap to the prediction is an infinite z
+        # statistic, 1; the prediction 1 + 0 * beta / 2 is exact, and z 0
         out = tmp_path / "r.json"
         code = cli.main(["rmt", "--group", "U", "--size", "5",
                          "--samples", "4", "--beta", "1e-14",
                          "--out", str(out)])
-        assert code == 1
+        assert code == 0
         meta = read_strict_json(out)
         assert meta["report"]["mc_stderr"] == 0.0
-        assert meta["pass"] is False
+        assert meta["report"]["prediction"] == 1.0
+        assert meta["report"]["z_score"] == 0.0
+        assert meta["pass"] is True
 
     def test_largest_seed_runs(self, tmp_path):
         out = tmp_path / "r.json"

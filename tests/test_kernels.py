@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import sici
 
 from conftest import (PartitionStructure, brute_rubinstein, density_W,
                       enumerate_pairings, enumerate_partitions, kernel_eval)
@@ -115,23 +114,6 @@ def test_fejer_value_closed_form():
     assert np.max(np.abs(phi.value(xs) - want)) < 1e-12
 
 
-def trig_sum_eval(terms, x):
-    """The value of Re sum c e^{i w x} x^-d over the triples (w, d, c) at
-    the points x."""
-    xs = np.asarray(x, dtype=float)
-    acc = np.zeros_like(xs, dtype=complex)
-    for w, d, c in terms:
-        acc += c * np.exp(1j * w * xs) / xs ** d
-    return acc.real
-
-
-def test_tail_series_matches_value():
-    phi = tf(0.55)
-    xs = np.linspace(0.2, 60.0, 907)
-    got = trig_sum_eval(phi.tail_terms(), xs)
-    assert np.max(np.abs(got - phi.value(xs))) < 1e-12
-
-
 @pytest.mark.parametrize("b", [0.25, 0.6, 0.9])
 def test_fejer_sides_agree(b):
     # the x side and the Fourier side are separate closed forms; the
@@ -142,39 +124,12 @@ def test_fejer_sides_agree(b):
             lambda u: (1 - u / b) * math.cos(2 * math.pi * x * u),
             0.0, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
         assert phi.value(x) == pytest.approx(want, abs=1e-11)
-    xs = np.linspace(0.5, 40.0, 501)
-    assert np.max(np.abs(trig_sum_eval(phi.tail_terms(), xs)
-                         - phi.value(xs))) < 1e-11
 
 
 def test_testfunction_validation():
     for beta in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             K.TestFunction(beta=beta)
-
-
-def test_sici_against_scipy():
-    # the grid crosses x = 2, where the power series hands over to the
-    # continued fraction
-    xs = np.concatenate([np.geomspace(1e-4, 1e5, 4000),
-                         [2.0, np.nextafter(2.0, 3.0)]])
-    want_si, want_ci = sici(xs)
-    got_si, got_ci = np.array([K._sici(x) for x in xs.tolist()]).T
-    assert np.all(np.abs(got_si - want_si) <= 4e-15 * np.abs(want_si))
-    assert np.all(np.abs(got_ci - want_ci)
-                  <= 4e-15 * np.maximum(1.0, np.abs(want_ci)))
-
-
-def test_tail_integral_against_quadrature():
-    # int_T^inf cos(w x)/x^d dx, checked against scipy's oscillatory rule;
-    # the last case has |w| T < 2, which takes Si/Ci's power series
-    T = 5.0
-    for w, d in [(2 * math.pi * 0.9, 2), (2 * math.pi * 0.3, 3),
-                 (2 * math.pi * 0.01, 2)]:
-        got = (K._e_integral(w, d, T) + K._e_integral(-w, d, T)).real
-        want = 2.0 * quad(lambda x: x ** -d, T, np.inf,
-                          weight="cos", wvar=w, limlst=200)[0]
-        assert got == pytest.approx(want, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +166,64 @@ def test_one_level_closed_forms_general_beta(beta):
         h0 - h1 + beta, abs=1e-9)
 
 
+def _x_space_j1(beta, eps):
+    """int phi(x) (1 + eps sinc 2x) dx by scipy's quad: on [0, 30]
+    directly, and beyond 30 from phi(x) = c (1 - cos 2 pi beta x) / x^2,
+    c = 1 / (2 pi^2 beta), and (1 - cos a) sin b = sin b - (sin(b + a) +
+    sin(b - a)) / 2, as oscillatory tails of x^-2 and x^-3."""
+    phi, T = tf(beta), 30.0
+    core = quad(lambda x: phi.value(x) * (1.0 + eps * np.sinc(2.0 * x)),
+                0.0, T, epsabs=1e-14, epsrel=1e-14, limit=1000)[0]
+
+    def tail(weight, w, d):
+        return quad(lambda x: x ** -d, T, np.inf, weight=weight, wvar=w,
+                    limlst=200)[0]
+
+    c, w = 1.0 / (2.0 * math.pi ** 2 * beta), 2.0 * math.pi
+    sines = (tail("sin", w, 3) - 0.5 * tail("sin", w * (1 + beta), 3)
+             - 0.5 * tail("sin", w * (1 - beta), 3))
+    return 2.0 * (core + c * (1.0 / T - tail("cos", w * beta, 2))
+                  + eps * c / w * sines)
+
+
 @pytest.mark.parametrize("eps", [-1, 0, 1])
 @pytest.mark.parametrize("beta", [0.1, 0.2, 0.25, 0.3, 0.4, 0.45, 0.6, 0.9])
 def test_j1_error_covers_closed_form(beta, eps):
     # by Parseval, int phi(x) (1 + eps sinc 2x) dx = hat phi(0) + eps
     # phi(0) / 2, as sinc 2x transforms to 1/2 on [-1, 1]; for the Fejer
-    # function that is 1 + eps beta / 2
+    # function that is 1 + eps beta / 2, exactly in rationals; the x-space
+    # quadrature checks the closed form itself
     value, err = K._j1(tf(beta), eps)
-    assert abs(value - (1.0 + eps * beta / 2.0)) <= err
+    assert abs(Fraction(value) - (1 + eps * Fraction(beta) / 2)) \
+        <= Fraction(err)
+    assert value == pytest.approx(_x_space_j1(beta, eps), abs=1e-9)
 
 
 @pytest.mark.parametrize("eps", [-1, 0, 1])
 @pytest.mark.parametrize("beta", [0.1, 0.25, 0.45, 0.9])
 def test_j1_within_two_ulps_of_closed_form(beta, eps):
-    # each tail term is evaluated and integrated at its exact frequency,
-    # so the closed form 1 + eps beta / 2 holds to the last bits
+    # whatever error it reports, the value itself is accurate to rounding
     value, _ = K._j1(tf(beta), eps)
-    assert abs(value - (1.0 + eps * beta / 2.0)) <= 4.4e-16
+    assert abs(Fraction(value) - (1 + eps * Fraction(beta) / 2)) <= 4.4e-16
+
+
+def _one_level_exact(tag, beta):
+    """1 + eps beta / 2, plus phi(0) = beta at the SOodd zero; O is the
+    mean of the two orthogonal types."""
+    if tag == "O":
+        return (_one_level_exact("SOeven", beta)
+                + _one_level_exact("SOodd", beta)) / 2
+    b = Fraction(beta)
+    delta = b if tag == "SOodd" else 0
+    return 1 + K.SymmetryType(tag).epsilon * b / 2 + delta
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.45, 0.1, 1e-3, 1e-6, 1e-10])
+@pytest.mark.parametrize("G", K.ALL_TYPES, ids=lambda g: g.tag)
+def test_one_level_error_covers_the_exact_value(G, beta):
+    value, err = K.prediction_with_error(G, [tf(beta)])
+    assert abs(Fraction(value) - _one_level_exact(G.tag, beta)) \
+        <= Fraction(err)
 
 
 def test_prediction_error_reported():
@@ -391,12 +387,10 @@ def test_default_betas():
 
 
 def _cold_caches(monkeypatch):
-    """Give j1 and the kernel bases empty caches for this test only; the
-    shared caches stay warm for later tests."""
-    for name in ("_j1", "_basis"):
-        cached = getattr(K, name)
-        monkeypatch.setattr(K, name, functools.lru_cache(
-            maxsize=cached.cache_info().maxsize)(cached.__wrapped__))
+    """Give the kernel bases an empty cache for this test only; the shared
+    cache stays warm for later tests."""
+    monkeypatch.setattr(K, "_basis", functools.lru_cache(
+        maxsize=K._basis.cache_info().maxsize)(K._basis.__wrapped__))
 
 
 def test_prediction_deterministic(monkeypatch):

@@ -613,15 +613,22 @@ class TestPredictions:
                 == kernels.n_level_prediction(kernels.SP, phis))
 
     def test_mixture_is_parity_average(self):
+        # O draws its even indices from SOeven and its odd ones from
+        # SOodd, so 5 samples hold 3 SOeven rows and 2 SOodd rows
         phis = [FEJER(0.4), FEJER(0.3)]
         even = kernels.n_level_prediction(kernels.SOEVEN, phis)
         odd = kernels.n_level_prediction(kernels.SOODD, phis)
-        assert_allclose(rmt.prediction_for("O", phis, True),
-                        0.5 * (even + odd), rtol=1e-14)
+        report = rmt.ensemble_average(_spec("O", 4, 4), phis, True)
+        assert report.prediction == 0.5 * (even + odd)
+        report = rmt.ensemble_average(_spec("O", 4, 5), phis, True)
+        assert_allclose(report.prediction, 0.6 * even + 0.4 * odd,
+                        rtol=1e-14)
 
     def test_unknown_group(self):
-        with pytest.raises(ValueError):
-            rmt.prediction_for("Spin", [FEJER(0.5)], True)
+        # O is a mixture, predicted part by part in ensemble_average
+        for group in ("Spin", "O"):
+            with pytest.raises(ValueError):
+                rmt.prediction_for(group, [FEJER(0.5)], True)
 
 
 class TestEnsembleAverage:

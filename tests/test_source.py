@@ -269,7 +269,7 @@ def route_attributes(source, entry):
 
 # each route reads its own side of a TestFunction; both may read beta and
 # value_at_zero
-_ROUTE_SIDES = {"prediction_with_error": {"value", "tail_terms"},
+_ROUTE_SIDES = {"prediction_with_error": {"value"},
                 "rubinstein_with_error": {"fourier", "fourier_at_zero"}}
 
 
