@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .quadrature import adaptive_tensor
-from .summary import NumericFailure, _integer
+from .summary import NumericFailure, _check_seed, _integer
 
 __all__ = [
     "MeasureSpec",
@@ -44,15 +44,19 @@ def check_prime(p):
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """The vertical measure at prime p.
-
-    `normalization` is the closed-form full-square mass 2(p+1)^2/(p^2+1)
-    of the density formula; evaluation and integration divide by it, so
-    the normalized density integrates to 1.
-    """
+    """The vertical measure at prime p, checked by `check_prime`."""
 
     p: int
-    normalization: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", check_prime(self.p))
+
+    @property
+    def normalization(self) -> float:
+        """The closed-form full-square mass 2(p+1)^2/(p^2+1) of the
+        density formula, rounded once; evaluation and integration divide
+        by it, so the normalized density integrates to 1."""
+        return 2 * (self.p + 1) ** 2 / (self.p * self.p + 1)
 
 
 def _raw_density(p, x, y):
@@ -86,9 +90,8 @@ def density_mu_p(spec: MeasureSpec, x, y):
 
 
 def vertical_measure(p) -> MeasureSpec:
-    """Measure spec at prime p with its exact mass, rounded once."""
-    p = check_prime(p)
-    return MeasureSpec(p, 2 * (p + 1) ** 2 / (p * p + 1))
+    """Measure spec at prime p."""
+    return MeasureSpec(p)
 
 
 # below this error the estimate stalls at the rounding floor (2.4e-16
@@ -138,6 +141,8 @@ def sample_array(spec: MeasureSpec, seed, count):
     own (index, attempt) substream, so the result is independent of
     batching.
     """
+    seed = _integer(seed, "seed must be an integer")
+    _check_seed(seed)
     count = _integer(count, "count must be an integer")
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -11,13 +11,12 @@ finite-size bias of the periodized statistic is of second order in 1/N
 standard errors wide at the default ensemble size; see the measured
 numbers in the test suite).
 
-Test functions are evaluated through their circle harmonics (the
-transform sampled at multiples of 1/period), which is exact for the
-band-limited functions used here and avoids truncating their slowly
-decaying x-space tails at the fold boundary.  The cosine series is
-summed by Clenshaw's recurrence in Reinsch's form, from one sine and
-cosine per point, to within 2e-15 of the exactly summed series (4.4e-16
-measured); Clenshaw on 2 cos(t) is 3e-14 off near t = 0.
+Test functions are periodized exactly: a periodized Fejer function is a
+finite cosine series over the circle, summed in closed form by the
+Dirichlet and Fejer kernels after |x| is reduced exactly into
+[0, period/2].  This avoids truncating the slowly decaying x-space
+tails at the fold boundary, and each value is within 2e-15 of the
+exactly summed series.
 
 No ensemble angle comes from a dense Haar matrix.  Orthogonal and
 symplectic angles never form a matrix of the group: the 2 cos of the
@@ -419,59 +418,35 @@ def scaled_spectrum(M, group: str) -> ScaledSpectrum:
 # statistic evaluation
 
 
-@lru_cache(maxsize=64)
-def _harmonics(phi, period):
-    """c_k = phi_hat(k/period)/period for k = 0..K."""
-    # k = 0 always counts: it carries the mean phi_hat(0) / period
-    kmax = max(0, int(math.floor(phi.beta * period - 1e-12)))
-    return phi.fourier(np.arange(kmax + 1) / period) / period
-
-
-def _reinsch(a, lam):
-    """sum_k a_k cos(k t) at each t with lam = -4 sin^2(t/2).
-
-    Clenshaw's recurrence b_k = a_k + 2 cos(t) b_(k+1) - b_(k+2) in
-    Reinsch's form: it carries d_k = b_k - b_(k+1), which needs only
-    lam, so the rounding error stays near that of the coefficients as t
-    goes to 0, where 2 cos(t) loses the small angle to cancellation.
-    """
-    b = np.zeros_like(lam)
-    d = np.zeros_like(lam)
-    for ak in a[:0:-1]:
-        d += lam * b
-        d += ak
-        b += d
-    return a[0] + d + 0.5 * lam * b
-
-
 def periodized_value(phi, period, x):
     """Periodic summation of phi over the circle of the given length.
 
-    Exact for transforms supported inside (-period, period): the value
-    is the cosine series c_0 + 2 sum_k c_k cos(k t), t = 2 pi |x|/period,
-    with c_k = phi_hat(k/period)/period.  It is summed by Clenshaw's
-    recurrence in Reinsch's form from one sine and cosine of t/2 per
-    point: where cos^2(t/2) >= 1/2 on -4 sin^2(t/2), elsewhere on
-    -4 cos^2(t/2) with the odd coefficients negated (cos k t =
-    (-1)^k cos k(pi - t)).  Each value is within 2e-15 of the exactly
-    summed series and depends on its own point only, so a scalar call
-    gives the bits of an array call; |x| makes reflected angles
-    bit-identical.
+    The periodized Fejer function is the cosine series
+    (1/period) sum_(|k| <= K) (1 - |k|/M) cos(k t), M = beta period,
+    t = 2 pi |x|/period, K the largest integer below M (k = M adds 0).
+    In the Dirichlet and Fejer kernels D_K(t) = sin((K + 1/2) t)/sin(t/2)
+    and F_(K+1)(t) = (sin((K + 1) t/2)/sin(t/2))^2/(K + 1) it sums to
+    (D_K + ((K + 1)/M)(F_(K+1) - D_K))/period, written so that nothing
+    cancels when M << 1; at t = 0, and where sin(t/2) is subnormal, to
+    the limit (2K + 1 - K(K + 1)/M)/period.  |x| is reduced exactly into
+    [0, period/2] first (fmod, then period - r, exact for r >= period/2),
+    so the value is even and periodic in x.  Each value is within 2e-15
+    of the exactly summed series and depends on its own point only, so a
+    scalar call gives the bits of an array call.
     """
-    coeffs = _harmonics(phi, period)
-    a = 2.0 * coeffs
-    a[0] = coeffs[0]
-    alternating = a.copy()
-    alternating[1::2] *= -1.0
+    m = phi.beta * period
+    # k = 0 always counts: it carries the mean phi_hat(0) / period
+    k = max(0, int(math.floor(m - 1e-12)))
     xs = np.abs(np.asarray(x, dtype=float))
-    half = (math.pi / period) * xs.ravel()
-    sin2, cos2 = np.sin(half) ** 2, np.cos(half) ** 2
-    near_pi = cos2 < 0.5
-    vals = np.empty_like(half)
-    for where, series, lam in ((~near_pi, a, -4.0 * sin2),
-                               (near_pi, alternating, -4.0 * cos2)):
-        if np.any(where):
-            vals[where] = _reinsch(series, lam[where])
+    r = np.mod(xs.ravel(), period)
+    half = (math.pi / period) * np.minimum(r, period - r)
+    s = np.sin(half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dirichlet = np.sin((2 * k + 1) * half) / s
+        fejer = (np.sin((k + 1) * half) / s) ** 2 / (k + 1)
+        vals = dirichlet + ((k + 1) / m) * (fejer - dirichlet)
+    vals = np.where(s < np.finfo(float).tiny, 2 * k + 1 - k * (k + 1) / m,
+                    vals) / period
     if xs.shape == ():
         return float(vals[0])
     return vals.reshape(xs.shape)

@@ -84,6 +84,32 @@ def test_rejects_every_float_before_sampling(call, monkeypatch):
         call()
 
 
+@pytest.mark.parametrize("seed, message", [
+    (5.0, "seed must be an integer"), (-1, r"seed must be in \[0, 2\^64\)"),
+    (2 ** 64 + 5, r"seed must be in \[0, 2\^64\)")],
+    ids=["float", "negative", "past_2_64"])
+def test_rejects_every_bad_seed_before_sampling(seed, message, monkeypatch):
+    # the streams see a seed modulo 2^64, so 2^64 + 5 would draw seed 5's
+    def drew(*args):
+        raise AssertionError("sampled before validation")
+    monkeypatch.setattr(M._rng, "uniforms", drew)
+    with pytest.raises(ValueError, match=message):
+        M.sample_array(M.vertical_measure(2), seed, 3)
+
+
+@pytest.mark.parametrize("p", [4, 2.5, 1, "2"])
+def test_spec_built_directly_checks_its_prime(p):
+    with pytest.raises(ValueError, match="prime"):
+        M.MeasureSpec(p)
+
+
+def test_spec_normalization_follows_its_prime():
+    assert M.MeasureSpec(2) == M.vertical_measure(2)
+    assert M.MeasureSpec(2).normalization == 18 / 5
+    with pytest.raises(TypeError):
+        M.MeasureSpec(2, 5.0)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 11, 101])
 def test_normalization(p):
     spec = M.vertical_measure(p)

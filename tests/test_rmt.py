@@ -489,17 +489,49 @@ class TestPeriodizedValue:
                     2.0 * math.pi * (min(r, full - r) / full)))
             assert abs(value - math.fsum(terms)) < 2e-15
 
+    @pytest.mark.parametrize("beta, period", [
+        (beta, period) for beta in (0.9, 0.45)
+        for period in (59.0, 61.0, 959.0)] + [(0.5, 10.0)])
+    def test_matches_the_exactly_summed_series_past_half_the_period(
+            self, beta, period):
+        # the oracle of test_matches_the_exactly_summed_series on the
+        # half of the circle it leaves out, where U's scaled angles also
+        # fall, plus points at the ends, past the period and subnormal;
+        # beta 0.5 at period 10 puts the band edge on a harmonic
+        phi = FEJER(beta)
+        ks = np.arange(int(beta * period) + 2)
+        coeffs = (phi.fourier(ks / period) / period).tolist()
+        xs = np.concatenate([
+            np.linspace(period / 2, period, 2001)[1:-1],
+            period - 10.0 ** -np.arange(1, 14),
+            [period, 2.5 * period, 1e-200, 1e-310, 5e-324]])
+        got = rmt.periodized_value(phi, period, xs)
+        assert np.array_equal(rmt.periodized_value(phi, period, -xs), got)
+        for x, value in zip(xs.tolist(), got.tolist()):
+            num, den = x.as_integer_ratio()
+            full = int(period) * den
+            terms = [coeffs[0]]
+            for k, c in enumerate(coeffs[1:], start=1):
+                r = k * num % full
+                terms.append(2.0 * c * math.cos(
+                    2.0 * math.pi * (min(r, full - r) / full)))
+            assert abs(value - math.fsum(terms)) < 2e-15
+
     def test_scalar_and_array_calls_agree_bit_for_bit(self):
         # brute_d_n evaluates one point per call and the statistic a block
-        # per call; at period 59 the recurrence switches form between
-        # period/4 and the next float up
+        # per call
         period = 59.0
         quarter = period / 4
         xs = np.concatenate([
             [0.0, period / 2, quarter, quarter - 1e-12, quarter + 1e-12,
              -3.7, 1.5 * period],
             np.nextafter(quarter, [0.0, period]),
-            np.linspace(0.01, period, 97)])
+            np.linspace(0.01, period, 97),
+            # where the closed form reflects about period/2, wraps and
+            # takes its limit at 0
+            [period, 2.0 * period, 5e-324],
+            np.nextafter(period / 2, [0.0, period]),
+            [np.nextafter(period, 0.0)]])
         for beta in (0.9, 0.45):
             phi = FEJER(beta)
             whole = rmt.periodized_value(phi, period, xs)
