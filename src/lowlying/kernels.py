@@ -10,11 +10,12 @@ form.  Two independent evaluation routes are kept deliberately separate:
   commutes with x -> -x, so on a large box it splits into half-line
   blocks, one per parity it does not annihilate, and each weighted
   block is a low-rank L L^T from a pivoted Cholesky factorization built
-  a column at a time from sin(pi x) and cos(pi x) at the nodes.  Each
-  subset of the inputs takes the eigenvalues of a small matrix L^T
-  diag(phi) L; their power sums, with the closed-form one-level
-  integrals as p_1, give the determinant's coefficients by Newton's
-  identities and inclusion-exclusion over subsets;
+  a column at a time from sin(pi x) and cos(pi x) at the nodes, once per
+  eps; the rows of a leading run of nodes factor a smaller box.  Each
+  distinct tuple of inputs takes the power sums of a small matrix L^T
+  diag(phi) L as traces of its matrix powers; with the closed-form
+  one-level integrals as p_1, they give the determinant's coefficients
+  by Newton's identities and inclusion-exclusion over subsets;
 * the combinatorial route works entirely on the Fourier side (grid
   convolutions of the triangle transforms); its sum over set
   partitions, even block subsets and pairings is one recursion over
@@ -24,11 +25,11 @@ form.  Two independent evaluation routes are kept deliberately separate:
 Their agreement is a theorem, and the test suite checks it numerically;
 neither route borrows intermediate results from the other.
 
-The determinant route's factorizations, products and eigenvalues run in
-BLAS and LAPACK, whose last bits can follow the BLAS thread count.  The
-CLI pins it to one before numpy loads; a library caller that wants
-bit-identical results across hosts must do the same
-(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1).
+The determinant route's factorizations and matrix products run in BLAS,
+whose last bits can follow the BLAS thread count.  The CLI pins it to
+one before numpy loads; a library caller that wants bit-identical
+results across hosts must do the same (OPENBLAS_NUM_THREADS=1,
+OMP_NUM_THREADS=1).
 """
 
 from __future__ import annotations
@@ -148,6 +149,9 @@ ALL_TYPES = (U, SOEVEN, SOODD, O_TYPE, SP)
 # determinant-route predictions from a low-rank kernel basis
 
 _BOX2 = (100.0, 12)  # half-width and per-unit order of the kernel's box
+# the box of 0.8 times _BOX2's width has unit panels too, so its nodes are
+# _BOX2's first _SHORT
+_SHORT = int(0.8 * _BOX2[0]) * _BOX2[1]
 # a cycle sum of length k >= 2 loses a box tail that falls as T^-3 (one
 # input far out gives phi ~ x^-2 and two kernel factors ~ x^-1), so the
 # spread against a box of 0.8 T is (0.8^-3 - 1) times the tail at T
@@ -187,7 +191,10 @@ def _basis(half_width, order, eps):
 
     L is a Cholesky factor with diagonal pivoting (Harbrecht, Peters and
     Schneider, Appl. Numer. Math. 2012), one column of B per step; on the
-    100-wide box it stops after about 110 columns, the prolate count.  A
+    100-wide box it stops after about 110 columns, the prolate count.
+    B - L L^T is positive semi-definite, so the first m rows of L factor
+    the leading m x m block of B, the block of the box of the first m
+    nodes, up to a residual trace no larger than the whole one's.  A
     column's sin pi(x -+ y) = s_x c_y -+ c_x s_y comes from the nodes'
     s = sin pi x and c = cos pi x, over pi (x -+ y) from the nodes
     themselves: subtracting pi y from pi x would leave an error of
@@ -219,26 +226,38 @@ def _basis(half_width, order, eps):
     return nodes, factors
 
 
-def _power_sums(phis, eps, half_width, order):
-    """p_k(S) = tr((D_S K_eps)^k) on the box, k = 2..len(phis), for every
-    non-empty ascending index tuple S, D_S being the sum of the phis in S:
-    the power sums of the eigenvalues of sum_{i in S} L^T diag(phi_i) L
-    over the kernel's blocks."""
-    nodes, factors = _basis(half_width, order, eps)
-    values = [phi.value(nodes) for phi in phis]
-    mats = [[(f.T * v) @ f for v in values] for f in factors]
+def _power_sums(phis, mats):
+    """p_k(S) = tr(A_S^k) summed over the kernel's blocks, k =
+    2..len(phis), for every non-empty ascending index tuple S, where A_S
+    is the sum over i in S of mats[phi_i], and mats maps each input to
+    its matrices L^T diag(phi) L, one per block of a box: then p_k(S) is
+    tr((D_S K_eps)^k) on that box.
+
+    A_S is symmetric, so tr(A^k) is the sum of the entries of the
+    elementwise product A^(k//2) * A^(k - k//2): the powers up to
+    A^ceil(n/2) take one r x r matrix product each past the first, and
+    no eigensolver runs.  A subset's sums depend only on its tuple of
+    inputs, compared by value, and are computed once per tuple."""
     n = len(phis)
-    sums = {}
+    by_key, sums = {}, {}
     for size in range(1, n + 1):
         for s in combinations(range(n), size):
-            lam = np.concatenate([np.linalg.eigvalsh(sum(m[i] for i in s))
-                                  for m in mats])
-            sums[s] = [math.fsum((lam ** k).tolist())
-                       for k in range(2, n + 1)]
+            key = tuple(phis[i] for i in s)
+            if key not in by_key:
+                p = [0.0] * (n - 1)
+                for block in zip(*(mats[phi] for phi in key)):
+                    powers = {1: sum(block)}
+                    for m in range(2, (n + 3) // 2):
+                        powers[m] = powers[m // 2] @ powers[m - m // 2]
+                    for k in range(2, n + 1):
+                        p[k - 2] += float(np.sum(powers[k // 2]
+                                                 * powers[k - k // 2]))
+                by_key[key] = p
+            sums[s] = by_key[key]
     return sums
 
 
-def _subset_expansion(j1, sums):
+def _subset_expansion(phis, j1, sums):
     """(F(T), the sum of its terms' absolute values) for every ascending
     index tuple T, F(T) = sum_{S <= T} (-1)^(|T|-|S|) e_|T|(S).
 
@@ -247,10 +266,19 @@ def _subset_expansion(j1, sums):
     comes from the power sums by Newton's identities, p_1 being the sum
     of the j1 values in S.  By inclusion and exclusion F(T) is then the
     coefficient of prod_{i in T} z_i in det(I + sum z_i phi_i K_eps),
-    which is int prod_{i in T} phi_i det K_eps."""
+    which is int prod_{i in T} phi_i det K_eps.
+
+    Both depend only on the tuple of inputs, compared by value: first[S]
+    is the lowest index tuple with S's, which alone computes e(S) and
+    F(S), from the same terms in the same order as any later one."""
     n = len(j1)
+    first, by_key = {(): ()}, {}
+    for s in sums:
+        first[s] = by_key.setdefault(tuple(phis[i] for i in s), s)
     elem = {(): [1.0] + [0.0] * n}
     for s, p in sums.items():
+        if first[s] != s:
+            continue
         p = [math.fsum(j1[i] for i in s)] + p
         e = [1.0]
         for m in range(1, n + 1):
@@ -258,8 +286,11 @@ def _subset_expansion(j1, sums):
                                for k in range(1, m + 1)) / m)
         elem[s] = e
     out = {}
-    for t in elem:
-        terms = [(-1) ** (len(t) - size) * elem[s][len(t)]
+    for t in first:
+        if first[t] != t:
+            out[t] = out[first[t]]
+            continue
+        terms = [(-1) ** (len(t) - size) * elem[first[s]][len(t)]
                  for size in range(len(t) + 1)
                  for s in combinations(t, size)]
         out[t] = math.fsum(terms), math.fsum(map(abs, terms))
@@ -270,7 +301,10 @@ def _determinant_table(phis, eps):
     """(value, error) of int prod_{i in T} phi_i det K_eps over R^|T| for
     every ascending index tuple T.
 
-    The power sums come from two boxes, _BOX2 and 0.8 times its width;
+    The power sums come from two boxes, _BOX2 and 0.8 times its width,
+    both from _BOX2's basis: the short box's nodes are the first _SHORT,
+    so an input's short-box matrices take the factors' first _SHORT rows,
+    and its _BOX2 matrices add the product of the rows after them.
     _BOX2's order is converged (test_box_order_is_converged).  The
     value's add the estimated box tail, (p_T - p_0.8T) _TAIL_PER_SPREAD.
     The error is the spread of the expansions of the two boxes' raw sums,
@@ -280,13 +314,20 @@ def _determinant_table(phis, eps):
     j1 = [_j1(phi, eps) for phi in phis]
     if len(phis) == 1:
         return {(): (1.0, 0.0), (0,): j1[0]}
-    width, order = _BOX2
-    raw, short = (_power_sums(phis, eps, w, order)
-                  for w in (width, 0.8 * width))
+    nodes, factors = _basis(*_BOX2, eps)
+    head = [f[:_SHORT] for f in factors]
+    tail = [f[_SHORT:] for f in factors]
+    short_mats, mats = {}, {}
+    for phi in dict.fromkeys(phis):
+        v = phi.value(nodes)
+        short_mats[phi] = [(h.T * v[:_SHORT]) @ h for h in head]
+        mats[phi] = [m + (t.T * v[_SHORT:]) @ t
+                     for m, t in zip(short_mats[phi], tail)]
+    raw, short = (_power_sums(phis, m) for m in (mats, short_mats))
     tailed = {s: [a + (a - b) * _TAIL_PER_SPREAD
                   for a, b in zip(raw[s], short[s])] for s in raw}
     values = [v for v, _ in j1]
-    out, f_raw, f_short = (_subset_expansion(values, sums)
+    out, f_raw, f_short = (_subset_expansion(phis, values, sums)
                            for sums in (tailed, raw, short))
     rounding = np.finfo(float).eps
     return {t: (v, abs(f_raw[t][0] - f_short[t][0]) + rounding * size

@@ -396,8 +396,11 @@ def _cold_caches(monkeypatch):
 def test_prediction_deterministic(monkeypatch):
     a = K.n_level_prediction(K.SOEVEN, [tf(0.45), tf(0.45)])
     _cold_caches(monkeypatch)
+    eigen = mock.Mock(wraps=np.linalg.eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigen)
     b = K.n_level_prediction(K.SOEVEN, [tf(0.45), tf(0.45)])
-    assert K._basis.cache_info().misses == 2  # one per box
+    assert K._basis.cache_info().misses == 1  # one per eps
+    assert eigen.call_count == 0
     assert a == b
 
 
@@ -433,8 +436,20 @@ def _dense_blocks(half_width, order, eps):
     return x, [root[:, None] * b * root[None, :] for b in blocks]
 
 
+def _box_mats(phis, eps, half_width, order):
+    """Each input's matrices L^T diag(phi) L on one box, from that box's
+    own basis."""
+    nodes, factors = K._basis(half_width, order, eps)
+    return {phi: [(f.T * phi.value(nodes)) @ f for f in factors]
+            for phi in phis}
+
+
+def _box_sums(phis, eps, half_width, order=8):
+    return K._power_sums(phis, _box_mats(phis, eps, half_width, order))
+
+
 @pytest.mark.parametrize("eps", [-1, 0, 1])
-@pytest.mark.parametrize("box", [(100.0, 12), (100.0, 10), (80.0, 12)])
+@pytest.mark.parametrize("box", [(100.0, 12), (100.0, 10)])
 def test_kmat_matches_np_sinc_on_the_production_boxes(box, eps):
     # the kernel matrix on each of the determinant route's boxes exists
     # only as its low-rank factor; rounding that grows with x would show
@@ -449,6 +464,47 @@ def test_kmat_matches_np_sinc_on_the_production_boxes(box, eps):
         assert np.max(np.abs(f @ f.T - g)) <= 1e-14
 
 
+def test_short_box_nodes_lead_the_production_box():
+    width, order = K._BOX2
+    short, _ = panel_grid(0.0, 0.8 * width, int(0.8 * width), order)
+    nodes, _ = panel_grid(0.0, width, int(width), order)
+    assert K._SHORT == len(short) == 960
+    np.testing.assert_array_equal(short, nodes[:K._SHORT])
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+def test_production_factor_prefix_matches_np_sinc_on_the_short_box(eps):
+    # the short box exists only as the leading rows of the production
+    # box's factor
+    width, order = K._BOX2
+    _, want = _dense_blocks(0.8 * width, order, eps)
+    _, factors = K._basis(width, order, eps)
+    assert len(factors) == len(want)
+    for f, g in zip(factors, want):
+        head = f[:K._SHORT]
+        assert np.max(np.abs(head @ head.T - g)) <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+@pytest.mark.parametrize("betas", [(0.3, 0.28, 0.25), (0.1,) * 8,
+                                   (0.1, 0.11, 0.1, 0.09, 0.11, 0.1, 0.1,
+                                    0.09)])
+def test_trace_power_sums_match_eigenvalues(betas, eps):
+    # on the production box, tr(A^k) by matrix products against the
+    # power sums of eigvalsh's eigenvalues, for every subset
+    phis = [tf(b) for b in betas]
+    n = len(phis)
+    mats = _box_mats(phis, eps, *K._BOX2)
+    sums = K._power_sums(phis, mats)
+    assert list(sums) == [s for size in range(1, n + 1)
+                          for s in itertools.combinations(range(n), size)]
+    for s, got in sums.items():
+        lam = np.concatenate([np.linalg.eigvalsh(sum(block))
+                              for block in zip(*(mats[phis[i]] for i in s))])
+        want = [math.fsum((lam ** k).tolist()) for k in range(2, n + 1)]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("eps", [-1, 0, 1])
 def test_j3_matches_direct_triple_sum(eps):
     # K_eps is symmetric, so the six orderings of three distinct weights
@@ -457,7 +513,7 @@ def test_j3_matches_direct_triple_sum(eps):
     phis = (tf(0.3), tf(0.28), tf(0.25))
     kmat, (w1, w2, w3) = _small_box(phis, eps)
     direct = np.einsum("x,y,z,xy,yz,zx->", w1, w2, w3, kmat, kmat, kmat)
-    sums = K._power_sums(phis, eps, 6.0, 8)
+    sums = _box_sums(phis, eps, 6.0)
     got = math.fsum((-1) ** (3 - len(s)) * p[1]
                     for s, p in sums.items()) / 6.0
     assert got == pytest.approx(direct, rel=1e-12)
@@ -469,7 +525,7 @@ def test_j2_table_matches_direct_double_sums(eps):
     # (p_2({a, b}) - p_2({a}) - p_2({b})) / 2 off it
     phis = (tf(0.3), tf(0.28), tf(0.25))
     kmat, weights = _small_box(phis, eps)
-    sums = K._power_sums(phis, eps, 6.0, 8)
+    sums = _box_sums(phis, eps, 6.0)
     table = np.array([[sums[(a,)][0] if a == b else
                        0.5 * (sums[tuple(sorted((a, b)))][0]
                               - sums[(a,)][0] - sums[(b,)][0])
@@ -494,7 +550,7 @@ def test_half_grid_at_fractional_width_matches_mirrored_box(eps):
                for s in itertools.combinations(range(3), size)]
     for half_width in (6.0, 5.5):
         kmat, weights = _small_box(phis, eps, half_width)
-        sums = K._power_sums(phis, eps, half_width, 8)
+        sums = _box_sums(phis, eps, half_width)
         assert list(sums) == subsets
         for s in subsets:
             a = sum(weights[i] for i in s)[:, None] * kmat
@@ -519,11 +575,11 @@ def test_two_level_prediction_holds_one_half_line_block(monkeypatch):
 def test_j2_pairs_of_a_sublist_come_from_the_cache(monkeypatch):
     # the odd orthogonal prediction also integrates each two-element
     # sub-list; those come from the whole list's table, whose two
-    # boxes each build their basis once
+    # boxes share one basis, built once
     _cold_caches(monkeypatch)
     K.prediction_with_error(K.SOODD, [tf(0.29), tf(0.27), tf(0.26)])
     info = K._basis.cache_info()
-    assert (info.misses, info.hits) == (2, 0)
+    assert (info.misses, info.hits) == (1, 0)
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -537,11 +593,47 @@ def test_box_order_is_converged(betas, eps):
     width, order = K._BOX2
     values = [K._j1(phi, eps)[0] for phi in phis]
     fine, coarse = (
-        K._subset_expansion(values, K._power_sums(phis, eps, width, o))
+        K._subset_expansion(phis, values, _box_sums(phis, eps, width, o))
         for o in (order, order - 2))
     for t, (_, err) in K._determinant_table(phis, eps).items():
         gap = abs(fine[t][0] - coarse[t][0])
         assert gap <= 1e-12 and gap <= 1e-4 * err
+
+
+def _unkeyed_expansion(j1, sums):
+    """_subset_expansion with Newton's identities for every index tuple
+    and inclusion-exclusion for every T, none looked up."""
+    n = len(j1)
+    elem = {(): [1.0] + [0.0] * n}
+    for s, p in sums.items():
+        p = [math.fsum(j1[i] for i in s)] + p
+        e = [1.0]
+        for m in range(1, n + 1):
+            e.append(math.fsum((-1) ** (k - 1) * e[m - k] * p[k - 1]
+                               for k in range(1, m + 1)) / m)
+        elem[s] = e
+    out = {}
+    for t in elem:
+        terms = [(-1) ** (len(t) - size) * elem[s][len(t)]
+                 for size in range(len(t) + 1)
+                 for s in itertools.combinations(t, size)]
+        out[t] = math.fsum(terms), math.fsum(map(abs, terms))
+    return out
+
+
+@pytest.mark.parametrize("eps", [-1, 1])
+@pytest.mark.parametrize("make", [
+    lambda: [tf(0.1)] * 8,
+    lambda: [tf(0.1) for _ in range(8)],
+    lambda: [tf(b) for b in (0.1, 0.11, 0.1, 0.09, 0.11, 0.1)],
+    lambda: [tf(b) for b in (0.3, 0.28, 0.25)],
+], ids=["shared", "equal", "repeats", "distinct"])
+def test_keyed_expansion_is_bit_identical_to_unkeyed(make, eps):
+    phis = make()
+    values = [K._j1(phi, eps)[0] for phi in phis]
+    sums = _box_sums(phis, eps, 6.0)
+    got = K._subset_expansion(phis, values, sums)
+    assert list(got.items()) == list(_unkeyed_expansion(values, sums).items())
 
 
 @pytest.mark.parametrize("betas, soeven, sp", [
