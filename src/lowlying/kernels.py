@@ -12,7 +12,7 @@ form.  Two independent evaluation routes are kept deliberately separate:
   block is a low-rank L L^T from a pivoted Cholesky factorization built
   a column at a time from sin(pi x) and cos(pi x) at the nodes, once per
   eps; the rows of a leading run of nodes factor a smaller box.  Each
-  distinct tuple of inputs takes the power sums of a small matrix L^T
+  subset of the inputs takes the power sums of a small matrix L^T
   diag(phi) L as traces of its matrix powers; with the closed-form
   one-level integrals as p_1, they give the determinant's coefficients
   by Newton's identities and inclusion-exclusion over subsets;
@@ -226,38 +226,34 @@ def _basis(half_width, order, eps):
     return nodes, factors
 
 
-def _power_sums(phis, mats):
+def _power_sums(mats):
     """p_k(S) = tr(A_S^k) summed over the kernel's blocks, k =
-    2..len(phis), for every non-empty ascending index tuple S, where A_S
-    is the sum over i in S of mats[phi_i], and mats maps each input to
-    its matrices L^T diag(phi) L, one per block of a box: then p_k(S) is
-    tr((D_S K_eps)^k) on that box.
+    2..len(mats), for every non-empty ascending index tuple S, where A_S
+    is the sum over i in S of mats[i], input i's matrices L^T diag(phi_i)
+    L, one per block of a box: then p_k(S) is tr((D_S K_eps)^k) on that
+    box.
 
     A_S is symmetric, so tr(A^k) is the sum of the entries of the
     elementwise product A^(k//2) * A^(k - k//2): the powers up to
     A^ceil(n/2) take one r x r matrix product each past the first, and
-    no eigensolver runs.  A subset's sums depend only on its tuple of
-    inputs, compared by value, and are computed once per tuple."""
-    n = len(phis)
-    by_key, sums = {}, {}
+    no eigensolver runs."""
+    n = len(mats)
+    sums = {}
     for size in range(1, n + 1):
         for s in combinations(range(n), size):
-            key = tuple(phis[i] for i in s)
-            if key not in by_key:
-                p = [0.0] * (n - 1)
-                for block in zip(*(mats[phi] for phi in key)):
-                    powers = {1: sum(block)}
-                    for m in range(2, (n + 3) // 2):
-                        powers[m] = powers[m // 2] @ powers[m - m // 2]
-                    for k in range(2, n + 1):
-                        p[k - 2] += float(np.sum(powers[k // 2]
-                                                 * powers[k - k // 2]))
-                by_key[key] = p
-            sums[s] = by_key[key]
+            p = [0.0] * (n - 1)
+            for block in zip(*(mats[i] for i in s)):
+                powers = {1: sum(block)}
+                for m in range(2, (n + 3) // 2):
+                    powers[m] = powers[m // 2] @ powers[m - m // 2]
+                for k in range(2, n + 1):
+                    p[k - 2] += float(np.sum(powers[k // 2]
+                                             * powers[k - k // 2]))
+            sums[s] = p
     return sums
 
 
-def _subset_expansion(phis, j1, sums):
+def _subset_expansion(j1, sums):
     """(F(T), the sum of its terms' absolute values) for every ascending
     index tuple T, F(T) = sum_{S <= T} (-1)^(|T|-|S|) e_|T|(S).
 
@@ -266,19 +262,10 @@ def _subset_expansion(phis, j1, sums):
     comes from the power sums by Newton's identities, p_1 being the sum
     of the j1 values in S.  By inclusion and exclusion F(T) is then the
     coefficient of prod_{i in T} z_i in det(I + sum z_i phi_i K_eps),
-    which is int prod_{i in T} phi_i det K_eps.
-
-    Both depend only on the tuple of inputs, compared by value: first[S]
-    is the lowest index tuple with S's, which alone computes e(S) and
-    F(S), from the same terms in the same order as any later one."""
+    which is int prod_{i in T} phi_i det K_eps."""
     n = len(j1)
-    first, by_key = {(): ()}, {}
-    for s in sums:
-        first[s] = by_key.setdefault(tuple(phis[i] for i in s), s)
     elem = {(): [1.0] + [0.0] * n}
     for s, p in sums.items():
-        if first[s] != s:
-            continue
         p = [math.fsum(j1[i] for i in s)] + p
         e = [1.0]
         for m in range(1, n + 1):
@@ -286,11 +273,8 @@ def _subset_expansion(phis, j1, sums):
                                for k in range(1, m + 1)) / m)
         elem[s] = e
     out = {}
-    for t in first:
-        if first[t] != t:
-            out[t] = out[first[t]]
-            continue
-        terms = [(-1) ** (len(t) - size) * elem[first[s]][len(t)]
+    for t in elem:
+        terms = [(-1) ** (len(t) - size) * elem[s][len(t)]
                  for size in range(len(t) + 1)
                  for s in combinations(t, size)]
         out[t] = math.fsum(terms), math.fsum(map(abs, terms))
@@ -317,18 +301,22 @@ def _determinant_table(phis, eps):
     nodes, factors = _basis(*_BOX2, eps)
     head = [f[:_SHORT] for f in factors]
     tail = [f[_SHORT:] for f in factors]
-    short_mats, mats = {}, {}
-    for phi in dict.fromkeys(phis):
+    short_mats, mats = [], []
+    for phi in phis:
         v = phi.value(nodes)
-        short_mats[phi] = [(h.T * v[:_SHORT]) @ h for h in head]
-        mats[phi] = [m + (t.T * v[_SHORT:]) @ t
-                     for m, t in zip(short_mats[phi], tail)]
-    raw, short = (_power_sums(phis, m) for m in (mats, short_mats))
+        short_mats.append([(h.T * v[:_SHORT]) @ h for h in head])
+        mats.append([m + (t.T * v[_SHORT:]) @ t
+                     for m, t in zip(short_mats[-1], tail)])
+    raw, short = (_power_sums(m) for m in (mats, short_mats))
     tailed = {s: [a + (a - b) * _TAIL_PER_SPREAD
                   for a, b in zip(raw[s], short[s])] for s in raw}
     values = [v for v, _ in j1]
-    out, f_raw, f_short = (_subset_expansion(phis, values, sums)
+    out, f_raw, f_short = (_subset_expansion(values, sums)
                            for sums in (tailed, raw, short))
+    # eps_mach times the terms' size leaves out how Newton's identities
+    # amplify the power sums' own rounding: at n = 8, power sums that
+    # differ by rounding alone moved a value by about nine times this
+    # term (the FOUND on the rounding term in CHANGES.md)
     rounding = np.finfo(float).eps
     return {t: (v, abs(f_raw[t][0] - f_short[t][0]) + rounding * size
                 + math.fsum(j1[i][1] for i in t))

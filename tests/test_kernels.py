@@ -440,12 +440,11 @@ def _box_mats(phis, eps, half_width, order):
     """Each input's matrices L^T diag(phi) L on one box, from that box's
     own basis."""
     nodes, factors = K._basis(half_width, order, eps)
-    return {phi: [(f.T * phi.value(nodes)) @ f for f in factors]
-            for phi in phis}
+    return [[(f.T * phi.value(nodes)) @ f for f in factors] for phi in phis]
 
 
 def _box_sums(phis, eps, half_width, order=8):
-    return K._power_sums(phis, _box_mats(phis, eps, half_width, order))
+    return K._power_sums(_box_mats(phis, eps, half_width, order))
 
 
 @pytest.mark.parametrize("eps", [-1, 0, 1])
@@ -495,12 +494,12 @@ def test_trace_power_sums_match_eigenvalues(betas, eps):
     phis = [tf(b) for b in betas]
     n = len(phis)
     mats = _box_mats(phis, eps, *K._BOX2)
-    sums = K._power_sums(phis, mats)
+    sums = K._power_sums(mats)
     assert list(sums) == [s for size in range(1, n + 1)
                           for s in itertools.combinations(range(n), size)]
     for s, got in sums.items():
         lam = np.concatenate([np.linalg.eigvalsh(sum(block))
-                              for block in zip(*(mats[phis[i]] for i in s))])
+                              for block in zip(*(mats[i] for i in s))])
         want = [math.fsum((lam ** k).tolist()) for k in range(2, n + 1)]
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -593,47 +592,11 @@ def test_box_order_is_converged(betas, eps):
     width, order = K._BOX2
     values = [K._j1(phi, eps)[0] for phi in phis]
     fine, coarse = (
-        K._subset_expansion(phis, values, _box_sums(phis, eps, width, o))
+        K._subset_expansion(values, _box_sums(phis, eps, width, o))
         for o in (order, order - 2))
     for t, (_, err) in K._determinant_table(phis, eps).items():
         gap = abs(fine[t][0] - coarse[t][0])
         assert gap <= 1e-12 and gap <= 1e-4 * err
-
-
-def _unkeyed_expansion(j1, sums):
-    """_subset_expansion with Newton's identities for every index tuple
-    and inclusion-exclusion for every T, none looked up."""
-    n = len(j1)
-    elem = {(): [1.0] + [0.0] * n}
-    for s, p in sums.items():
-        p = [math.fsum(j1[i] for i in s)] + p
-        e = [1.0]
-        for m in range(1, n + 1):
-            e.append(math.fsum((-1) ** (k - 1) * e[m - k] * p[k - 1]
-                               for k in range(1, m + 1)) / m)
-        elem[s] = e
-    out = {}
-    for t in elem:
-        terms = [(-1) ** (len(t) - size) * elem[s][len(t)]
-                 for size in range(len(t) + 1)
-                 for s in itertools.combinations(t, size)]
-        out[t] = math.fsum(terms), math.fsum(map(abs, terms))
-    return out
-
-
-@pytest.mark.parametrize("eps", [-1, 1])
-@pytest.mark.parametrize("make", [
-    lambda: [tf(0.1)] * 8,
-    lambda: [tf(0.1) for _ in range(8)],
-    lambda: [tf(b) for b in (0.1, 0.11, 0.1, 0.09, 0.11, 0.1)],
-    lambda: [tf(b) for b in (0.3, 0.28, 0.25)],
-], ids=["shared", "equal", "repeats", "distinct"])
-def test_keyed_expansion_is_bit_identical_to_unkeyed(make, eps):
-    phis = make()
-    values = [K._j1(phi, eps)[0] for phi in phis]
-    sums = _box_sums(phis, eps, 6.0)
-    got = K._subset_expansion(phis, values, sums)
-    assert list(got.items()) == list(_unkeyed_expansion(values, sums).items())
 
 
 @pytest.mark.parametrize("betas, soeven, sp", [
