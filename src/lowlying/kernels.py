@@ -11,11 +11,14 @@ form.  Two independent evaluation routes are kept deliberately separate:
   blocks, one per parity it does not annihilate, and each weighted
   block is a low-rank L L^T from a pivoted Cholesky factorization built
   a column at a time from sin(pi x) and cos(pi x) at the nodes, once per
-  eps; the rows of a leading run of nodes factor a smaller box.  Each
-  subset of the inputs takes the power sums of a small matrix L^T
-  diag(phi) L as traces of its matrix powers; with the closed-form
-  one-level integrals as p_1, they give the determinant's coefficients
-  by Newton's identities and inclusion-exclusion over subsets;
+  eps; the rows of a leading run of nodes factor a smaller box.  An
+  input's small matrix L^T diag(phi) L is formed as G^T G with G =
+  diag(phi)^1/2 L (real, since phi = beta sinc^2 >= 0), which BLAS
+  returns exactly symmetric.  Each subset of the inputs takes the power
+  sums of the sum of its inputs' matrices as traces of its matrix
+  powers; with the closed-form one-level integrals as p_1, they give the
+  determinant's coefficients by Newton's identities and
+  inclusion-exclusion over subsets;
 * the combinatorial route works entirely on the Fourier side (grid
   convolutions of the triangle transforms); its sum over set
   partitions, even block subsets and pairings is one recursion over
@@ -191,14 +194,17 @@ def _basis(half_width, order, eps):
 
     L is a Cholesky factor with diagonal pivoting (Harbrecht, Peters and
     Schneider, Appl. Numer. Math. 2012), one column of B per step; on the
-    100-wide box it stops after about 110 columns, the prolate count.
-    B - L L^T is positive semi-definite, so the first m rows of L factor
-    the leading m x m block of B, the block of the box of the first m
-    nodes, up to a residual trace no larger than the whole one's.  A
+    100-wide box it stops after about 110 columns, the prolate count,
+    which the factor has room for from the start (1.2 half_width
+    columns, then 32 more at a time).  B - L L^T is positive
+    semi-definite, so the first m rows of L factor the leading m x m
+    block of B, the block of the box of the first m nodes, up to a
+    residual trace no larger than the whole one's.  A
     column's sin pi(x -+ y) = s_x c_y -+ c_x s_y comes from the nodes'
     s = sin pi x and c = cos pi x, over pi (x -+ y) from the nodes
     themselves: subtracting pi y from pi x would leave an error of
-    ulp(pi x) next to the diagonal."""
+    ulp(pi x) next to the diagonal.  The nodes and factors are
+    read-only, since every cache hit shares them."""
     nodes, weights = panel_grid(0.0, half_width, int(half_width), order)
     s, c = _sin_cos_pi(nodes)
     root = np.sqrt(weights)
@@ -207,14 +213,15 @@ def _basis(half_width, order, eps):
     for scale, sign in ([(2.0, eps)] if eps else [(1.0, 1), (1.0, -1)]):
         residual = scale * weights * (1.0 + sign * diag_plus)
         stop = 1e-15 * residual.sum()
-        rows, rank = np.empty((0, len(nodes))), 0  # L^T
+        rows, rank = np.empty((int(1.2 * half_width), len(nodes))), 0  # L^T
         while rank < len(nodes) and residual.sum() > stop:
             j = int(np.argmax(residual))
             den = np.pi * (nodes - nodes[j])
             den[j] = 1.0
-            minus = (s * c[j] - c * s[j]) / den
+            sc, cs = s * c[j], c * s[j]
+            minus = (sc - cs) / den
             minus[j] = 1.0  # S- is 1 on the diagonal
-            plus = (s * c[j] + c * s[j]) / (np.pi * (nodes + nodes[j]))
+            plus = (sc + cs) / (np.pi * (nodes + nodes[j]))
             column = (scale * root[j]) * root * (minus + sign * plus)
             if rank == len(rows):  # grow by 32 rows, not to n x n
                 rows = np.concatenate([rows, np.empty((32, len(nodes)))])
@@ -222,8 +229,11 @@ def _basis(half_width, order, eps):
                           / math.sqrt(residual[j]))
             residual -= rows[rank] ** 2
             rank += 1
-        factors.append(rows[:rank].T)
-    return nodes, factors
+        factor = rows[:rank].T
+        factor.flags.writeable = False
+        factors.append(factor)
+    nodes.flags.writeable = False
+    return nodes, tuple(factors)
 
 
 def _power_sums(mats):
@@ -233,10 +243,10 @@ def _power_sums(mats):
     L, one per block of a box: then p_k(S) is tr((D_S K_eps)^k) on that
     box.
 
-    A_S is symmetric, so tr(A^k) is the sum of the entries of the
-    elementwise product A^(k//2) * A^(k - k//2): the powers up to
-    A^ceil(n/2) take one r x r matrix product each past the first, and
-    no eigensolver runs."""
+    Each mats[i] is G^T G, exactly symmetric, and so is A_S; then
+    tr(A^k) is the sum of the entries of the elementwise product
+    A^(k//2) * A^(k - k//2): the powers up to A^ceil(n/2) take one r x r
+    matrix product each past the first, and no eigensolver runs."""
     n = len(mats)
     sums = {}
     for size in range(1, n + 1):
@@ -288,7 +298,12 @@ def _determinant_table(phis, eps):
     The power sums come from two boxes, _BOX2 and 0.8 times its width,
     both from _BOX2's basis: the short box's nodes are the first _SHORT,
     so an input's short-box matrices take the factors' first _SHORT rows,
-    and its _BOX2 matrices add the product of the rows after them.
+    and its _BOX2 matrices add the product of the rows after them.  Each
+    is G^T G with G = diag(phi)^1/2 L, whose root is real because every
+    TestFunction is beta sinc^2 >= 0; numpy hands a product of a buffer
+    with its own transpose to BLAS syrk, which does half a general
+    product's flops and returns an exactly symmetric matrix, as
+    _power_sums assumes.  The inputs take turns in one buffer for G^T.
     _BOX2's order is converged (test_box_order_is_converged).  The
     value's add the estimated box tail, (p_T - p_0.8T) _TAIL_PER_SPREAD.
     The error is the spread of the expansions of the two boxes' raw sums,
@@ -299,14 +314,19 @@ def _determinant_table(phis, eps):
     if len(phis) == 1:
         return {(): (1.0, 0.0), (0,): j1[0]}
     nodes, factors = _basis(*_BOX2, eps)
-    head = [f[:_SHORT] for f in factors]
-    tail = [f[_SHORT:] for f in factors]
+    buf = np.empty(max(f.size for f in factors))
     short_mats, mats = [], []
     for phi in phis:
-        v = phi.value(nodes)
-        short_mats.append([(h.T * v[:_SHORT]) @ h for h in head])
-        mats.append([m + (t.T * v[_SHORT:]) @ t
-                     for m, t in zip(short_mats[-1], tail)])
+        root = np.sqrt(phi.value(nodes))
+        on_short, on_box = [], []
+        for f in factors:
+            g = buf[:f.size].reshape(f.shape[::-1])
+            np.multiply(f.T, root, out=g)
+            head, tail = g[:, :_SHORT], g[:, _SHORT:]
+            on_short.append(head @ head.T)
+            on_box.append(on_short[-1] + tail @ tail.T)
+        short_mats.append(on_short)
+        mats.append(on_box)
     raw, short = (_power_sums(m) for m in (mats, short_mats))
     tailed = {s: [a + (a - b) * _TAIL_PER_SPREAD
                   for a, b in zip(raw[s], short[s])] for s in raw}

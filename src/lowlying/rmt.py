@@ -185,10 +185,13 @@ def _beta_table(group, n):
             math.fsum(coef[:, k]) + math.fsum(rem[:, k] * 0.5 ** (j - sig + 2))
             if half else math.fsum(coef[:, k]))
     # columns from active[j] on have no term of degree j or above yet
-    active = [int(np.flatnonzero(row).max()) + 1 for row in coef]
+    active = tuple(int(np.flatnonzero(row).max()) + 1 for row in coef)
     # t is a half-integer in the even columns
-    return (t[:, None], s[:, None], coef[:, :, None], active,
-            rem[:, ::2, None], ln_c[:, None], ln_b[:, None], at_half[:, None])
+    table = (t[:, None], s[:, None], coef[:, :, None], active,
+             rem[:, ::2, None], ln_c[:, None], ln_b[:, None], at_half[:, None])
+    for a in table[:3] + table[4:]:
+        a.flags.writeable = False  # every cache hit shares them
+    return table
 
 
 def _beta_quantiles(group, n, u):
@@ -460,6 +463,7 @@ def _distinct(size, n):
     for a in range(n):
         for b in range(a):
             keep &= axes[a] != axes[b]
+    keep.flags.writeable = False  # every cache hit shares it
     return keep
 
 

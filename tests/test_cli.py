@@ -240,6 +240,21 @@ class TestImportPath:
             "phi = K.fejer_test_function(0.3)\n"
             "K.prediction_with_error(K.SP, [phi, phi])", tmp_path)
 
+    def test_prediction_loads_no_numpy_polynomial(self, tmp_path):
+        # numpy loads numpy.polynomial on first use; the kernel basis's
+        # Gauss-Legendre nodes do without it, so a cold process never
+        # pays for it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nfrom lowlying import kernels as K\n"
+             "phi = K.fejer_test_function(0.45)\n"
+             "K.prediction_with_error(K.SOEVEN, [phi, phi])\n"
+             "print('numpy' in sys.modules, 'numpy.polynomial' in "
+             "sys.modules)"],
+            cwd=tmp_path, env=cli_env("1"), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["True", "False"]
+
     def test_orthogonal_and_symplectic_ensembles(self, tmp_path):
         assert not self.loads_scipy(
             "from lowlying import cli\n"

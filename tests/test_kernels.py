@@ -505,6 +505,37 @@ def test_trace_power_sums_match_eigenvalues(betas, eps):
 
 
 @pytest.mark.parametrize("eps", [-1, 0, 1])
+def test_power_sum_inputs_are_exactly_symmetric(monkeypatch, eps):
+    # _power_sums takes tr(A^k) as a sum over A^(k//2) * A^(k - k//2),
+    # which holds for symmetric A; each input's matrix is G^T G, a
+    # product of one buffer with its own transpose, and each box's
+    # matrix the sum of two such
+    seen = []
+    power_sums = K._power_sums
+
+    def capture(mats):
+        seen.extend(a for blocks in mats for a in blocks)
+        return power_sums(mats)
+
+    monkeypatch.setattr(K, "_power_sums", capture)
+    K._determinant_table([tf(0.3), tf(0.28), tf(0.25)], eps)
+    # two boxes, three inputs, one block per non-zero parity
+    assert len(seen) == 2 * 3 * (1 if eps else 2)
+    for a in seen:
+        assert np.array_equal(a, a.T)
+
+
+def test_cached_basis_is_read_only():
+    # every cache hit shares the nodes and factors, so a write in place
+    # would reach the next caller
+    nodes, factors = K._basis(*K._BOX2, 0)
+    assert len(factors) == 2
+    for a in (nodes,) + factors:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
 def test_j3_matches_direct_triple_sum(eps):
     # K_eps is symmetric, so the six orderings of three distinct weights
     # in tr((D_S K)^3) share one trace, and inclusion and exclusion over

@@ -96,3 +96,66 @@ def test_nonpositive_tol_is_rejected_before_any_evaluation(tol):
         Q.adaptive_tensor(f, BOX, tol)
     with pytest.raises(ValueError, match="tol must be positive"):
         M.integrate(M.vertical_measure(3), f, tol=tol)
+
+
+def _legendre_root(order, start):
+    """The root of P_order next to `start`, and its Gauss-Legendre weight
+    2 (1 - r^2) / (order P_(order-1)(r))^2, by mpmath."""
+    import mpmath
+
+    def dp(t):
+        return order * (mpmath.legendre(order - 1, t)
+                        - t * mpmath.legendre(order, t)) / (1 - t * t)
+
+    r = mpmath.findroot(lambda t: mpmath.legendre(order, t),
+                        mpmath.mpf(start), df=dp, solver="newton")
+    return r, 2 * (1 - r * r) / (order * mpmath.legendre(order - 1, r)) ** 2
+
+
+@pytest.mark.parametrize("order", [8, 12, 20])
+def test_gauss_legendre_matches_mpmath(order):
+    # worst cases at 40 digits: nodes 0.50, 0.53 and 0.64 ulp from the
+    # roots, weights 6.0, 8.7 and 25.9 ulps at orders 8, 12 and 20; the
+    # outermost weight is the worst, as the recurrence's rounding grows
+    # with the order
+    import mpmath
+
+    x, w = Q.gauss_legendre(order)
+    assert len(x) == len(w) == order
+    with mpmath.workdps(40):
+        for xi, wi in zip(x.tolist(), w.tolist()):
+            root, weight = _legendre_root(order, xi)
+            assert abs(xi - float(root)) <= math.ulp(xi), xi
+            assert abs(wi - float(weight)) <= 2 * order * math.ulp(wi), xi
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 8, 12, 20])
+def test_gauss_legendre_is_exactly_symmetric(order):
+    x, w = Q.gauss_legendre(order)
+    assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("order", [8, 12, 20])
+def test_gauss_legendre_integrates_polynomials_to_degree_2n_minus_1(order):
+    # powers by repeated products are odd or even in x bit for bit, so
+    # an odd power's terms cancel in pairs and their exactly rounded sum
+    # is 0; numpy.polynomial's leggauss is off by up to 4e-14 at order 20
+    x, w = Q.gauss_legendre(order)
+    power = np.ones_like(x)
+    for k in range(2 * order):
+        got = math.fsum((w * power).tolist())
+        power = power * x
+        if k % 2:
+            assert got == 0.0, k
+        else:
+            assert got == pytest.approx(2.0 / (k + 1), rel=1e-14), k
+
+
+def test_gauss_legendre_arrays_are_read_only():
+    # every cache hit shares them, so a write in place would reach the
+    # next caller
+    for a in Q.gauss_legendre(12):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0

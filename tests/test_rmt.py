@@ -565,6 +565,19 @@ class TestPeriodizedValue:
         assert out[1, 0] == rmt.periodized_value(phi, 10.0, 0.3)
 
 
+@pytest.mark.parametrize("cached", [lambda: rmt._beta_table("USp", 9),
+                                    lambda: (rmt._distinct(5, 3),)],
+                         ids=["_beta_table", "_distinct"])
+def test_cached_arrays_are_read_only(cached):
+    # every cache hit shares them, so a write in place would reach the
+    # next caller
+    arrays = [a for a in cached() if not isinstance(a, tuple)]
+    assert arrays and all(isinstance(a, np.ndarray) for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
 class TestStatistic:
     def test_matches_enumeration_on_random_spectra(self):
         rng = random.Random(7)

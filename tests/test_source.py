@@ -51,31 +51,47 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def scipy_imports(source):
-    """Line numbers of the imports that load scipy or one of its modules."""
+_SLOW_MODULES = ("scipy", "numpy.polynomial")
+
+
+def slow_loads(source):
+    """Line numbers of the code that loads scipy, numpy.polynomial or one
+    of their modules: an import, or a numpy.polynomial or np.polynomial
+    attribute, which numpy loads on first use."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
+            names = ["%s.%s" % (node.module or "", a.name)
+                     for a in node.names]
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            names = ["numpy." + node.attr]
         else:
             continue
-        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+        if any(n == m or n.startswith(m + ".")
+               for n in names for m in _SLOW_MODULES):
             lines.append(node.lineno)
     return sorted(lines)
 
 
 def test_scan_finds_a_planted_scipy_import():
     source = ("import scipyx\nfrom scipy import special\n"
-              "def f():\n    import scipy.linalg as la\n    return la\n")
-    assert scipy_imports(source) == [2, 4]
+              "def f():\n    import scipy.linalg as la\n    return la\n"
+              "import numpy as np\nnp.polynomial.legendre.leggauss(3)\n"
+              "from numpy import polynomial, linalg\n"
+              "from numpy.polynomial import legendre\n"
+              "import numpy.polynomialx, numpy.linalg\n"
+              "numpy.polynomial\nnp.linalg.norm, np.polynomialx\n")
+    assert slow_loads(source) == [2, 4, 7, 8, 9, 11]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_scipy_imports(path):
-    assert scipy_imports(path.read_text()) == []
+    assert slow_loads(path.read_text()) == []
 
 
 def _int_call(node):
