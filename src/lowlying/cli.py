@@ -232,7 +232,6 @@ def _cmd_density(args):
 
 
 def _cmd_moments(args):
-    from lowlying import family as family_mod
     from lowlying import hecke, measures
 
     if args.nmax < 1:
@@ -249,7 +248,7 @@ def _cmd_moments(args):
             quad = float(measures.integrate(
                 spec, lambda x, y, _n=n: hecke.spin_coeff_grid(x, y, _n)[_n],
                 tol=target))
-            prediction = family_mod.main_term_spin(p ** n)
+            prediction = hecke.main_term_spin(p ** n)
             err = abs(quad - prediction)
             rows.append({
                 "p": p,

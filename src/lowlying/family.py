@@ -11,16 +11,14 @@ main terms with Monte Carlo error bars as the only uncertainty.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import measures
-from .hecke import (_factorize, spin_coeff_grid, spin_root_number_level_one,
-                    std_coeff_grid)
+from .hecke import (main_term_spin, spin_coeff_grid,
+                    spin_root_number_level_one, std_coeff_grid)
 from .summary import _check_seed, _integer, _mean_stderr, _z_against
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "generate_family",
     "coefficient_values",
     "average_coefficient",
-    "main_term_spin",
     "joint_sato_tate_test",
     "plus_minus_split_test",
     "write_family_csv",
@@ -82,9 +79,17 @@ class FamilySpec:
         _check_seed(self.seed)
 
     def factor(self, m):
-        """{p: v} with m = prod p^v, for m a product of the window's primes."""
-        fac = _factorize(m)
-        if not fac.keys() <= set(self.primes):
+        """{p: v} with m = prod p^v, for m a product of the window's primes;
+        only they are tried, so a large prime factor fails at once."""
+        rest = _integer(m, "expected an integer >= 1")
+        if rest < 1:
+            raise ValueError("expected an integer >= 1, got %d" % (rest,))
+        fac = {}
+        for p in self.primes:
+            while rest % p == 0:
+                fac[p] = fac.get(p, 0) + 1
+                rest //= p
+        if rest != 1:
             raise ValueError("m must be a product of the family primes %s, "
                              "got %d" % (self.primes, m))
         return fac
@@ -196,23 +201,6 @@ def _average(m, vals) -> AverageReport:
 def average_coefficient(family: Family, m: int) -> AverageReport:
     """Ensemble mean and standard error of the spin coefficient at m."""
     return _average(m, coefficient_values(family, m))
-
-
-def main_term_spin(m: int) -> float:
-    """Limiting average of the degree-4 coefficient at m.
-
-    Zero unless m is a perfect square; otherwise the square root's
-    reciprocal times, for each prime power p^v exactly dividing m, the
-    sum 1 + p^-2 + ... + p^-v.  Evaluated in exact rationals, then
-    rounded once.
-    """
-    fac = _factorize(m)
-    if any(v % 2 for v in fac.values()):
-        return 0.0
-    total = Fraction(1, math.isqrt(m))
-    for p, v in fac.items():
-        total *= sum(Fraction(1, p ** (2 * i)) for i in range(v // 2 + 1))
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

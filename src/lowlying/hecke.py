@@ -5,22 +5,25 @@ pair of unit-circle parameter pairs) and a degree-5 factor (through sum
 and difference angles plus a trivial parameter).  Their Dirichlet
 coefficients at prime powers are computed with real recurrences in
 a = 2cos(theta1), b = 2cos(theta2); complex arithmetic appears only in
-test oracles.
+test oracles.  `main_term_spin`, the limiting family average of a
+degree-4 coefficient, is computed in exact rationals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .summary import _integer
+from .summary import _factorize, _integer
 
 __all__ = [
     "SpinSatake",
     "FormShape",
     "spin_dirichlet_coeff",
+    "main_term_spin",
     "spin_coeff_grid",
     "std_coeff_grid",
     "analytic_conductor",
@@ -101,21 +104,21 @@ def spin_dirichlet_coeff(s: SpinSatake, n: int) -> float:
     return float(spin_coeff_grid(s.a, s.b, n)[n])
 
 
-def _factorize(m: int):
-    """{p: v} with m = prod p^v; checks every m and every level."""
-    m = _integer(m, "expected an integer >= 1")
-    if m < 1:
-        raise ValueError("expected an integer >= 1, got %d" % (m,))
-    out = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+def main_term_spin(m: int) -> float:
+    """Limiting average of the degree-4 coefficient at m.
+
+    Zero unless m is a perfect square; otherwise the square root's
+    reciprocal times, for each prime power p^v exactly dividing m, the
+    sum 1 + p^-2 + ... + p^-v.  Evaluated in exact rationals, then
+    rounded once.
+    """
+    fac = _factorize(m)
+    if any(v % 2 for v in fac.values()):
+        return 0.0
+    total = Fraction(1, math.isqrt(m))
+    for p, v in fac.items():
+        total *= sum(Fraction(1, p ** (2 * i)) for i in range(v // 2 + 1))
+    return float(total)
 
 
 @dataclass(frozen=True)

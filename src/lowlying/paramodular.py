@@ -13,8 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hecke import _factorize
-from .summary import _integer
+from .summary import _factorize, _integer
 
 __all__ = [
     "LevelData",

@@ -1,19 +1,19 @@
 """Sample means, standard errors and z-scores, shared by the ensemble
-averages in `rmt` and the family averages in `family`, the integer and
-seed rules of every library entry point, and NumericFailure.
+averages in `rmt` and the family averages in `family`, the integer,
+seed and factorization rules of every library entry point, and
+NumericFailure.
 
 Means and variances are exactly rounded sums: `_exact_sum` returns the
 bits of math.fsum from exponent buckets that numpy fills exactly, a
 small superaccumulator in the sense of Neal (arXiv:1505.05571).
 
-It imports only the standard library and numpy, so `rmt` loads none of
-`family`, `measures` or `hecke`.
+It imports numpy only inside the two sums, so `paramodular` loads with
+the standard library alone, and `rmt` loads none of `family`,
+`measures` or `hecke`.
 """
 
 import math
 import operator
-
-import numpy as np
 
 
 class NumericFailure(RuntimeError):
@@ -39,6 +39,8 @@ def _exact_sum(x):
     overflow (where fsum raises OverflowError) and exact zeros (whose
     sign is fsum's to choose) go to fsum itself.
     """
+    import numpy as np
+
     n = x.size
     if not n or n > 2 ** 26 or not np.isfinite(x).all():
         return math.fsum(x.tolist())
@@ -68,6 +70,8 @@ def _mean_stderr(values):
     The squares come from the C library's pow, as Python's float `**`
     computes them; `x * x` can differ from pow in the last bit, and so
     move a reported error."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=float).ravel()
     n = arr.size
     mean = _exact_sum(arr) / n
@@ -89,6 +93,23 @@ def _integer(value, message):
         return operator.index(value)
     except TypeError:
         raise ValueError("%s, got %r" % (message, value)) from None
+
+
+def _factorize(m: int):
+    """{p: v} with m = prod p^v; checks every m and every level."""
+    m = _integer(m, "expected an integer >= 1")
+    if m < 1:
+        raise ValueError("expected an integer >= 1, got %d" % (m,))
+    out = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
 
 
 def _check_seed(seed):

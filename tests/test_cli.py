@@ -199,40 +199,66 @@ class TestParseErrors:
 
 
 class TestImportPath:
-    """No command loads scipy, and `rmt` loads no family-side module.
+    """No command loads scipy, `rmt` loads no family-side module, `dims`
+    no numpy, `moments` no `family`, and `density` only `measures` and
+    what it needs.
 
     Each case runs in a subprocess, because this one has scipy and every
     lowlying module loaded.
     """
 
     @staticmethod
-    def loads_scipy(body, cwd):
-        script = body + "\nimport sys\nprint('scipy' in sys.modules)\n"
+    def loaded(body, cwd):
+        """The names in sys.modules after a fresh process runs `body`."""
+        script = body + "\nimport sys\nprint(*sys.modules)\n"
         proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
                               env=cli_env("1"), capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split()[-1] == "True"
+        return set(proc.stdout.split())
+
+    @classmethod
+    def loaded_by_command(cls, argv, cwd):
+        return cls.loaded("from lowlying import cli\n"
+                          "assert cli.main(%r) == 0" % (argv,), cwd)
 
     def test_rmt_loads_no_family_modules(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, lowlying.rmt\nprint(*sys.modules)"],
-            cwd=tmp_path, env=cli_env("1"), capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.split())
+        loaded = self.loaded("import lowlying.rmt", tmp_path)
         assert "lowlying.rmt" in loaded
         assert not loaded & {"lowlying.family", "lowlying.measures",
                              "lowlying.hecke"}
 
+    def test_dims_loads_no_numpy(self, tmp_path):
+        # the dimension tables are exact rationals throughout
+        loaded = self.loaded_by_command(
+            ["dims", "--weights", "4,4;6,5", "--levels", "1,6",
+             "--out", "t.csv"], tmp_path)
+        assert "lowlying.paramodular" in loaded
+        assert "numpy" not in loaded
+
+    def test_moments_loads_no_family(self, tmp_path):
+        loaded = self.loaded_by_command(
+            ["moments", "--primes", "2", "--nmax", "2", "--out", "m.json"],
+            tmp_path)
+        assert "lowlying.hecke" in loaded
+        assert "lowlying.family" not in loaded
+
+    def test_density_loads_no_coefficient_or_ensemble_modules(self,
+                                                              tmp_path):
+        loaded = self.loaded_by_command(
+            ["density", "--grid", "5", "--out", "d.csv"], tmp_path)
+        assert "lowlying.measures" in loaded
+        assert not loaded & {"lowlying.hecke", "lowlying.family",
+                             "lowlying.kernels", "lowlying.rmt"}
+
     def test_importing_every_module(self, tmp_path):
-        assert not self.loads_scipy(
+        assert "scipy" not in self.loaded(
             "import importlib, pkgutil, lowlying\n"
             "for m in pkgutil.iter_modules(lowlying.__path__):\n"
             "    importlib.import_module('lowlying.' + m.name)", tmp_path)
 
     def test_u_ensemble_and_prediction(self, tmp_path):
-        assert not self.loads_scipy(
+        assert "scipy" not in self.loaded(
             "from lowlying import cli, kernels as K\n"
             "assert cli.main(['rmt', '--group', 'U', '--size', '4',\n"
             "                 '--samples', '8', '--zmax', '50',\n"
@@ -244,19 +270,15 @@ class TestImportPath:
         # numpy loads numpy.polynomial on first use; the kernel basis's
         # Gauss-Legendre nodes do without it, so a cold process never
         # pays for it
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys\nfrom lowlying import kernels as K\n"
-             "phi = K.fejer_test_function(0.45)\n"
-             "K.prediction_with_error(K.SOEVEN, [phi, phi])\n"
-             "print('numpy' in sys.modules, 'numpy.polynomial' in "
-             "sys.modules)"],
-            cwd=tmp_path, env=cli_env("1"), capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split()[-2:] == ["True", "False"]
+        loaded = self.loaded(
+            "from lowlying import kernels as K\n"
+            "phi = K.fejer_test_function(0.45)\n"
+            "K.prediction_with_error(K.SOEVEN, [phi, phi])", tmp_path)
+        assert "numpy" in loaded
+        assert "numpy.polynomial" not in loaded
 
     def test_orthogonal_and_symplectic_ensembles(self, tmp_path):
-        assert not self.loads_scipy(
+        assert "scipy" not in self.loaded(
             "from lowlying import cli\n"
             "for group in ('SOeven', 'SOodd', 'USp', 'O'):\n"
             "    assert cli.main(['rmt', '--group', group, '--size', '4',\n"
@@ -717,6 +739,19 @@ class TestFamily:
                          "--m", "1", "--out", str(out)])
         assert code == 1
         assert read_strict_json(out)["averages"][0]["z"] == "inf"
+
+    def test_m_with_a_large_prime_factor_exits_2_at_once(self, tmp_path):
+        # only the window's primes are tried as divisors, so a Mersenne
+        # prime is rejected without trial division up to its square root
+        proc = subprocess.run(
+            [sys.executable, "-m", "lowlying", "family", "--primes", "2,3",
+             "--forms", "10", "--m", str(2 ** 61 - 1), "--out", "f.json"],
+            cwd=tmp_path, env=cli_env("1"), capture_output=True, text=True,
+            timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            "error: m must be a product of the family primes (2, 3)")
+        assert not (tmp_path / "f.json").exists()
 
     def test_split_m_is_not_checked_without_the_split(self, tmp_path):
         out = tmp_path / "f.json"

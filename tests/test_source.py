@@ -94,6 +94,46 @@ def test_no_scipy_imports(path):
     assert slow_loads(path.read_text()) == []
 
 
+def numpy_at_load(source):
+    """Line numbers of the imports of numpy or one of its modules that run
+    when the module loads: those outside every function body."""
+    lines = []
+    nodes = list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [] if node.level else [node.module]
+        else:
+            nodes.extend(ast.iter_child_nodes(node))
+            continue
+        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_a_planted_numpy_import():
+    source = ("import numpyx\nimport os, numpy as np\n"
+              "from numpy import linalg\nfrom numpy.linalg import norm\n"
+              "try:\n    import numpy.fft\nexcept ImportError:\n"
+              "    pass\ndef f():\n    import numpy as np\n"
+              "    return np\nclass C:\n    import numpy\n"
+              "from .numpy import x\nf, C, x, os, norm, linalg\n")
+    assert numpy_at_load(source) == [2, 3, 4, 6, 13]
+
+
+@pytest.mark.parametrize("name", ["summary.py", "paramodular.py"])
+def test_dims_modules_load_no_numpy(name):
+    # `dims` computes in Fractions, and these are all it loads of the
+    # package besides `cli`; a numpy import at load would cost it most of
+    # its run
+    assert numpy_at_load((PACKAGE / name).read_text()) == []
+
+
 def _int_call(node):
     return isinstance(node, ast.Call) and getattr(node.func, "id", "") \
         == "int" and len(node.args) == 1
