@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .quadrature import adaptive_tensor
-from .summary import NumericFailure, _check_seed, _integer
+from .summary import NumericFailure, _check_seed, _integer, _is_prime
 
 __all__ = [
     "MeasureSpec",
@@ -29,17 +29,21 @@ __all__ = [
 ]
 
 
+# check_prime names a composite's least factor when it is below this
+_FACTOR_SEARCH = 2 ** 16
+
+
 def check_prime(p):
-    """Validate a prime modulus by trial division (inputs are small)."""
+    """Validate a prime modulus by `summary._is_prime`."""
     n = _integer(p, "p must be a prime >= 2")
     if n < 2:
         raise ValueError("p must be a prime >= 2, got %d" % (n,))
-    d = 2
-    while d * d <= n:
+    if _is_prime(n):
+        return n
+    for d in range(2, min(math.isqrt(n), _FACTOR_SEARCH) + 1):
         if n % d == 0:
             raise ValueError("p must be prime, got %d = %d * %d" % (n, d, n // d))
-        d += 1
-    return n
+    raise ValueError("p must be prime, got %d" % (n,))
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,11 @@ largest gap.
 
 An ensemble is held as arrays: per concrete group, one (samples, m) array
 of scaled angles and the group's period.  Only the latest ensemble stays
-cached.  The n-level statistic of every n is one exact fsum over a term
-list built from masked outer products of the test-function values.
+cached.  The n-level statistic of every n sums a term list built from
+masked outer products of the test-function values, a block of spectra
+at a time: a TwoSum cascade whose rounding is certified exact spectrum
+by spectrum, with fsum for the spectra it cannot certify, so every value
+has fsum's bits.
 """
 
 from __future__ import annotations
@@ -467,34 +470,118 @@ def _distinct(size, n):
     return keep
 
 
-def _d_n(vals, zeros, with_zero, mult):
-    """Exact fsum of the starred n-level term list of one spectrum.
+# the n-level statistic takes blocks of spectra whose outer products hold
+# at most this many terms, and one spectrum at least; no result depends
+# on it
+_TERMS = 2 ** 15
 
-    vals[slot, j] is the slot's test function at point j.  Scaling by
-    `mult` (2 when each point stands for a conjugate pair) is exact, so
-    it counts both signed indices at once.  The structural zero, when
-    it takes part, is one more point, valued zeros[slot] and unscaled.
-    Each term is a product in slot order over distinct points, hence
-    the same float as its brute-force counterpart times a power of 2.
+
+def _column_sums(terms):
+    """math.fsum of each column of a 2-D float array, as a list, at array
+    speed.
+
+    A pairwise cascade of Knuth's TwoSum over the W terms of a column
+    leaves their sum as a float s and W - 1 exact errors e (TwoSum is
+    exact barring overflow, subnormals included).  With sigma the float
+    sum of the errors, TwoSum again gives hi + lo = s + sigma, so the
+    exact sum is hi + lo + (sum e - sigma).  The bound on the last part,
+    with u = 2^-53 and A the float sum of the |terms|:
+
+    - an error is at most u |s'|, s' the float sum at its node, and
+      |s'| <= (1 + u)^L times the sum of |terms| below the node; each
+      of the L = ceil(log2 W) levels covers disjoint terms, so
+      sum|e| <= u L (1 + u)^L sum|terms|;
+    - any summation order rounds each of k numbers at most k - 1 times,
+      so |sigma - sum e| <= gamma_(W-2) sum|e|, and
+      A >= (1 - u)^(W-1) sum|terms| (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., sec. 4.2, with
+      gamma_j = j u/(1 - j u));
+    - so for W u <= 2^-20 (W <= 2^33, far past any block here) the
+      bound is at most W L u^2 (1 + 2^-18) A, and below
+      B = fl((17/16) W L u^2 A) but for at most 2^-1075 where B
+      underflows.
+
+    A column is certified when fl(|lo| + B) < g/2, g the gap from |hi|
+    down to the next float, the smaller of hi's two gaps.  g/2 is a
+    float, so the exact |lo| + B is below it too, and then by 2^-1074,
+    the spacing of all floats, at least: the underflow slack fits.  The
+    exact sum is then strictly nearer hi than any other float, so hi is
+    the correctly rounded sum, which is what fsum returns.  fsum sums the
+    other columns: the uncertified, hi == 0 among them (its gap is 0;
+    the sign of a zero sum is fsum's to choose), and all of an array in
+    which some A is not below 2^1021, where a term is not finite or could
+    overflow a partial sum here or in fsum.
     """
-    cols = mult * vals
-    if with_zero:
-        cols = np.column_stack([cols, zeros])
-    n, size = cols.shape
-    prod = cols[0]
-    for row in cols[1:]:
-        prod = np.multiply.outer(prod, row)
-    return math.fsum(prod[_distinct(size, n)].tolist())
+    width, cols = terms.shape
+    with np.errstate(over="ignore"):  # an infinite A goes to fsum
+        abs_sums = np.abs(terms).sum(axis=0)
+    if not width or not abs_sums.max() < 2.0 ** 1021:
+        return [math.fsum(col) for col in terms.T.tolist()]
+    errors = np.empty((width - 1, cols))
+    done = 0
+    x = terms
+    while len(x) > 1:
+        half = len(x) // 2
+        a, b = x[:half], x[half:2 * half]
+        s = np.empty((len(x) - half, cols))
+        s[half:] = x[2 * half:]  # the odd one out moves up a level
+        np.add(a, b, out=s[:half])
+        e = errors[done:done + half]
+        done += half
+        np.subtract(s[:half], a, out=e)  # b as the sum saw it
+        a_seen = s[:half] - e
+        np.subtract(a, a_seen, out=a_seen)
+        np.subtract(b, e, out=e)
+        e += a_seen
+        x = s
+    s = x[0]
+    sigma = errors.sum(axis=0)
+    hi = s + sigma
+    b_seen = hi - s
+    lo = (s - (hi - b_seen)) + (sigma - b_seen)
+    mag = np.abs(hi)
+    levels = (width - 1).bit_length()
+    bound = (17 / 16 * width * levels * 2.0 ** -106) * abs_sums
+    certified = np.abs(lo) + bound < 0.5 * (mag - np.nextafter(mag, 0.0))
+    out = hi.tolist()
+    for j in np.flatnonzero(~certified).tolist():
+        out[j] = math.fsum(terms[:, j].tolist())
+    return out
 
 
 def _statistics(group, period, rows, phis, include_zero):
-    """`_d_n` of each row of scaled angles of one concrete group."""
-    zeros = [periodized_value(phi, period, 0.0) for phi in phis]
+    """The starred n-level sum of each row of scaled angles of one
+    concrete group, as a list.
+
+    A block of spectra is one array of term lists, a column per
+    spectrum: slot-ordered outer products of the test-function values,
+    masked to distinct points (`_distinct`) and summed by
+    `_column_sums`.  Scaling by 2 when each point stands for a conjugate
+    pair is exact, so it counts both signed indices at once.  The
+    structural zero, when it takes part, is one more point, unscaled.
+    Each term is a product in slot order over distinct points, hence
+    the same float as its brute-force counterpart times a power of 2.
+    """
     with_zero = include_zero and group == "SOodd"
     mult = 1.0 if group == "U" else 2.0
-    vals = np.stack([periodized_value(phi, period, rows) for phi in phis],
-                    axis=1)
-    return [_d_n(v, zeros, with_zero, mult) for v in vals]
+    # one evaluation per distinct test function: equal betas compare equal
+    distinct = list(dict.fromkeys(phis))
+    zeros = [periodized_value(phi, period, 0.0) for phi in distinct]
+    slots = [distinct.index(phi) for phi in phis]
+    keep = _distinct(rows.shape[1] + with_zero, len(phis))
+    step = max(1, _TERMS // max(1, keep.size))
+    out = []
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step].T
+        cols = [mult * periodized_value(phi, period, block) for phi in distinct]
+        if with_zero:
+            cols = [np.vstack([c, np.full((1, block.shape[1]), z)])
+                    for c, z in zip(cols, zeros)]
+        prod = cols[slots[0]]
+        for slot in slots[1:]:
+            prod = prod[..., None, :] * cols[slot]
+        out.extend(_column_sums(prod[keep]))
+    return out
 
 
 def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
@@ -502,9 +589,9 @@ def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
 
     Each folded angle contributes both signed indices when the spectrum
     reflects; the structural zero participates in at most one slot and
-    only when include_zero is set.  The sum is an exact fsum over an
-    explicit term list, so it equals brute-force enumeration bit for
-    bit.
+    only when include_zero is set.  The spectrum is a block of one for
+    `_statistics`, whose sums are exactly rounded, so it equals
+    brute-force enumeration's fsum bit for bit.
     """
     if len(phis) < 1:
         raise ValueError("need at least one test function")
@@ -517,9 +604,9 @@ def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
 # ensemble pipeline
 
 
-# matrices per sampling batch and spectra per statistic block; no result
-# depends on it (per-matrix LAPACK calls), the U temporaries (the
-# Hessenberg matrix, the Cayley transform and its solve) scale with it
+# matrices per sampling batch; no result depends on it (per-matrix LAPACK
+# calls), the U temporaries (the Hessenberg matrix, the Cayley transform
+# and its solve) scale with it
 _CHUNK = 128
 
 
@@ -605,10 +692,7 @@ def ensemble_average(spec: EnsembleSpec, phis,
                      for group, indices in _parts(spec))
     values = []
     for group, (scaled, period) in _spectra(spec).items():
-        for start in range(0, len(scaled), _CHUNK):
-            values.extend(_statistics(group, period,
-                                      scaled[start:start + _CHUNK], phis,
-                                      include_zero))
+        values.extend(_statistics(group, period, scaled, phis, include_zero))
     mean, stderr = _mean_stderr(values)
     return EnsembleReport(
         spec=spec,

@@ -95,19 +95,82 @@ def _integer(value, message):
         raise ValueError("%s, got %r" % (message, value)) from None
 
 
+# Miller-Rabin at the primes up to 41 is exact below the bound, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Strong
+# pseudoprimes to twelve prime bases, Math. Comp. 2017); the primes up to
+# 37 alone pass 318665857834031151167461 = 399165290221 * 798330580441
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether the int n is prime: a deterministic Miller-Rabin test
+    below 3.317e24, trial division above."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_BOUND:
+        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(m: int, k: int) -> int:
+    """floor(m^(1/k)) for ints m >= 1 and k >= 1, by Newton's method."""
+    x = 1 << -(-m.bit_length() // k)  # at least the root
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_power(m: int):
+    """(p, k) with m = p^k, p a prime below 3.317e24, or None."""
+    for k in range(1, m.bit_length()):
+        p = _iroot(m, k)
+        if p ** k == m and p < _MR_BOUND and _is_prime(p):
+            return p, k
+    return None
+
+
 def _factorize(m: int):
-    """{p: v} with m = prod p^v; checks every m and every level."""
+    """{p: v} with m = prod p^v; checks every m and every level.
+
+    Trial division, which stops early once the cofactor is a prime power
+    that `_prime_power` certifies."""
     m = _integer(m, "expected an integer >= 1")
     if m < 1:
         raise ValueError("expected an integer >= 1, got %d" % (m,))
     out = {}
+    power = _prime_power(m)
     d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
+    while power is None and d * d <= m:
+        if m % d == 0:
+            while m % d == 0:
+                out[d] = out.get(d, 0) + 1
+                m //= d
+            power = _prime_power(m)
         d += 1
-    if m > 1:
+    if power is not None:
+        m, v = power
+        out[m] = out.get(m, 0) + v
+    elif m > 1:
         out[m] = out.get(m, 0) + 1
     return out
 

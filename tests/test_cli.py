@@ -537,6 +537,14 @@ class TestMoments:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
+    def test_an_eighteen_digit_prime_runs_at_once(self, tmp_path):
+        # primality is a Miller-Rabin test, not trial division to 1e9
+        proc = run_subprocess(["moments", "--primes", str(10 ** 18 + 3),
+                               "--nmax", "1", "--out", "m.json"], "1",
+                              str(tmp_path), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert read_json(tmp_path / "m.json")["rows"][0]["p"] == 10 ** 18 + 3
+
     def test_tol_at_the_rounding_floor_passes(self, tmp_path):
         # quadrature target tol/10 = 1e-15
         assert cli.main(["moments", "--primes", "2", "--nmax", "1",
@@ -817,15 +825,24 @@ class TestDims:
                          "--out", str(tmp_path / "t.csv")])
         assert code == 2
 
+    def test_an_eighteen_digit_prime_level_runs_at_once(self, tmp_path):
+        # factoring stops once the cofactor is a certified prime
+        proc = run_subprocess(["dims", "--levels", str(10 ** 18 + 3),
+                               "--out", "t.csv"], "1", str(tmp_path),
+                              timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert read_lines(tmp_path / "t.csv")[1].startswith(
+            "4,4,%d," % (10 ** 18 + 3))
+
 
 # ---------------------------------------------------------------------------
 # reproducibility
 
 
-def run_subprocess(args, threads, cwd):
+def run_subprocess(args, threads, cwd, timeout=None):
     return subprocess.run([sys.executable, "-m", "lowlying"] + args,
                           cwd=cwd, env=cli_env(threads),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestReproducibility:

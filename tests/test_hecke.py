@@ -1,11 +1,12 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lowlying import hecke as H
+from lowlying import hecke as H, summary
 
 ANGLE = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
 
@@ -165,3 +166,60 @@ def test_shape_stores_numpy_integers_as_ints():
     shape = H.FormShape(np.int64(5), np.int32(4), np.uint8(2))
     assert (shape.k1, shape.k2, shape.q) == (5, 4, 2)
     assert {type(v) for v in (shape.k1, shape.k2, shape.q)} == {int}
+
+
+def _trial_division(m):
+    out, d = {}, 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+class TestFactorize:
+    def test_primality_matches_trial_division(self):
+        for n in range(-2, 20000):
+            assert summary._is_prime(n) == (
+                n >= 2 and _trial_division(n) == {n: 1}), n
+
+    @pytest.mark.parametrize("n", [
+        2047, 1373653, 25326001, 3215031751, 2152302898747,
+        3474749660383, 341550071728321, 3825123056546413051,
+        # strong pseudoprime to every prime base up to 37
+        318665857834031151167461])
+    def test_rejects_strong_pseudoprimes(self, n):
+        assert not summary._is_prime(n)
+
+    def test_accepts_large_primes(self):
+        for p in (10 ** 12 + 39, 2 ** 61 - 1, 10 ** 18 + 3):
+            assert summary._is_prime(p)
+            assert not summary._is_prime(p * 3)
+
+    def test_factorization_matches_trial_division(self):
+        for m in list(range(1, 3000)) + [2 ** 40, 3 ** 20 * 7, 10 ** 12,
+                                         1009 ** 6, 1009 ** 3 * 1013 ** 2,
+                                         999983 * 999979]:
+            assert summary._factorize(m) == _trial_division(m), m
+
+    def test_large_prime_powers_factor_at_once(self):
+        p = 10 ** 18 + 3
+        assert summary._factorize(p) == {p: 1}
+        assert summary._factorize(12 * p ** 5) == {2: 2, 3: 1, p: 5}
+        assert H.main_term_spin(p ** 2) == float(
+            Fraction(1, p) * (1 + Fraction(1, p ** 2)))
+        assert H.main_term_spin(p ** 3) == 0.0
+
+    def test_main_term_at_a_small_prime_power(self):
+        want = Fraction(1, 1009 ** 3) * sum(
+            Fraction(1, 1009 ** (2 * i)) for i in range(4))
+        assert H.main_term_spin(1009 ** 6) == float(want)
+
+    def test_integer_roots(self):
+        for k in range(1, 40):
+            for m in (1, 2, 7, 10 ** 30 + 12345, 2 ** 200 - 1, 3 ** 100):
+                r = summary._iroot(m, k)
+                assert r ** k <= m < (r + 1) ** k, (m, k)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,21 @@ def test_input_validation():
         M.vertical_measure(1)
     with pytest.raises(ValueError):
         M.density_mu_p(M.vertical_measure(2), 2.5, 0)
+
+
+@pytest.mark.parametrize("p,message", [
+    (10 ** 18 + 1, "got 1000000000000000001 = 101 * 9900990099009901"),
+    # composites with no factor below 2^16 to name, rejected at once
+    (65537 ** 2, "got 4295098369"),
+    ((10 ** 9 + 7) * (10 ** 9 + 9), "got 1000000016000000063")])
+def test_large_composites_are_rejected(p, message):
+    with pytest.raises(ValueError,
+                       match=re.escape("p must be prime, " + message) + "$"):
+        M.check_prime(p)
+
+
+def test_large_prime_is_accepted():
+    assert M.check_prime(10 ** 18 + 3) == 10 ** 18 + 3
 
 
 @pytest.mark.parametrize("call", [

@@ -1,8 +1,10 @@
 """Tests for Haar eigenangles on the compact groups and n-level statistics."""
 
+import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -576,6 +578,113 @@ def test_cached_arrays_are_read_only(cached):
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+def _fsum_bits(column):
+    """float.hex of math.fsum(column) and of rmt._column_sums on it."""
+    got = rmt._column_sums(np.array(column, dtype=float).reshape(-1, 1))
+    return math.fsum(column).hex(), got[0].hex()
+
+
+_H = float.fromhex
+
+
+class TestColumnSums:
+    # rows chosen to break a certified sum: each must keep fsum's bits
+    @pytest.mark.parametrize("column", [
+        # ties at half an ulp, and just off them
+        [1.0, 2.0 ** -53], [1.0 + 2.0 ** -52, 2.0 ** -53],
+        [1.5, 2.0 ** -53, 2.0 ** -120], [1.5, 2.0 ** -53, -2.0 ** -120],
+        [1.5, -2.0 ** -53, 2.0 ** -106, -2.0 ** -107, 2.0 ** -120],
+        # ties whose errors' own float sum drops what decides them
+        [_H(x) for x in ("-0x1.4p-51", "-0x1.4p-105", "-0x1.8p-109",
+                         "0x1.8p+0", "0x1.8p-106", "0x1.8p-107")],
+        [_H(x) for x in ("0x1p-106", "-0x1.8p-52", "0x1.cp+0",
+                         "-0x1.4p-118", "-0x1.8p-107")],
+        # a power-of-two hi whose residual lies below it
+        [1.0, -2.0 ** -54, -2.0 ** -120], [1.0, -2.0 ** -54, 2.0 ** -120],
+        [-2.0 ** -107, 1.0, -2.0 ** -54],
+        [1.0, -1.5 * 2.0 ** -107, -1.5 * 2.0 ** -106, -2.0 ** -54,
+         2.0 ** -105],
+        # exact cancellation and signed zeros
+        [1.0, -1.0], [0.1, 0.2, -0.1, -0.2], [1e16, 1.0, -1e16, -1.0],
+        [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 1.0, -1.0],
+        # subnormals
+        [5e-324] * 3, [5e-324, -5e-324], [1.0, 5e-324],
+        [2.0 ** -1022, -5e-324], [2.0 ** -1022, 2.0 ** -1074, -2.0 ** -1060],
+        # huge terms that cancel
+        [1e300, -1e300], [1e300, 1.0, -1e300], [1e300, 1e284, -1e300, 1.0],
+        # not finite
+        [math.inf, 1.0], [math.nan, 1.0], [-math.inf, -1e308],
+    ])
+    def test_adversarial_columns_keep_fsum_bits(self, column):
+        want, got = _fsum_bits(column)
+        assert got == want
+
+    # the last overflows in fsum's running sum, not in a pairwise one
+    @pytest.mark.parametrize("column", [[math.inf, -math.inf],
+                                        [1e308, 1e308],
+                                        [1e308, 1e308, -1e308],
+                                        [1.5e308, 1.5e308, -1e308, -1e308]])
+    def test_fsum_errors_stay_fsum_errors(self, column):
+        with pytest.raises((ValueError, OverflowError)) as want:
+            math.fsum(column)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            rmt._column_sums(np.array(column).reshape(-1, 1))
+
+    def test_empty_columns_sum_to_zero(self):
+        assert rmt._column_sums(np.empty((0, 3))) == [0.0] * 3
+        s = rmt.ScaledSpectrum(scaled=(), period=10.0, group="SOodd")
+        for n, include in itertools.product((1, 2, 3), (True, False)):
+            value = rmt.d_n_statistic(s, [FEJER(0.5)] * n, include)
+            assert value.hex() == brute_d_n(s, [FEJER(0.5)] * n,
+                                            include).hex()
+
+    def test_cancelling_block_keeps_fsum_bits(self):
+        # columns of +-x pairs, each off by a few ulps, and a few small
+        # terms: every sum sits far below its terms' magnitude
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((20, 500)) * 2.0 ** rng.integers(
+            -30, 30, (20, 500))
+        ulps = rng.integers(-3, 4, (20, 500)) * np.spacing(x)
+        small = rng.standard_normal((8, 500)) * 2.0 ** -60
+        terms = np.concatenate([x, -(x + ulps), small])
+        want = [math.fsum(c).hex() for c in terms.T.tolist()]
+        assert [v.hex() for v in rmt._column_sums(terms)] == want
+
+    def test_three_level_row_of_thirty_thousand_terms(self):
+        spectrum = _model_spectrum("SOodd", 30, 20260822, 0)
+        phis = [FEJER(0.45), FEJER(0.3), FEJER(0.45)]
+        got = rmt.d_n_statistic(spectrum, phis, True)
+        assert got.hex() == brute_d_n(spectrum, phis, True).hex()
+
+    def test_equal_test_functions_are_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counted(phi, period, x):
+            calls.append(phi)
+            return periodized(phi, period, x)
+
+        periodized = rmt.periodized_value
+        monkeypatch.setattr(rmt, "periodized_value", counted)
+        spectrum = _soodd_spectrum((0.8, 2.1, 3.3), 10.0)
+        phi = FEJER(0.45)
+        value = rmt.d_n_statistic(spectrum, [phi, FEJER(0.45), phi], True)
+        # once at the structural zero, once on the block
+        assert calls == [phi, phi]
+        monkeypatch.undo()
+        assert value == brute_d_n(spectrum, [phi] * 3, True)
+
+    @pytest.mark.parametrize("group", ["SOodd", "USp", "O", "U"])
+    def test_one_spectrum_blocks_change_nothing(self, group, monkeypatch):
+        spec = _spec(group, 6, 40)
+        phis = [FEJER(0.3), FEJER(0.45)]
+        default = rmt.ensemble_average(spec, phis, True)
+        monkeypatch.setattr(rmt, "_TERMS", 1)
+        single = rmt.ensemble_average(spec, phis, True)
+        rmt.clear_spectrum_cache()
+        assert single.mc_mean.hex() == default.mc_mean.hex()
+        assert single.mc_stderr.hex() == default.mc_stderr.hex()
 
 
 class TestStatistic:
