@@ -6,16 +6,16 @@ extension of an integrand that is even about each edge, so for the
 smooth integrands of measures.integrate in angle coordinates it
 converges geometrically (Trefethen and Weideman, The exponentially
 convergent trapezoidal rule, SIAM Review 2014).  Each rule is one call
-of the integrand, summed exactly rounded by summary._exact_sum (the
-value math.fsum gives), so the result is the same bit for bit on every
-run.
+of the integrand, summed exactly rounded as one column by
+summary._column_sums (the value math.fsum gives), so the result is the
+same bit for bit on every run.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .summary import NumericFailure, _exact_sum
+from .summary import NumericFailure, _column_sums
 
 __all__ = [
     "QuadratureError",
@@ -103,7 +103,7 @@ def _midpoint(f, box, m):
     t = (np.arange(m) + 0.5) / m
     fv = f(np.repeat(x0 + (x1 - x0) * t, m), np.tile(y0 + (y1 - y0) * t, m))
     fv = np.asarray(fv, dtype=float)
-    return (x1 - x0) * (y1 - y0) / (m * m) * _exact_sum(fv)
+    return (x1 - x0) * (y1 - y0) / (m * m) * _column_sums(fv[:, None])[0]
 
 
 def adaptive_tensor(f, box, tol):

@@ -37,9 +37,9 @@ An ensemble is held as arrays: per concrete group, one (samples, m) array
 of scaled angles and the group's period.  Only the latest ensemble stays
 cached.  The n-level statistic of every n sums a term list built from
 masked outer products of the test-function values, a block of spectra
-at a time: a TwoSum cascade whose rounding is certified exact spectrum
-by spectrum, with fsum for the spectra it cannot certify, so every value
-has fsum's bits.
+at a time, by `summary._column_sums`: a TwoSum cascade whose rounding is
+certified exact spectrum by spectrum, with fsum for the spectra it
+cannot certify, so every value has fsum's bits.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ import numpy as np
 
 from . import kernels, rng
 from .rng import normals
-from .summary import (NumericFailure, _check_seed, _integer, _mean_stderr,
-                      _z_against)
+from .summary import (NumericFailure, _check_seed, _column_sums, _integer,
+                      _mean_stderr, _z_against)
 
 __all__ = [
     "EnsembleSpec",
@@ -474,79 +474,6 @@ def _distinct(size, n):
 # at most this many terms, and one spectrum at least; no result depends
 # on it
 _TERMS = 2 ** 15
-
-
-def _column_sums(terms):
-    """math.fsum of each column of a 2-D float array, as a list, at array
-    speed.
-
-    A pairwise cascade of Knuth's TwoSum over the W terms of a column
-    leaves their sum as a float s and W - 1 exact errors e (TwoSum is
-    exact barring overflow, subnormals included).  With sigma the float
-    sum of the errors, TwoSum again gives hi + lo = s + sigma, so the
-    exact sum is hi + lo + (sum e - sigma).  The bound on the last part,
-    with u = 2^-53 and A the float sum of the |terms|:
-
-    - an error is at most u |s'|, s' the float sum at its node, and
-      |s'| <= (1 + u)^L times the sum of |terms| below the node; each
-      of the L = ceil(log2 W) levels covers disjoint terms, so
-      sum|e| <= u L (1 + u)^L sum|terms|;
-    - any summation order rounds each of k numbers at most k - 1 times,
-      so |sigma - sum e| <= gamma_(W-2) sum|e|, and
-      A >= (1 - u)^(W-1) sum|terms| (Higham, Accuracy and Stability of
-      Numerical Algorithms, 2nd ed., sec. 4.2, with
-      gamma_j = j u/(1 - j u));
-    - so for W u <= 2^-20 (W <= 2^33, far past any block here) the
-      bound is at most W L u^2 (1 + 2^-18) A, and below
-      B = fl((17/16) W L u^2 A) but for at most 2^-1075 where B
-      underflows.
-
-    A column is certified when fl(|lo| + B) < g/2, g the gap from |hi|
-    down to the next float, the smaller of hi's two gaps.  g/2 is a
-    float, so the exact |lo| + B is below it too, and then by 2^-1074,
-    the spacing of all floats, at least: the underflow slack fits.  The
-    exact sum is then strictly nearer hi than any other float, so hi is
-    the correctly rounded sum, which is what fsum returns.  fsum sums the
-    other columns: the uncertified, hi == 0 among them (its gap is 0;
-    the sign of a zero sum is fsum's to choose), and all of an array in
-    which some A is not below 2^1021, where a term is not finite or could
-    overflow a partial sum here or in fsum.
-    """
-    width, cols = terms.shape
-    with np.errstate(over="ignore"):  # an infinite A goes to fsum
-        abs_sums = np.abs(terms).sum(axis=0)
-    if not width or not abs_sums.max() < 2.0 ** 1021:
-        return [math.fsum(col) for col in terms.T.tolist()]
-    errors = np.empty((width - 1, cols))
-    done = 0
-    x = terms
-    while len(x) > 1:
-        half = len(x) // 2
-        a, b = x[:half], x[half:2 * half]
-        s = np.empty((len(x) - half, cols))
-        s[half:] = x[2 * half:]  # the odd one out moves up a level
-        np.add(a, b, out=s[:half])
-        e = errors[done:done + half]
-        done += half
-        np.subtract(s[:half], a, out=e)  # b as the sum saw it
-        a_seen = s[:half] - e
-        np.subtract(a, a_seen, out=a_seen)
-        np.subtract(b, e, out=e)
-        e += a_seen
-        x = s
-    s = x[0]
-    sigma = errors.sum(axis=0)
-    hi = s + sigma
-    b_seen = hi - s
-    lo = (s - (hi - b_seen)) + (sigma - b_seen)
-    mag = np.abs(hi)
-    levels = (width - 1).bit_length()
-    bound = (17 / 16 * width * levels * 2.0 ** -106) * abs_sums
-    certified = np.abs(lo) + bound < 0.5 * (mag - np.nextafter(mag, 0.0))
-    out = hi.tolist()
-    for j in np.flatnonzero(~certified).tolist():
-        out[j] = math.fsum(terms[:, j].tolist())
-    return out
 
 
 def _statistics(group, period, rows, phis, include_zero):

@@ -3,15 +3,17 @@ averages in `rmt` and the family averages in `family`, the integer,
 seed and factorization rules of every library entry point, and
 NumericFailure.
 
-Means and variances are exactly rounded sums: `_exact_sum` returns the
-bits of math.fsum from exponent buckets that numpy fills exactly, a
-small superaccumulator in the sense of Neal (arXiv:1505.05571).
+Every array sum in the package is exactly rounded by `_column_sums`: a
+certified TwoSum cascade over the columns of a 2-D array, with
+math.fsum for each column it cannot certify, so each sum has fsum's
+bits.  A 1-D array is summed as one column.
 
-It imports numpy only inside the two sums, so `paramodular` loads with
+It imports numpy only inside the sums, so `paramodular` loads with
 the standard library alone, and `rmt` loads none of `family`,
 `measures` or `hecke`.
 """
 
+import itertools
 import math
 import operator
 
@@ -21,51 +23,84 @@ class NumericFailure(RuntimeError):
     or eigensolver budget or bound did not hold."""
 
 
-# frexp exponents of finite doubles lie in [-1073, 1024]; bucket
-# b = e + 1073 sums integer mantissas M, each standing for M * 2^(b - 1126)
-_EXP_OFFSET = 1073
+def _column_sums(terms):
+    """math.fsum of each column of a 2-D float array, as a list, at array
+    speed.
 
+    A pairwise cascade of Knuth's TwoSum over the W terms of a column
+    leaves their sum as a float s and W - 1 exact errors e (TwoSum is
+    exact barring overflow, subnormals included).  With sigma the float
+    sum of the errors, TwoSum again gives hi + lo = s + sigma, so the
+    exact sum is hi + lo + (sum e - sigma).  The bound on the last part,
+    with u = 2^-53 and A the float sum of the |terms|:
 
-def _exact_sum(x):
-    """math.fsum(x.tolist()) of a 1-D float64 array, at array speed.
+    - an error is at most u |s'|, s' the float sum at its node, and
+      |s'| <= (1 + u)^L times the sum of |terms| below the node; each
+      of the L = ceil(log2 W) levels covers disjoint terms, so
+      sum|e| <= u L (1 + u)^L sum|terms|;
+    - any summation order rounds each of k numbers at most k - 1 times,
+      so |sigma - sum e| <= gamma_(W-2) sum|e|, and
+      A >= (1 - u)^(W-1) sum|terms| (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., sec. 4.2, with
+      gamma_j = j u/(1 - j u));
+    - so for W u <= 2^-20 (W <= 2^33, far past any block here) the
+      bound is at most W L u^2 (1 + 2^-18) A, and below
+      B = fl((17/16) W L u^2 A) but for at most 2^-1075 where B
+      underflows.
 
-    Each value is an integer mantissa M, |M| < 2^53, times 2^(e - 53).
-    M = high * 2^26 + low with |high| <= 2^27 and 0 <= low < 2^26, and
-    bincount adds each part into its exponent's bucket: with at most
-    2^26 values every partial sum is an integer of magnitude at most
-    2^53, so every bucket is exact.  The buckets meet as Python ints,
-    and one int true division rounds the exact total correctly, half to
-    even, as fsum does.  Non-finite entries, longer arrays, sums that could
-    overflow (where fsum raises OverflowError) and exact zeros (whose
-    sign is fsum's to choose) go to fsum itself.
+    A column is certified when fl(|lo| + B) < g/2, g the gap from |hi|
+    down to the next float, the smaller of hi's two gaps.  g/2 is a
+    float, so the exact |lo| + B is below it too, and then by 2^-1074,
+    the spacing of all floats, at least: the underflow slack fits.  The
+    exact sum is then strictly nearer hi than any other float, so hi is
+    the correctly rounded sum, which is what fsum returns.  fsum sums the
+    other columns: the uncertified, hi == 0 among them (its gap is 0;
+    the sign of a zero sum is fsum's to choose), and all of an array in
+    which some A is not below 2^1021, where a term is not finite or could
+    overflow a partial sum here or in fsum.
     """
     import numpy as np
 
-    n = x.size
-    if not n or n > 2 ** 26 or not np.isfinite(x).all():
-        return math.fsum(x.tolist())
-    mant, exp = np.frexp(x)
-    exp += _EXP_OFFSET
-    if int(exp.max()) - _EXP_OFFSET + n.bit_length() > 1023:
-        return math.fsum(x.tolist())
-    mant *= 2.0 ** 27
-    high = np.floor(mant)
-    mant -= high
-    mant *= 2.0 ** 26
-    high_sums = np.bincount(exp, weights=high)
-    low_sums = np.bincount(exp, weights=mant)
-    used = np.flatnonzero((high_sums != 0.0) | (low_sums != 0.0))
-    total = 0
-    for b, hi, lo in zip(used.tolist(), high_sums[used].tolist(),
-                         low_sums[used].tolist()):
-        total += ((int(hi) << 26) + int(lo)) << b
-    if not total:
-        return math.fsum(x.tolist())
-    return total / (1 << (_EXP_OFFSET + 53))
+    width, cols = terms.shape
+    with np.errstate(over="ignore"):  # an infinite A goes to fsum
+        abs_sums = np.abs(terms).sum(axis=0)
+    if not width or not abs_sums.max() < 2.0 ** 1021:
+        return [math.fsum(col) for col in terms.T.tolist()]
+    errors = np.empty((width - 1, cols))
+    done = 0
+    x = terms
+    while len(x) > 1:
+        half = len(x) // 2
+        a, b = x[:half], x[half:2 * half]
+        s = np.empty((len(x) - half, cols))
+        s[half:] = x[2 * half:]  # the odd one out moves up a level
+        np.add(a, b, out=s[:half])
+        e = errors[done:done + half]
+        done += half
+        np.subtract(s[:half], a, out=e)  # b as the sum saw it
+        a_seen = s[:half] - e
+        np.subtract(a, a_seen, out=a_seen)
+        np.subtract(b, e, out=e)
+        e += a_seen
+        x = s
+    s = x[0]
+    sigma = errors.sum(axis=0)
+    hi = s + sigma
+    b_seen = hi - s
+    lo = (s - (hi - b_seen)) + (sigma - b_seen)
+    mag = np.abs(hi)
+    levels = (width - 1).bit_length()
+    bound = (17 / 16 * width * levels * 2.0 ** -106) * abs_sums
+    certified = np.abs(lo) + bound < 0.5 * (mag - np.nextafter(mag, 0.0))
+    out = hi.tolist()
+    for j in np.flatnonzero(~certified).tolist():
+        out[j] = math.fsum(terms[:, j].tolist())
+    return out
 
 
 def _mean_stderr(values):
-    """Mean and standard error of n >= 2 values from exact sums (`_exact_sum`).
+    """Mean and standard error of n >= 2 values from exactly rounded sums
+    (`_column_sums` of one column).
 
     The squares come from the C library's pow, as Python's float `**`
     computes them; `x * x` can differ from pow in the last bit, and so
@@ -74,8 +109,8 @@ def _mean_stderr(values):
 
     arr = np.asarray(values, dtype=float).ravel()
     n = arr.size
-    mean = _exact_sum(arr) / n
-    var = _exact_sum(np.float_power(arr - mean, 2.0)) / (n - 1)
+    mean = _column_sums(arr[:, None])[0] / n
+    var = _column_sums(np.float_power(arr - mean, 2.0)[:, None])[0] / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -104,15 +139,14 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Whether the int n is prime: a deterministic Miller-Rabin test
-    below 3.317e24, trial division above."""
+    """Whether the int n is prime, by Miller-Rabin at `_MR_BASES`: exact
+    below 3.317e24.  Above it a witness still proves n composite, and an
+    n that passes every base raises ValueError."""
     if n < 2:
         return False
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    if n >= _MR_BOUND:
-        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
     odd, twos = n - 1, 0
     while odd % 2 == 0:
         odd //= 2
@@ -127,6 +161,10 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise ValueError(
+            "cannot certify %d as prime: Miller-Rabin at the primes up to "
+            "41 decides primality only below %d" % (n, _MR_BOUND))
     return True
 
 
@@ -141,38 +179,68 @@ def _iroot(m: int, k: int) -> int:
 
 
 def _prime_power(m: int):
-    """(p, k) with m = p^k, p a prime below 3.317e24, or None."""
+    """(p, k) with m = p^k and p prime by `_is_prime`, or None."""
     for k in range(1, m.bit_length()):
         p = _iroot(m, k)
-        if p ** k == m and p < _MR_BOUND and _is_prime(p):
+        if p ** k == m and _is_prime(p):
             return p, k
     return None
 
 
-def _factorize(m: int):
-    """{p: v} with m = prod p^v; checks every m and every level.
+# Brent's rho multiplies this many differences before taking one gcd
+_RHO_BATCH = 128
 
-    Trial division, which stops early once the cofactor is a prime power
-    that `_prime_power` certifies."""
+
+def _rho(n: int) -> int:
+    """A factor 1 < d < n of a composite n that is not a prime power, by
+    Brent's variant of Pollard's rho (BIT 20, 1980) on x^2 + c, c = 1,
+    2, ... until one splits n.  The expected work grows as the square
+    root of n's least prime factor."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, _RHO_BATCH):
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: redo it a step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _factorize(m: int):
+    """{p: v} with m = prod p^v, p increasing; checks every m and every
+    level.
+
+    A cofactor that `_prime_power` does not certify as p^k is split by
+    `_rho`; a prime factor above `_is_prime`'s bound raises ValueError."""
     m = _integer(m, "expected an integer >= 1")
     if m < 1:
         raise ValueError("expected an integer >= 1, got %d" % (m,))
     out = {}
-    power = _prime_power(m)
-    d = 2
-    while power is None and d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                out[d] = out.get(d, 0) + 1
-                m //= d
-            power = _prime_power(m)
-        d += 1
-    if power is not None:
-        m, v = power
-        out[m] = out.get(m, 0) + v
-    elif m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        power = _prime_power(m)
+        if power is None:
+            d = _rho(m)
+            pending += [d, m // d]
+        else:
+            p, k = power
+            out[p] = out.get(p, 0) + k
+    return dict(sorted(out.items()))
 
 
 def _check_seed(seed):

@@ -200,8 +200,8 @@ class TestParseErrors:
 
 class TestImportPath:
     """No command loads scipy, `rmt` loads no family-side module, `dims`
-    no numpy, `moments` no `family`, and `density` only `measures` and
-    what it needs.
+    no numpy, `moments` neither `family` nor `rmt`, and `density` only
+    `measures` and what it needs.
 
     Each case runs in a subprocess, because this one has scipy and every
     lowlying module loaded.
@@ -241,7 +241,7 @@ class TestImportPath:
             ["moments", "--primes", "2", "--nmax", "2", "--out", "m.json"],
             tmp_path)
         assert "lowlying.hecke" in loaded
-        assert "lowlying.family" not in loaded
+        assert not loaded & {"lowlying.family", "lowlying.rmt"}
 
     def test_density_loads_no_coefficient_or_ensemble_modules(self,
                                                               tmp_path):
@@ -545,6 +545,18 @@ class TestMoments:
         assert proc.returncode == 0, proc.stderr
         assert read_json(tmp_path / "m.json")["rows"][0]["p"] == 10 ** 18 + 3
 
+    def test_a_prime_above_the_miller_rabin_bound_exits_2_at_once(
+            self, tmp_path):
+        # 10^25 + 13 passes every base, but the bases decide primality
+        # only below 3.317e24, and trial division would run to 3e12
+        proc = run_subprocess(["moments", "--primes", str(10 ** 25 + 13),
+                               "--nmax", "1", "--out", "m.json"], "1",
+                              str(tmp_path), timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot certify")
+        assert "3317044064679887385961981" in proc.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_tol_at_the_rounding_floor_passes(self, tmp_path):
         # quadrature target tol/10 = 1e-15
         assert cli.main(["moments", "--primes", "2", "--nmax", "1",
@@ -833,6 +845,17 @@ class TestDims:
         assert proc.returncode == 0, proc.stderr
         assert read_lines(tmp_path / "t.csv")[1].startswith(
             "4,4,%d," % (10 ** 18 + 3))
+
+    def test_a_semiprime_level_runs_at_once(self, tmp_path):
+        # (10^9 + 7)(10^9 + 9): rho splits it, where trial division
+        # would run to 1e9
+        level = (10 ** 9 + 7) * (10 ** 9 + 9)
+        proc = run_subprocess(["dims", "--levels", str(level),
+                               "--out", "t.csv"], "1", str(tmp_path),
+                              timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert read_lines(tmp_path / "t.csv")[1].startswith(
+            "4,4,%d," % (level,))
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,12 @@ def _square_sensitive_triple():
     return [x, -x, 0.0]
 
 
+def _one_column_sum(x):
+    # the package's exactly rounded sum of a 1-D array, as its callers
+    # take it
+    return summary._column_sums(np.asarray(x, dtype=float)[:, None])[0]
+
+
 def _sum_outcome(total, x):
     # the sum's bits, or the exception it raised
     try:
@@ -403,12 +409,36 @@ def _sweep_arrays(kind, seed):
 
 
 class TestExactSum:
+    """`summary._column_sums` on one-column inputs keeps math.fsum's bits."""
+
     @pytest.mark.parametrize("kind", ["uniform", "power", "wide",
                                       "subnormal", "cancelling"])
     def test_sweep_matches_fsum(self, kind):
         for x in _sweep_arrays(kind, len(kind)):
-            assert (summary._exact_sum(x).hex()
+            assert (_one_column_sum(x).hex()
                     == math.fsum(x.tolist()).hex())
+
+    @pytest.mark.parametrize("n, cancelling, fallbacks", [
+        (10 ** 5, False, 0), (2 ** 18, False, 0), (10 ** 5, True, 1)],
+        ids=["normal_1e5", "normal_2^18", "cancelling_1e5"])
+    def test_long_columns_keep_fsum_bits(self, n, cancelling, fallbacks,
+                                         monkeypatch):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(n)
+        if cancelling:
+            # +-x pairs, each off by a few ulps: the sum sits far below
+            # the certificate's bound, so fsum sums the column
+            half = x[:n // 2]
+            ulps = rng.integers(-3, 4, n // 2) * np.spacing(half)
+            x = np.concatenate([half, -(half + ulps)])
+            rng.shuffle(x)
+        want = math.fsum(x.tolist()).hex()
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum",
+                            lambda v: calls.append(v) or fsum(v))
+        assert _one_column_sum(x).hex() == want
+        assert len(calls) == fallbacks
 
     @pytest.mark.parametrize("values", [
         [1.0, 2.0 ** -53],
@@ -420,8 +450,7 @@ class TestExactSum:
         ids=["to_even_down", "to_even_up", "negative", "many_pieces",
              "past_the_tie", "near_the_top"])
     def test_ties_at_half_an_ulp(self, values):
-        x = np.array(values)
-        assert summary._exact_sum(x).hex() == math.fsum(values).hex()
+        assert _one_column_sum(values).hex() == math.fsum(values).hex()
 
     @pytest.mark.parametrize("values", [
         [-0.0], [0.0, -0.0], [5e-324, -5e-324], [],
@@ -430,8 +459,7 @@ class TestExactSum:
         ids=["negative_zero", "signed_zeros", "tiny_cancel", "empty",
              "inf", "minus_inf", "nan", "inf_minus_inf", "near_overflow"])
     def test_special_values_follow_fsum(self, values):
-        x = np.array(values, dtype=float)
-        assert (_sum_outcome(summary._exact_sum, x)
+        assert (_sum_outcome(_one_column_sum, values)
                 == _sum_outcome(math.fsum, values))
 
     def test_overflow_raises_as_fsum_does(self):
@@ -439,7 +467,7 @@ class TestExactSum:
         with pytest.raises(OverflowError):
             math.fsum(x.tolist())
         with pytest.raises(OverflowError):
-            summary._exact_sum(x)
+            _one_column_sum(x)
 
 
 class TestMeanStderr:

@@ -190,7 +190,9 @@ class TestFactorize:
         2047, 1373653, 25326001, 3215031751, 2152302898747,
         3474749660383, 341550071728321, 3825123056546413051,
         # strong pseudoprime to every prime base up to 37
-        318665857834031151167461])
+        318665857834031151167461,
+        # above the bound, with no factor up to 41: a witness rejects it
+        (2 ** 61 - 1) * (10 ** 18 + 3)])
     def test_rejects_strong_pseudoprimes(self, n):
         assert not summary._is_prime(n)
 
@@ -203,7 +205,19 @@ class TestFactorize:
         for m in list(range(1, 3000)) + [2 ** 40, 3 ** 20 * 7, 10 ** 12,
                                          1009 ** 6, 1009 ** 3 * 1013 ** 2,
                                          999983 * 999979]:
-            assert summary._factorize(m) == _trial_division(m), m
+            assert (list(summary._factorize(m).items())
+                    == list(_trial_division(m).items())), m
+        # a square-free level whose trial division runs to 1e9: rho
+        # splits it
+        p, q = 10 ** 9 + 7, 10 ** 9 + 9
+        assert summary._factorize(p * q) == {p: 1, q: 1}
+
+    def test_primes_above_the_bound_are_not_certified(self):
+        p = 10 ** 25 + 13
+        with pytest.raises(ValueError, match=str(summary._MR_BOUND)):
+            summary._is_prime(p)
+        with pytest.raises(ValueError, match=str(summary._MR_BOUND)):
+            summary._factorize(6 * p)
 
     def test_large_prime_powers_factor_at_once(self):
         p = 10 ** 18 + 3

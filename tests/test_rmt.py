@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy import special, stats
 
 from conftest import brute_d_n, haar_batch, random_small_spectrum
-from lowlying import kernels, rmt, rng
+from lowlying import kernels, rmt, rng, summary
 from lowlying.summary import NumericFailure
 
 FEJER = kernels.fejer_test_function
@@ -581,8 +581,8 @@ def test_cached_arrays_are_read_only(cached):
 
 
 def _fsum_bits(column):
-    """float.hex of math.fsum(column) and of rmt._column_sums on it."""
-    got = rmt._column_sums(np.array(column, dtype=float).reshape(-1, 1))
+    """float.hex of math.fsum(column) and of summary._column_sums on it."""
+    got = summary._column_sums(np.array(column, dtype=float).reshape(-1, 1))
     return math.fsum(column).hex(), got[0].hex()
 
 
@@ -630,10 +630,10 @@ class TestColumnSums:
         with pytest.raises((ValueError, OverflowError)) as want:
             math.fsum(column)
         with pytest.raises(want.type, match=re.escape(str(want.value))):
-            rmt._column_sums(np.array(column).reshape(-1, 1))
+            summary._column_sums(np.array(column).reshape(-1, 1))
 
     def test_empty_columns_sum_to_zero(self):
-        assert rmt._column_sums(np.empty((0, 3))) == [0.0] * 3
+        assert summary._column_sums(np.empty((0, 3))) == [0.0] * 3
         s = rmt.ScaledSpectrum(scaled=(), period=10.0, group="SOodd")
         for n, include in itertools.product((1, 2, 3), (True, False)):
             value = rmt.d_n_statistic(s, [FEJER(0.5)] * n, include)
@@ -650,7 +650,7 @@ class TestColumnSums:
         small = rng.standard_normal((8, 500)) * 2.0 ** -60
         terms = np.concatenate([x, -(x + ulps), small])
         want = [math.fsum(c).hex() for c in terms.T.tolist()]
-        assert [v.hex() for v in rmt._column_sums(terms)] == want
+        assert [v.hex() for v in summary._column_sums(terms)] == want
 
     def test_three_level_row_of_thirty_thousand_terms(self):
         spectrum = _model_spectrum("SOodd", 30, 20260822, 0)
