@@ -189,16 +189,29 @@ def _prime_power(m: int):
 
 # Brent's rho multiplies this many differences before taking one gcd
 _RHO_BATCH = 128
+# the steps x -> x^2 + c that _rho may take on one number, over every c,
+# as it charges them.  Splitting 300 semiprimes with least prime factor p
+# in [1e8, 1e9] was charged 2.3 sqrt(p) in the median and 11 sqrt(p) at
+# most, so at those ratios the budget covers every p below 3.6e10 and
+# half of those below 8.4e11; (10^12 - 11)(10^12 + 39) is charged
+# 2^21 - 2.  It runs out in 0.9 s on (2^61 - 1)(10^18 + 3), 121 bits,
+# on a 2-core Xeon VM.
+_RHO_STEPS = 1 << 21
 
 
-def _rho(n: int) -> int:
+def _rho(n: int):
     """A factor 1 < d < n of a composite n that is not a prime power, by
     Brent's variant of Pollard's rho (BIT 20, 1980) on x^2 + c, c = 1,
-    2, ... until one splits n.  The expected work grows as the square
-    root of n's least prime factor."""
+    2, ... until one splits n; None once `_RHO_STEPS` run out.  A round
+    of r is charged 2 r steps, its most.  The expected work grows as the
+    square root of n's least prime factor."""
+    steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -225,18 +238,24 @@ def _factorize(m: int):
     level.
 
     A cofactor that `_prime_power` does not certify as p^k is split by
-    `_rho`; a prime factor above `_is_prime`'s bound raises ValueError."""
+    `_rho`.  A prime factor above `_is_prime`'s bound raises ValueError,
+    and so does a cofactor that `_rho` cannot split in its budget: one
+    whose two least prime factors are both large."""
     m = _integer(m, "expected an integer >= 1")
     if m < 1:
         raise ValueError("expected an integer >= 1, got %d" % (m,))
     out = {}
     pending = [m] if m > 1 else []
     while pending:
-        m = pending.pop()
-        power = _prime_power(m)
+        part = pending.pop()
+        power = _prime_power(part)
         if power is None:
-            d = _rho(m)
-            pending += [d, m // d]
+            d = _rho(part)
+            if d is None:
+                raise ValueError(
+                    "cannot factor %d: Pollard's rho found no factor of %d "
+                    "in its budget of %d steps" % (m, part, _RHO_STEPS))
+            pending += [d, part // d]
         else:
             p, k = power
             out[p] = out.get(p, 0) + k

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from conftest import cli_env
-from lowlying import cli
+from lowlying import cli, summary
 from lowlying.quadrature import QuadratureError
 
 
@@ -856,6 +856,18 @@ class TestDims:
         assert proc.returncode == 0, proc.stderr
         assert read_lines(tmp_path / "t.csv")[1].startswith(
             "4,4,%d," % (level,))
+
+    def test_a_level_rho_cannot_split_exits_2_at_once(self, tmp_path):
+        # (2^61 - 1)(10^18 + 3): rho would need about 1e9 steps; its
+        # budget runs out in about a second
+        level = (2 ** 61 - 1) * (10 ** 18 + 3)
+        proc = run_subprocess(["dims", "--weights", "4,4", "--levels",
+                               str(level), "--out", "t.csv"], "1",
+                              str(tmp_path), timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "cannot factor %d" % level in proc.stderr
+        assert str(summary._RHO_STEPS) in proc.stderr
+        assert not (tmp_path / "t.csv").exists()
 
 
 # ---------------------------------------------------------------------------

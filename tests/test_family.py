@@ -352,6 +352,101 @@ class TestOutputs:
         assert got[1] == "0,2,-0.0,1.9999999999999998,1\n"
         assert got[3] == "1,2,5e-324,-2.0,-1\n"
 
+    @pytest.mark.parametrize("value", [
+        2.0 ** -10, np.nextafter(2.0 ** -10, 0), np.nextafter(2.0, 0),
+        0.5, 0.25, 1.0, 1 + 2.0 ** -17, math.nan, math.inf, 1e300]
+        + [np.nextafter(v, to) for v in (0.1, 0.3, 1.5) for to in (0, v, 2)])
+    def test_csv_planted_edges(self, value):
+        # the fast path's edges and powers of two, a tie that rounds to
+        # even, short decimals with their neighbours, and values that
+        # only repr formats, with both signs in both columns; the window
+        # has a prime above 2^63
+        big = 2 ** 64 - 59
+        spec = family.FamilySpec(primes=(2, big), forms=2, seed=0)
+        points = {2: np.array([[value, -value], [-value, value]]),
+                  big: np.array([[-value, -value], [value, value]])}
+        fam = family.Family(spec, points, np.array([1, -1]))
+        got = _csv_lines(family.write_family_csv, fam)
+        assert got == _csv_lines(reference_family_csv, fam)
+        if value == 1 + 2.0 ** -17:  # half up would end in ...313
+            assert got[1] == "0,2,1.0000076293945312,-1.0000076293945312,1\n"
+
+
+def _repr_lines(values, chunk=1 << 16):
+    """The rows of family._repr_fields as one string of lines, a chunk
+    at a time so the temporaries stay small."""
+    out = []
+    for start in range(0, len(values), chunk):
+        fields = family._repr_fields(values[start:start + chunk])
+        lines = np.concatenate([fields, np.full((len(fields), 1), ord("\n"),
+                                                np.uint8)], axis=1)
+        out.append(lines.tobytes().replace(b"\0", b"").decode("ascii"))
+    return "".join(out)
+
+
+def _assert_repr(values):
+    """_repr_lines(values) equals the lines of repr, compared as one
+    string; a mismatch names its first value, not a diff of megabytes."""
+    got = _repr_lines(values)
+    want = "\n".join(map(repr, values.tolist())) + "\n"
+    if got != want:
+        got, want = got.splitlines(), want.splitlines()
+        first = next((i for i, pair in enumerate(zip(got, want))
+                      if pair[0] != pair[1]), min(len(got), len(want)))
+        pytest.fail("line %d of %d: got %r, repr %r" % (
+            first, len(values), got[first:first + 1], want[first:first + 1]))
+
+
+def _in_domain(rng, count):
+    """Random floats of both signs with 2^-10 <= |x| < 2: every exponent
+    field 1013..1023 and random mantissa bits."""
+    bits = (rng.integers(1013, 1024, count, dtype=np.uint64) << 52
+            | rng.integers(0, 1 << 52, count, dtype=np.uint64)
+            | rng.integers(0, 2, count, dtype=np.uint64) << 63)
+    return bits.view(np.float64)
+
+
+class TestReprFields:
+    """family._repr_fields against repr, compared as whole strings."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261021)
+        finite = rng.integers(0, 1 << 64, 20000, dtype=np.uint64,
+                              endpoint=False).view(np.float64)
+        values = np.concatenate([_in_domain(rng, 10 ** 6),
+                                 finite[np.isfinite(finite)]])
+        values = values[rng.permutation(len(values))]
+        _assert_repr(values)
+
+    def test_short_decimals_and_their_neighbours(self):
+        # i / 10^d is the float nearest the d-place decimal, so repr
+        # prints at most d places for it; its neighbours need 16 or 17
+        # digits
+        rng = np.random.default_rng(7)
+        values = []
+        for places in range(1, 17):
+            ints = rng.integers(1, 2 * 10 ** places, 2000)
+            near = ints / 10.0 ** places
+            values += [near, np.nextafter(near, 0), np.nextafter(near, 2)]
+        values = np.concatenate(values)
+        values = np.concatenate([values, -values])
+        _assert_repr(values)
+
+    def test_every_exactly_scaled_value(self):
+        # in binade [2^k, 2^(k+1)) the scaled x 10^s, s = 17 +
+        # ceil(-k log10 2), is an integer exactly when 2^(52 - k - s)
+        # divides the 53-bit significand: 434,176 values, each sign
+        values = []
+        for k in range(-10, 1):
+            scale = 17 + next(c for c in range(5) if 10 ** c >= 2 ** -k)
+            step = 2 ** (52 - k - scale)
+            sig = np.arange(2 ** 52, 2 ** 53, step, dtype=np.uint64)
+            values.append(np.ldexp(sig.astype(np.float64), k - 52))
+        values = np.concatenate(values)
+        assert len(values) == 434176
+        values = np.concatenate([values, -values])
+        _assert_repr(values)
+
 
 def _float_list_mean_stderr(values):
     # the per-element float-list form, the oracle for the array version

@@ -212,6 +212,17 @@ class TestFactorize:
         p, q = 10 ** 9 + 7, 10 ** 9 + 9
         assert summary._factorize(p * q) == {p: 1, q: 1}
 
+    def test_rho_gives_up_once_its_budget_runs_out(self, monkeypatch):
+        # (10^9 + 7)(10^9 + 9) is charged 65534 steps
+        level = (10 ** 9 + 7) * (10 ** 9 + 9)
+        monkeypatch.setattr(summary, "_RHO_STEPS", 65533)
+        with pytest.raises(ValueError, match="cannot factor %d: .* of %d in "
+                           "its budget of 65533 steps" % (6 * level, level)):
+            summary._factorize(6 * level)
+        monkeypatch.setattr(summary, "_RHO_STEPS", 65534)
+        assert summary._factorize(6 * level) == {2: 1, 3: 1, 10 ** 9 + 7: 1,
+                                                 10 ** 9 + 9: 1}
+
     def test_primes_above_the_bound_are_not_certified(self):
         p = 10 ** 25 + 13
         with pytest.raises(ValueError, match=str(summary._MR_BOUND)):
