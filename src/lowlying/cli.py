@@ -314,11 +314,9 @@ def _cmd_dims(args):
 
     from lowlying import paramodular
 
-    reports = []
-    for k1, k2 in args.weights:
-        for n in args.levels:
-            reports.append(paramodular.dimension_report(
-                k1, k2, paramodular.LevelData.from_level(n)))
+    levels = [paramodular.LevelData.from_level(n) for n in args.levels]
+    reports = [paramodular.dimension_report(k1, k2, level)
+               for k1, k2 in args.weights for level in levels]
     reports.sort(key=lambda r: (r.k1, r.k2, r.level.n))
     with open(args.out, "w", newline="") as fh:
         fh.write("k1,k2,N,dim_main,dim_new_main,c_N\n")

@@ -10,7 +10,7 @@ a DimensionReport and the `dims` table it feeds hold main terms only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .summary import _factorize, _integer
@@ -35,9 +35,11 @@ def omega(m: int) -> int:
 
 @dataclass(frozen=True)
 class LevelData:
-    """A square-free level; its prime factorization is read off n."""
+    """A square-free level and its increasing prime factors, factored
+    once."""
 
     n: int
+    factorization: tuple = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_level(cls, n: int) -> "LevelData":
@@ -46,12 +48,10 @@ class LevelData:
     def __post_init__(self):
         object.__setattr__(self, "n",
                            _integer(self.n, "level must be an integer"))
-        if any(v > 1 for v in _factorize(self.n).values()):
+        factors = _factorize(self.n)
+        if any(v > 1 for v in factors.values()):
             raise ValueError("level must be square-free, got %d" % (self.n,))
-
-    @property
-    def factorization(self) -> tuple:
-        return tuple(sorted(_factorize(self.n)))
+        object.__setattr__(self, "factorization", tuple(factors))
 
     def divisors(self) -> tuple:
         out = []

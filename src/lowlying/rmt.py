@@ -25,13 +25,12 @@ non-trivial angles are the eigenvalues of an N x N Jacobi matrix
 entries come from Beta variables with half-integer parameters, drawn by
 inverting their CDFs in numpy: each CDF is a finite sum of positive
 terms, solved for its uniform by Halley's method.
-Unitary angles are the eigenangles of an N x N unitary Hessenberg
-matrix built from independent Verblunsky coefficients (Killip-Nenciu,
-Gragg).  Its Cayley transform i (I + H)^-1 (I - H) is Hermitian with
-eigenvalues tan(theta/2), so a chunk takes one batched solve and one
-batched symmetric eigensolver call.  The few rows with an angle near
-the transform's pole at pi are redone with the pole moved into their
-largest gap.
+Unitary angles come from an N x N unitary Hessenberg matrix H built
+from independent Verblunsky coefficients (Killip-Nenciu, Gragg).  H is
+normal, so its Hermitian part (H + H*)/2 has the eigenvalues
+cos theta, one batched Hermitian eigensolver call per chunk.  Every test
+function is even, so the statistic reads only the folded angles
+arccos(cos theta) in [0, pi], one per eigenvalue.
 
 An ensemble is held as arrays: per concrete group, one (samples, m) array
 of scaled angles and the group's period.  Only the latest ensemble stays
@@ -165,6 +164,15 @@ def _beta_table(group, n):
     so the sum is accurate to rounding relative to I, however far in the
     lower tail.  The same sum read off after d = s - t fewer Horner steps
     is I_z(s, t), the upper tail of the column in 1 - z.
+
+    A column's largest term is c_0 = 1, since c_(i+1)/c_i =
+    (s - i - 1)/(t + i + 1) <= 1, so its stored c_i underflow to 0 only
+    in a run at its top degrees, where c_i < 2^-1074 (from N = 541 on).
+    Degrees that are 0 in every column are dropped.  With r <= 1, each
+    lost term c_i r^(i-d) is below 2^-1074 times its sum's leading term
+    in the lower tail, c_0 = 1, and below 3 * 2^-1074 times it in the
+    upper one, c_d >= 1/3 (d = 1 with t >= 1/2, or d = 2 with t >= 1):
+    together far below the sum's rounding.
     """
     t, s = _jacobi_parameters(group, n)
     coef = np.zeros((int(s.max()), len(t)))
@@ -187,6 +195,7 @@ def _beta_table(group, n):
         at_half[k] = math.exp(ln_c[k] - (sig - 1) * math.log(2.0)) * (
             math.fsum(coef[:, k]) + math.fsum(rem[:, k] * 0.5 ** (j - sig + 2))
             if half else math.fsum(coef[:, k]))
+    coef = coef[:int(np.flatnonzero(coef.any(axis=1)).max()) + 1]
     # columns from active[j] on have no term of degree j or above yet
     active = tuple(int(np.flatnonzero(row).max()) + 1 for row in coef)
     # t is a half-integer in the even columns
@@ -288,8 +297,17 @@ def _jacobi_angles(group, size, seed, indices):
 
 
 def _verblunsky_angles(size, seed, indices):
-    """Eigenangles of Haar U(N), one ascending row in [0, 2 pi) per index."""
-    return _cayley_angles(_verblunsky_matrices(size, seed, indices))
+    """Folded eigenangles arccos(cos theta) of Haar U(N), one ascending
+    row in [0, pi] per index.
+
+    H is unitary, hence normal, so its Hermitian part (H + H*)/2 has the
+    eigenvalues cos theta: one batched Hermitian eigensolver call.  Every
+    test function is even, so U's statistic reads cos theta alone.
+    """
+    h = _verblunsky_matrices(size, seed, indices)
+    x = np.linalg.eigvalsh(0.5 * (h + np.conj(h).swapaxes(-1, -2)))
+    # contiguous operands, as in `_jacobi_angles`
+    return np.arccos(np.clip(x[:, ::-1].copy(), -1.0, 1.0))
 
 
 def _verblunsky_matrices(size, seed, indices):
@@ -325,47 +343,6 @@ def _verblunsky_matrices(size, seed, indices):
         v[:, k + 1] = -alpha[:, k]
     h[:, :, -1] = v * np.conj(alpha[:, -1, None])
     return h
-
-
-# |tan(theta/2)| above which a row is redone with its pole moved; the
-# error of every angle in a row grows with the row's largest |lambda|
-_POLE = 1e3
-
-
-def _cayley_angles(h):
-    """Ascending eigenangles in [0, 2 pi) of each matrix of a unitary stack.
-
-    A = i (I + H)^-1 (I - H) is Hermitian with eigenvalues tan(theta/2),
-    so one batched solve and one symmetric eigensolver call give every
-    angle as 2 arctan(lambda).  A row with an angle near the pole at pi
-    is redone on H e^(-i phi), where phi + pi is the middle of the row's
-    largest gap, and phi is added back.
-    """
-    lam = _cayley_eigvals(h)
-    theta = _on_circle(2.0 * np.arctan(lam))
-    near = np.flatnonzero(np.max(np.abs(lam), axis=1) > _POLE)
-    if near.size:
-        rows = theta[near]
-        gaps = np.diff(rows, axis=1, append=rows[:, :1] + 2.0 * math.pi)
-        j = np.argmax(gaps, axis=1)
-        pick = np.arange(len(near))
-        phi = rows[pick, j] + 0.5 * gaps[pick, j] - math.pi
-        lam = _cayley_eigvals(h[near] * np.exp(-1j * phi)[:, None, None])
-        theta[near] = _on_circle(2.0 * np.arctan(lam) + phi[:, None])
-    return theta
-
-
-def _cayley_eigvals(h):
-    eye = np.eye(h.shape[-1])
-    a = 1j * np.linalg.solve(eye + h, eye - h)
-    return np.linalg.eigvalsh(0.5 * (a + np.conj(a).swapaxes(-1, -2)))
-
-
-def _on_circle(theta):
-    """Angles reduced into [0, 2 pi), ascending in each row."""
-    theta = np.mod(theta, 2.0 * math.pi)
-    # a tiny negative angle rounds up to 2 pi itself
-    return np.sort(np.where(theta < 2.0 * math.pi, theta, 0.0), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +509,8 @@ def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
 
 
 # matrices per sampling batch; no result depends on it (per-matrix LAPACK
-# calls), the U temporaries (the Hessenberg matrix, the Cayley transform
-# and its solve) scale with it
+# calls), the U temporaries (the Hessenberg matrix and its Hermitian
+# part) scale with it
 _CHUNK = 128
 
 
@@ -612,6 +589,14 @@ def ensemble_average(spec: EnsembleSpec, phis,
     if len(phis) > 3:  # `_distinct` masks all size^n index tuples
         raise ValueError("the ensemble statistic takes at most 3 test "
                          "functions, got %d" % len(phis))
+    # no index tuple has n distinct points among fewer; O's SOeven rows
+    # are then 0 while its SOodd rows hold one more point
+    points = spec.size + bool(include_zero and spec.group in ("SOodd", "O"))
+    if len(phis) > points:
+        raise ValueError("the %d-level statistic needs %d distinct points, "
+                         "but %s spectra of size %d hold at most %d"
+                         % (len(phis), len(phis), spec.group, spec.size,
+                            points))
     # validates n and the supports before any matrix is sampled; each
     # part's prediction weighs by its share of the rows
     prediction = sum(len(indices) / spec.samples

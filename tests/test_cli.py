@@ -656,6 +656,46 @@ class TestRmt:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("group, include_zero", [
+        ("SOeven", "true"), ("SOodd", "false"), ("USp", "true"),
+        ("U", "true"), ("O", "false")])
+    def test_more_test_functions_than_points_exits_2_before_sampling(
+            self, group, include_zero, tmp_path, monkeypatch, capsys):
+        # no index tuple has 3 distinct points among 2, so the statistic
+        # would be 0 in every sample, with no error bar
+        self._forbid_sampling(monkeypatch)
+        code = cli.main(["rmt", "--group", group, "--size", "2",
+                         "--samples", "10", "--beta", "0.3,0.3,0.3",
+                         "--include-zero", include_zero,
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "3 distinct points" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("group", ["SOodd", "O"])
+    def test_the_zero_slot_is_one_more_point(self, group, tmp_path):
+        # SO(5)'s two angles and its structural zero are 3 points; O's
+        # SO(4) rows give 0 and its SO(5) rows do not
+        out = tmp_path / "r.json"
+        code = cli.main(["rmt", "--group", group, "--size", "2",
+                         "--samples", "10", "--beta", "0.3,0.3,0.3",
+                         "--zmax", "50", "--out", str(out)])
+        assert code == 0
+        assert read_json(out)["report"]["mc_stderr"] > 0
+
+    @pytest.mark.parametrize("group", ["O", "USp"])
+    def test_size_600_runs(self, group, tmp_path):
+        # the largest size a test runs; the Beta tables' top-degree
+        # terms underflow from N = 541 on
+        proc = run_subprocess(["rmt", "--group", group, "--size", "600",
+                               "--samples", "2", "--zmax", "1e6",
+                               "--out", "r.json"], "1", str(tmp_path),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert read_json(tmp_path / "r.json")["report"]["N"] == 600
+
     def test_tiny_beta_meets_its_prediction_and_exits_0(self, tmp_path):
         # only the mean harmonic is left, so every sample gives the same
         # statistic, 1; the prediction 1 + 0 * beta / 2 is exact, and z 0
@@ -826,6 +866,21 @@ class TestDims:
         meta = read_json(str(out) + ".json")
         assert meta["pass"] is True
         assert meta["rows"] == 4
+
+    def test_each_level_is_factored_once(self, tmp_path, monkeypatch):
+        from lowlying import paramodular
+
+        factorize, calls = paramodular._factorize, []
+
+        def counted(m):
+            calls.append(m)
+            return factorize(m)
+        monkeypatch.setattr(paramodular, "_factorize", counted)
+        code = cli.main(["dims", "--weights", "4,4;5,4;6,4",
+                         "--levels", "1,6,30",
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == 0
+        assert calls == [1, 6, 30]
 
     def test_bad_weights_exit_2(self, tmp_path):
         code = cli.main(["dims", "--weights", "4",

@@ -188,14 +188,15 @@ class TestBetaQuantiles:
         small = want < 1e-3
         assert np.all(np.abs(got - want)[small] <= 1e-12 * want[small])
 
-    @pytest.mark.parametrize("group", TestJacobiModel.GROUPS)
-    def test_extreme_tails_against_mpmath(self, group):
+    @staticmethod
+    def check_tails_against_mpmath(group, size, columns):
         import mpmath
 
-        t, s = rmt._jacobi_parameters(group, 2)
+        t, s = rmt._jacobi_parameters(group, size)
         for u in (2.0 ** -54, 1e-12, 1.0 - 2.0 ** -40, 1.0 - 2.0 ** -53):
-            got = rmt._beta_quantiles(group, 2, np.full((1, 3), u))[0]
-            for k in range(3):
+            got = rmt._beta_quantiles(group, size,
+                                      np.full((1, len(t)), u))[0]
+            for k in columns:
                 # the tail that holds u, as I_y(a, b) = v, solved in log y
                 a, b, v, y = ((t[k], s[k], u, got[k]) if u < 0.5 else
                               (s[k], t[k], 1.0 - u, 1.0 - got[k]))
@@ -208,6 +209,18 @@ class TestBetaQuantiles:
                     assert abs(got[k] - ref) <= 1e-12 * ref, (u, k)
                 else:
                     assert abs(got[k] - (1.0 - ref)) <= 5e-14, (u, k)
+
+    @pytest.mark.parametrize("group", TestJacobiModel.GROUPS)
+    def test_extreme_tails_against_mpmath(self, group):
+        self.check_tails_against_mpmath(group, 2, range(3))
+
+    @pytest.mark.parametrize("size", [600, 1000])
+    @pytest.mark.parametrize("group", TestJacobiModel.GROUPS)
+    def test_extreme_tails_past_underflow_against_mpmath(self, group, size):
+        # from N = 541 on, a column's top-degree terms underflow to 0
+        # relative to its largest; columns 0 and 1, one of each parity,
+        # hold the most terms
+        self.check_tails_against_mpmath(group, size, [0, 1])
 
     def test_three_halley_steps_reach_rounding(self, monkeypatch):
         for group in TestJacobiModel.GROUPS:
@@ -223,11 +236,18 @@ class TestBetaQuantiles:
 
 
 class TestVerblunskyModel:
+    @staticmethod
+    def _eigvals_angles(mats):
+        """Signed eigenangles in [0, 2 pi) of a unitary stack, ascending."""
+        ang = np.mod(np.angle(np.linalg.eigvals(mats)), 2.0 * math.pi)
+        return np.sort(ang, axis=1)
+
     @pytest.mark.parametrize("size", [2, 15])
     def test_trace_moments(self, size):
         # CUE: E tr U^j = 0 and E |tr U^j|^2 = min(j, N) for j >= 1
         samples = 4000
-        angles = rmt._verblunsky_angles(size, 5152, range(samples))
+        angles = self._eigvals_angles(
+            rmt._verblunsky_matrices(size, 5152, range(samples)))
         for j in (1, 2, 3, size + 5):
             tr = np.sum(np.exp(1j * j * angles), axis=1)
             for values, want in ((tr.real, 0.0), (tr.imag, 0.0),
@@ -238,7 +258,8 @@ class TestVerblunskyModel:
     @pytest.mark.parametrize("size", [3, 8])
     def test_order_statistics_match_dense_haar(self, size):
         samples = 4000
-        model = rmt._verblunsky_angles(size, 61, range(samples))
+        model = self._eigvals_angles(
+            rmt._verblunsky_matrices(size, 61, range(samples)))
         dense = rmt._angles(haar_batch("U", size, 62, range(samples)), "U")
         for j in range(size):
             assert stats.ks_2samp(model[:, j], dense[:, j]).pvalue >= 1e-3, j
@@ -249,12 +270,7 @@ class TestVerblunskyModel:
         q = haar_batch("U", size, seed, [0])[0]
         return (q * np.exp(1j * np.asarray(angles))) @ np.conj(q).T
 
-    @staticmethod
-    def _eigvals_angles(mats):
-        ang = np.mod(np.angle(np.linalg.eigvals(mats)), 2.0 * math.pi)
-        return np.sort(ang, axis=1)
-
-    def test_match_eigvals_of_the_same_matrix(self):
+    def test_match_eigvals_of_the_same_matrix(self, monkeypatch):
         mats = rmt._verblunsky_matrices(12, 64, range(10000))
         gram = np.conj(mats).swapaxes(-1, -2) @ mats
         assert np.max(np.abs(gram - np.eye(12))) < 1e-13
@@ -265,18 +281,31 @@ class TestVerblunskyModel:
             12, 65, np.concatenate([[1e-7, math.pi - 3e-7],
                                     np.linspace(0.4, 6.0, 10)]))
         mats = np.concatenate([mats, [near_pi, both]])
-        got = rmt._cayley_angles(mats)
+        monkeypatch.setattr(rmt, "_verblunsky_matrices",
+                            lambda size, seed, indices: mats[indices])
+        got = rmt._verblunsky_angles(12, 64, np.arange(len(mats)))
         want = self._eigvals_angles(mats)
-        assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the folded route gives cos theta, descending, to rounding
+        cos_want = np.sort(np.cos(want), axis=1)[:, ::-1]
+        assert_allclose(np.cos(got), cos_want, rtol=0, atol=1e-14)
         for row, planted in ((-2, math.pi + 5e-7), (-1, 1e-7),
                              (-1, math.pi - 3e-7)):
-            assert np.min(np.abs(got[row] - planted)) < 1e-12
+            assert np.min(np.abs(np.cos(got[row]) - math.cos(planted))) \
+                < 1e-14
+        # and U's statistic of the folded angles, which reads cos theta
+        # only, matches that of the signed ones
+        scale = 12.0 / (2.0 * math.pi)
+        for betas in ((0.9,), (0.6, 0.45), (0.3, 0.4, 0.5)):
+            phis = [FEJER(b) for b in betas]
+            folded, signed = (rmt._statistics("U", 12.0, a * scale, phis,
+                                              True) for a in (got, want))
+            assert_allclose(folded, signed, rtol=0, atol=1e-13)
 
     def test_rows_ascend_on_the_circle(self):
         stack = rmt._verblunsky_angles(30, 66, range(2000))
         assert stack.shape == (2000, 30)
         assert np.all(np.diff(stack, axis=1) >= 0.0)
-        assert np.all((stack >= 0.0) & (stack < 2.0 * math.pi))
+        assert np.all((stack >= 0.0) & (stack <= math.pi))
 
     def test_rows_do_not_depend_on_the_batch(self):
         stack = rmt._verblunsky_angles(9, 63, range(30))
@@ -285,10 +314,6 @@ class TestVerblunskyModel:
                   for i in range(0, 30, 7)]
         assert np.array_equal(np.stack(singles), stack)
         assert np.array_equal(np.concatenate(chunks), stack)
-        # row 11 has an angle near pi, so the pole rule redoes it within
-        # each of the three batches
-        lam = rmt._cayley_eigvals(rmt._verblunsky_matrices(9, 63, [11]))
-        assert np.max(np.abs(lam)) > rmt._POLE
 
 
 class TestEnsembleSpec:
@@ -319,8 +344,9 @@ class TestEnsembleSpec:
 
     @pytest.mark.parametrize("fields, n", [
         ({"size": 5.0}, 1), ({"seed": -1}, 1), ({"seed": 2 ** 64}, 1),
-        ({}, 4)], ids=["integral_float_size", "negative_seed",
-                       "seed_past_64_bits", "four_test_functions"])
+        ({}, 4), ({"size": 2}, 3)],
+        ids=["integral_float_size", "negative_seed", "seed_past_64_bits",
+             "four_test_functions", "more_test_functions_than_points"])
     def test_rejects_before_prediction_and_sampling(self, fields, n,
                                                     monkeypatch):
         def ran(*args):
