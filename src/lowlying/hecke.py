@@ -69,13 +69,12 @@ def _coeff_recurrence(c, n_max):
     shape = np.broadcast(*c).shape
     h = np.zeros((n_max + 1,) + shape)
     h[0] = 1.0
+    term = np.empty(shape)
     for n in range(1, n_max + 1):
-        acc = np.zeros(shape)
-        for j, cj in enumerate(c, start=1):
-            if j > n:
-                break
-            acc += cj * h[n - j]
-        h[n] = -acc
+        acc = h[n, ...]  # a view even when shape is ()
+        for j, cj in enumerate(c[:n], start=1):
+            acc += np.multiply(cj, h[n - j], out=term)
+        np.negative(acc, out=acc)
     return h
 
 
@@ -83,7 +82,8 @@ def spin_coeff_grid(a, b, n_max):
     """Degree-4 Dirichlet coefficients at powers 0..n_max, vectorized."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    return _coeff_recurrence((-(a + b), 2.0 + a * b, -(a + b), 1.0), n_max)
+    c1 = -(a + b)
+    return _coeff_recurrence((c1, 2.0 + a * b, c1, 1.0), n_max)
 
 
 def std_coeff_grid(a, b, n_max):

@@ -5,6 +5,11 @@ eigenvalue coordinates, symmetric under coordinate swap.  Its density is
 the product of a rational factor, two reflection factors, and the
 semicircle-pair density, divided by its exact total mass
 2(p+1)^2/(p^2+1).
+
+Its array passes, the sampler's rejection rounds and the envelope's
+401^2 grid, evaluate at most `_POINTS` points at a time, so a sample's
+memory beyond its output is one slice plus 8 bytes a point for the
+pending indices, however many points are drawn.
 """
 
 from __future__ import annotations
@@ -128,11 +133,21 @@ def integrate(spec: MeasureSpec, integrand: Callable, tol=1e-8):
     return adaptive_tensor(f, (0.0, math.pi, 0.0, math.pi), tol)[0]
 
 
+# the most points one array pass below evaluates at once: the envelope
+# grid goes in row blocks and each rejection round in index slices of at
+# most this many, so neither pass's temporaries grow with the count
+_POINTS = 2 ** 15
+
+
 @lru_cache(maxsize=64)
 def _envelope(spec: MeasureSpec):
+    """1.05 times the density's largest value on the 401^2 grid over
+    [-2,2]^2; a max is exact, so the row blocks do not change it."""
     g = np.linspace(-2.0, 2.0, 401)
-    xx, yy = np.meshgrid(g, g, indexing="ij")
-    return 1.05 * float(np.max(density_mu_p(spec, xx.ravel(), yy.ravel())))
+    rows = max(1, _POINTS // g.size)
+    return 1.05 * max(
+        float(np.max(density_mu_p(spec, g[i:i + rows, None], g[None, :])))
+        for i in range(0, g.size, rows))
 
 
 _MAX_ATTEMPTS = 4096
@@ -143,7 +158,9 @@ def sample_array(spec: MeasureSpec, seed, count):
 
     The draws come from the stream (seed, p), and each draw consumes its
     own (index, attempt) substream, so the result is independent of
-    batching.
+    batching.  Each round runs over the pending indices in slices of
+    `_POINTS` and compacts the rejected ones into the front of the one
+    index array.
     """
     seed = _integer(seed, "seed must be an integer")
     _check_seed(seed)
@@ -159,18 +176,25 @@ def sample_array(spec: MeasureSpec, seed, count):
             raise NumericFailure(
                 "rejection budget %d exhausted with %d draws pending"
                 % (_MAX_ATTEMPTS, pending.size))
-        u = _rng.uniforms(seed, spec.p, pending, attempt, 3)
-        x = 4.0 * u[:, 0] - 2.0
-        y = 4.0 * u[:, 1] - 2.0
-        d = density_mu_p(spec, x, y)
-        if np.any(d > env):
-            raise NumericFailure(
-                "density %.6g exceeds cached envelope %.6g (stale bound)"
-                % (float(d.max()), env))
-        acc = u[:, 2] * env <= d
-        sel = pending[acc]
-        out[sel, 0] = x[acc]
-        out[sel, 1] = y[acc]
-        pending = pending[~acc]
+        kept = 0
+        for start in range(0, pending.size, _POINTS):
+            index = pending[start:start + _POINTS]
+            u = _rng.uniforms(seed, spec.p, index, attempt, 3)
+            x = 4.0 * u[:, 0] - 2.0
+            y = 4.0 * u[:, 1] - 2.0
+            d = density_mu_p(spec, x, y)
+            if np.any(d > env):
+                raise NumericFailure(
+                    "density %.6g exceeds cached envelope %.6g (stale bound)"
+                    % (float(d.max()), env))
+            acc = u[:, 2] * env <= d
+            sel = index[acc]
+            out[sel, 0] = x[acc]
+            out[sel, 1] = y[acc]
+            # kept <= start: the rejected land behind the unread slices
+            rejected = index[~acc]
+            pending[kept:kept + rejected.size] = rejected
+            kept += rejected.size
+        pending = pending[:kept]
         attempt += 1
     return out

@@ -508,10 +508,13 @@ def d_n_statistic(spectrum: ScaledSpectrum, phis, include_zero: bool) -> float:
 # ensemble pipeline
 
 
-# matrices per sampling batch; no result depends on it (per-matrix LAPACK
-# calls), the U temporaries (the Hessenberg matrix and its Hermitian
-# part) scale with it
+# matrices per sampling batch: at most _CHUNK, and at most _ENTRIES / N^2
+# so that a batch holds about _ENTRIES matrix entries (128 matrices up
+# to N = 32, one from N = 257: 16 MB of complex entries at N = 1000); no
+# result depends on it (per-matrix LAPACK calls), the U temporaries (the
+# Hessenberg matrix and its Hermitian part) scale with it
 _CHUNK = 128
+_ENTRIES = 2 ** 17
 
 
 def _parts(spec: EnsembleSpec):
@@ -528,10 +531,11 @@ def _spectra(spec: EnsembleSpec):
     """{group: (scaled, period)} for each of `_parts`, `scaled` holding
     one row of folded angles times period/(2 pi) per index, in order."""
     out = {}
+    rows = max(1, min(_CHUNK, _ENTRIES // spec.size ** 2))
     for group, indices in _parts(spec):
         parts = []
-        for start in range(0, len(indices), _CHUNK):
-            chunk = indices[start:start + _CHUNK]
+        for start in range(0, len(indices), rows):
+            chunk = indices[start:start + rows]
             parts.append(_verblunsky_angles(spec.size, spec.seed, chunk)
                          if group == "U" else
                          _jacobi_angles(group, spec.size, spec.seed, chunk))
@@ -589,19 +593,24 @@ def ensemble_average(spec: EnsembleSpec, phis,
     if len(phis) > 3:  # `_distinct` masks all size^n index tuples
         raise ValueError("the ensemble statistic takes at most 3 test "
                          "functions, got %d" % len(phis))
+
+    def points(group):
+        return spec.size + bool(include_zero and group in ("SOodd", "O"))
+
     # no index tuple has n distinct points among fewer; O's SOeven rows
     # are then 0 while its SOodd rows hold one more point
-    points = spec.size + bool(include_zero and spec.group in ("SOodd", "O"))
-    if len(phis) > points:
+    if len(phis) > points(spec.group):
         raise ValueError("the %d-level statistic needs %d distinct points, "
                          "but %s spectra of size %d hold at most %d"
                          % (len(phis), len(phis), spec.group, spec.size,
-                            points))
+                            points(spec.group)))
     # validates n and the supports before any matrix is sampled; each
-    # part's prediction weighs by its share of the rows
+    # part's prediction weighs by its share of the rows, and a part with
+    # fewer than n points adds its statistic's exact expectation, 0
     prediction = sum(len(indices) / spec.samples
                      * prediction_for(group, phis, include_zero)
-                     for group, indices in _parts(spec))
+                     for group, indices in _parts(spec)
+                     if len(phis) <= points(group))
     values = []
     for group, (scaled, period) in _spectra(spec).items():
         values.extend(_statistics(group, period, scaled, phis, include_zero))

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,75 @@ def test_sample_mean_matches_quadrature():
     se = s.std(ddof=1) / math.sqrt(s.size)
     target = M.integrate(spec, lambda x, y: x + y)
     assert abs(s.mean() - target) < 3.0 * se
+
+
+@pytest.mark.parametrize("p", [2, 97])
+@pytest.mark.parametrize("points", [1, 7, 4096, M._POINTS])
+def test_sample_slices_do_not_change_points(p, points, monkeypatch):
+    # counts one below, at and one above a slice edge, against whole
+    # rounds in one slice; each draw's (index, attempt) address is fixed
+    spec = M.vertical_measure(p)
+    counts = [c for c in (points - 1, points, points + 1) if c >= 1]
+    monkeypatch.setattr(M, "_POINTS", points + 2)
+    whole = [M.sample_array(spec, 11, c) for c in counts]
+    monkeypatch.setattr(M, "_POINTS", points)
+    for c, want in zip(counts, whole):
+        assert np.array_equal(M.sample_array(spec, 11, c), want)
+
+
+def _grid_envelope(spec):
+    # the unblocked oracle: the whole 401^2 grid in one evaluation
+    g = np.linspace(-2.0, 2.0, 401)
+    xx, yy = np.meshgrid(g, g, indexing="ij")
+    return 1.05 * float(np.max(M.density_mu_p(spec, xx.ravel(), yy.ravel())))
+
+
+@pytest.mark.parametrize("points", [1, 1000, M._POINTS])
+def test_envelope_blocks_match_the_whole_grid(points, monkeypatch):
+    monkeypatch.setattr(M, "_POINTS", points)
+    for p in (2, 3, 5, 7, 97):
+        spec = M.vertical_measure(p)
+        assert M._envelope.__wrapped__(spec) == _grid_envelope(spec)
+
+
+def _traced_peak(fn, *args):
+    """Bytes numpy and Python allocate at the peak of fn(*args) above
+    what was live before, and fn's result."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before, out
+    finally:
+        tracemalloc.stop()
+
+
+# bytes per point of one slice: about 31 doubles, measured, are live at
+# once (3 uniforms and their Philox words, two coordinates, the
+# density's factor temporaries and the accept masks); 64 leaves room
+_SLICE_BYTES = 64 * 8
+
+
+def test_sampler_transients_do_not_grow_with_count(monkeypatch):
+    # a sampler run keeps its output (16 bytes a point) and the pending
+    # index array (8 bytes a point); all else lives for one slice of
+    # _POINTS points, whatever the count.  Whole rounds in one slice
+    # take about 200 bytes a point, 13 MB at the larger count
+    monkeypatch.setattr(M, "_POINTS", 4096)
+    spec = M.vertical_measure(2)
+    M._envelope(spec)  # its own bound is checked below
+    for count in (4 * 4096, 16 * 4096):
+        peak, out = _traced_peak(M.sample_array, spec, 5, count)
+        assert out.nbytes == 16 * count
+        assert peak - 24 * count < _SLICE_BYTES * 4096
+
+
+def test_envelope_transients_are_one_block(monkeypatch):
+    # a block of at most _POINTS grid points at a time; the whole 401^2
+    # grid at once takes about 14 MB
+    monkeypatch.setattr(M, "_POINTS", 4096)
+    peak, _ = _traced_peak(M._envelope.__wrapped__, M.vertical_measure(3))
+    assert peak < _SLICE_BYTES * 4096
 
 
 def _box_mass(spec, x0, x1, y0, y1):

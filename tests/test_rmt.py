@@ -476,6 +476,26 @@ class TestBatchedAngles:
             assert np.array_equal(small[g][0], scaled)
             assert small[g][1] == period
 
+    def test_large_sizes_sample_one_matrix_per_chunk(self, monkeypatch):
+        # 2^17 entries hold less than two 1000 x 1000 matrices, so U's
+        # complex stack is one matrix (16 MB), not 128 (2 GB)
+        spec = _spec("U", 1000, 2)
+        rows = []
+        draw = rmt._verblunsky_angles
+
+        def counted(size, seed, indices):
+            rows.append(len(indices))
+            return draw(size, seed, indices)
+
+        monkeypatch.setattr(rmt, "_verblunsky_angles", counted)
+        capped = rmt._spectra(spec)["U"][0]
+        rmt.clear_spectrum_cache()
+        assert rows == [1, 1]
+        monkeypatch.setattr(rmt, "_CHUNK", 1)
+        single = rmt._spectra(spec)["U"][0]
+        rmt.clear_spectrum_cache()
+        assert np.array_equal(capped, single)
+
 
 class TestPeriodizedValue:
     def test_matches_direct_periodization(self):
@@ -803,6 +823,15 @@ class TestPredictions:
         report = rmt.ensemble_average(_spec("O", 4, 5), phis, True)
         assert_allclose(report.prediction, 0.6 * even + 0.4 * odd,
                         rtol=1e-14)
+
+    def test_mixture_part_without_n_points_predicts_zero(self):
+        # at n = N + 1 O's SOeven rows hold N points, so their statistic
+        # is 0 identically; only its SOodd rows, with the zero, weigh in
+        phis = [FEJER(0.3)] * 3
+        report = rmt.ensemble_average(_spec("O", 2, 10), phis, True)
+        rmt.clear_spectrum_cache()
+        assert report.prediction == 0.5 * rmt.prediction_for("SOodd", phis,
+                                                             True)
 
     def test_unknown_group(self):
         # O is a mixture, predicted part by part in ensemble_average
