@@ -22,6 +22,8 @@ import math
 import os
 import sys
 
+from lowlying.summary import NumericFailure
+
 __all__ = ["main", "read_config", "UsageError"]
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -38,11 +40,6 @@ def _pin_threads():
     # the BLAS pool is created single-threaded
     for var in _THREAD_VARS:
         os.environ[var] = "1"
-
-
-def _numeric_failure():
-    from lowlying.summary import NumericFailure
-    return NumericFailure
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +405,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
-    except SystemExit:  # --help; the clause below would load numpy
-        raise
-    except _numeric_failure() as exc:
+    except NumericFailure as exc:
         print("numeric failure: %s" % (exc,), file=sys.stderr)
         return 3
     except OSError as exc:

@@ -18,7 +18,8 @@ form.  Two independent evaluation routes are kept deliberately separate:
   sums of the sum of its inputs' matrices as traces of its matrix
   powers; with the closed-form one-level integrals as p_1, they give the
   determinant's coefficients by Newton's identities and
-  inclusion-exclusion over subsets;
+  inclusion-exclusion over subsets.  The box is a midpoint rule of step
+  1/12 < 1/(1 + beta), exact on the line by Poisson summation (_BOX2);
 * the combinatorial route works entirely on the Fourier side (grid
   convolutions of the triangle transforms); its sum over set
   partitions, even block subsets and pairings is one recursion over
@@ -151,7 +152,11 @@ ALL_TYPES = (U, SOEVEN, SOODD, O_TYPE, SP)
 # ---------------------------------------------------------------------------
 # determinant-route predictions from a low-rank kernel basis
 
-_BOX2 = (100.0, 12)  # half-width and per-unit order of the kernel's box
+# half-width and nodes per unit of the kernel's box.  A trace's integrand
+# is band-limited to 1 + beta in each variable (its input to beta, two
+# kernels to 1/2 each), so by Poisson summation this midpoint rule is exact
+# on the line while h = 1/12 < 1 / (1 + beta), as for every beta <= 0.9
+_BOX2 = (100.0, 12)
 # the box of 0.8 times _BOX2's width has unit panels too, so its nodes are
 # _BOX2's first _SHORT
 _SHORT = int(0.8 * _BOX2[0]) * _BOX2[1]

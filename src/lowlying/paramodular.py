@@ -18,7 +18,6 @@ from .summary import _factorize, _integer
 __all__ = [
     "LevelData",
     "DimensionReport",
-    "omega",
     "dim_main_term",
     "dim_newform_main_term",
     "newform_trace",
@@ -101,7 +100,8 @@ def newform_trace(traces, level: LevelData):
         raise ValueError("trace table is missing divisors %s" % (missing,))
     total = 0
     for m in divs:
-        total += (-2) ** omega(m) * traces[level.n // m]
+        primes = sum(m % p == 0 for p in level.factorization)
+        total += (-2) ** primes * traces[level.n // m]
     return total
 
 

@@ -1,5 +1,9 @@
-"""Deterministic quadrature: fixed Gauss-Legendre panels and a doubling
-tensor midpoint rule.
+"""Deterministic quadrature: the midpoint rule on an interval and a
+doubling tensor midpoint rule on a rectangle.
+
+On the line the midpoint rule of step h is exact, by Poisson summation,
+for an integrable function band-limited below 1 / h, as the integrands
+of `kernels`' determinant route are for h < 1 / (1 + beta).
 
 The midpoint rule on [0, pi]^2 is the trapezoid rule on the periodic
 extension of an integrand that is even about each edge, so for the
@@ -11,15 +15,12 @@ summary._column_sums (the value math.fsum gives), so the result is the
 same bit for bit on every run.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from .summary import NumericFailure, _column_sums
 
 __all__ = [
     "QuadratureError",
-    "gauss_legendre",
     "panel_grid",
     "adaptive_tensor",
 ]
@@ -38,57 +39,16 @@ class QuadratureError(NumericFailure):
         self.error = error
 
 
-# Newton steps from Tricomi's starting points, whose error is O(n^-4);
-# three reach rounding level from order 2 up, and one more is spare
-_NEWTON_STEPS = 4
-
-
-def _legendre(n, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
-    prev, p = np.ones_like(x), x
-    for j in range(2, n + 1):
-        prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
-    return p, n * (prev - x * p) / ((1.0 - x) * (1.0 + x))
-
-
-@lru_cache(maxsize=64)
-def gauss_legendre(order):
-    """Nodes and weights on [-1, 1], cached per order and read-only.
-
-    The nodes in (0, 1) are the roots of P_n found by Newton's method on
-    the three-term recurrence (as in Hale and Townsend, SIAM J. Sci.
-    Comput. 2013), the weights 2 / ((1 - x^2) P_n'(x)^2).  The left half
-    is their mirror image and an odd order's middle node is 0, so the
-    nodes are exactly antisymmetric and the weights exactly symmetric."""
-    if order < 1:
-        raise ValueError("order must be positive, got %r" % (order,))
-    k = np.arange(1, order // 2 + 1)
-    x = (1.0 - (order - 1.0) / (8.0 * order ** 3)) * np.cos(
-        np.pi * (k - 0.25) / (order + 0.5))  # descending
-    for _ in range(_NEWTON_STEPS):
-        p, dp = _legendre(order, x)
-        x = x - p / dp
-    x = np.append(x, np.zeros(order % 2))
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * _legendre(order, x)[1] ** 2)
-    half = order // 2
-    nodes = np.concatenate([-x[:half], x[::-1]])
-    weights = np.concatenate([w[:half], w[::-1]])
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def panel_grid(a, b, n_panels, order):
-    """Composite Gauss-Legendre rule on [a, b] with equal panels.
+    """The midpoint rule on [a, b] in n_panels * order equal cells.
 
-    Returns (nodes, weights) as flat arrays of length n_panels * order.
+    Returns (nodes, weights) as flat arrays of length n_panels * order:
+    the cell midpoints a + (j + 1/2) h, each weighted h = (b - a) /
+    (n_panels * order), so `order` is the nodes per panel.
     """
-    x, w = gauss_legendre(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    lo = edges[:-1, None]
-    hi = edges[1:, None]
-    nodes = (0.5 * (hi - lo) * (x[None, :] + 1.0) + lo).ravel()
-    weights = (0.5 * (hi - lo) * w[None, :]).ravel()
-    return nodes, weights
+    m = n_panels * order
+    h = (b - a) / m
+    return a + (np.arange(m) + 0.5) * h, np.full(m, h)
 
 
 # nodes per side of the first midpoint rule, and the most a rule may

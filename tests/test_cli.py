@@ -268,8 +268,8 @@ class TestImportPath:
 
     def test_prediction_loads_no_numpy_polynomial(self, tmp_path):
         # numpy loads numpy.polynomial on first use; the kernel basis's
-        # Gauss-Legendre nodes do without it, so a cold process never
-        # pays for it
+        # midpoint nodes do without it, so a cold process never pays
+        # for it
         loaded = self.loaded(
             "from lowlying import kernels as K\n"
             "phi = K.fejer_test_function(0.45)\n"

@@ -410,14 +410,12 @@ def test_prediction_deterministic(monkeypatch):
 
 def _small_box(phis, eps, half_width=6.0, order=8):
     # independent of the module: the full box [-half_width, half_width]
-    # as int(half_width) equal panels mirrored on each side of 0,
-    # Gauss-Legendre per panel
-    g, w = np.polynomial.legendre.leggauss(order)
-    m = int(half_width)
+    # as 2 m equal cells mirrored about 0, m = int(half_width) * order,
+    # each weighted at its midpoint
+    m = int(half_width) * order
     h = half_width / m
-    lo = h * np.arange(-m, m, dtype=float)[:, None]
-    x = (lo + 0.5 * h * (g[None, :] + 1.0)).ravel()
-    wq = np.tile(0.5 * h * w, 2 * m)
+    x = h * (np.arange(-m, m) + 0.5)
+    wq = np.full(2 * m, h)
     kmat = np.sinc(x[:, None] - x[None, :]) \
         + eps * np.sinc(x[:, None] + x[None, :])
     return kmat, [wq * phi.value(x) for phi in phis]
@@ -632,7 +630,7 @@ def test_box_order_is_converged(betas, eps):
 
 @pytest.mark.parametrize("betas, soeven, sp", [
     ((0.45, 0.4), 0.7862962961858865, 0.2962962961873664),
-    ((0.3, 0.28, 0.25), 0.428324731085337, 0.1652933412323171),
+    ((0.3, 0.28, 0.25), 0.4283247310864263, 0.16529334123246828),
 ])
 def test_determinant_route_pins(betas, soeven, sp):
     # values of the low-rank basis implementation; a rewrite may move
@@ -763,3 +761,20 @@ def test_each_route_error_covers_the_exact_two_level_value(betas, soeven, sp):
         for value, err in [K.prediction_with_error(G, phis),
                            K.rubinstein_with_error(sign, phis)]:
             assert abs(value - float(exact)) <= err
+
+
+@pytest.mark.parametrize("betas", [(0.2, 0.2), (0.3, 0.3), (0.45, 0.45),
+                                   (0.1, 0.2)])
+def test_box_rule_is_exact_at_half_the_nodes(monkeypatch, betas):
+    # each variable of a two-level integrand is band-limited to
+    # 1 + beta < 2, so the midpoint rule on the line is exact for every
+    # step below 1/2 (Poisson summation): 6 nodes per unit give 12's
+    # values up to rounding
+    phis = [tf(b) for b in betas]
+    groups = (K.U, K.SOEVEN, K.SP)
+    fine = [K.n_level_prediction(G, phis) for G in groups]
+    width, order = K._BOX2
+    monkeypatch.setattr(K, "_BOX2", (width, order // 2))
+    monkeypatch.setattr(K, "_SHORT", K._SHORT // 2)
+    coarse = [K.n_level_prediction(G, phis) for G in groups]
+    assert coarse == pytest.approx(fine, rel=0.0, abs=1e-13)

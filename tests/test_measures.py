@@ -8,7 +8,7 @@ from conftest import density_f, density_g, density_st_inf, limit_density
 from hypothesis import given, settings, strategies as st
 
 from lowlying import measures as M
-from lowlying.quadrature import QuadratureError, adaptive_tensor, panel_grid
+from lowlying.quadrature import QuadratureError, adaptive_tensor
 from lowlying.summary import NumericFailure
 
 COORD = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -309,6 +309,15 @@ def test_envelope_transients_are_one_block(monkeypatch):
     assert peak < _SLICE_BYTES * 4096
 
 
+def _gauss_panels(a, b, n_panels, order):
+    # composite Gauss-Legendre: `order` nodes on each of n_panels equal
+    # panels of [a, b]
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (b - a) / n_panels
+    mid = a + half * (2 * np.arange(n_panels) + 1.0)
+    return (mid[:, None] + half * x).ravel(), np.tile(half * w, n_panels)
+
+
 def _box_mass(spec, x0, x1, y0, y1):
     # integrate the normalized density over a sub-rectangle, in angle
     # coordinates so the boundary square roots stay smooth
@@ -323,8 +332,8 @@ def _box_mass(spec, x0, x1, y0, y1):
 
     # a fixed rule: f is not periodic on a sub-rectangle, so the midpoint
     # rule of adaptive_tensor would converge only quadratically
-    ga, wa = panel_grid(a0, a1, 2, 20)
-    gb, wb = panel_grid(b0, b1, 2, 20)
+    ga, wa = _gauss_panels(a0, a1, 2, 20)
+    gb, wb = _gauss_panels(b0, b1, 2, 20)
     fv = f(np.repeat(ga, gb.size), np.tile(gb, ga.size))
     return float(wa @ fv.reshape(ga.size, gb.size) @ wb)
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -176,6 +177,16 @@ class TestNewformTrace:
             old = oldform_table(new, lvl)
             for d in lvl.divisors():
                 assert pm.newform_trace(old, _level(d)) == new[d]
+
+    def test_level_is_factored_once(self, monkeypatch):
+        # LevelData factors the level; the convolution counts each
+        # divisor's primes from that factorization
+        factorize = mock.Mock(wraps=pm._factorize)
+        monkeypatch.setattr(pm, "_factorize", factorize)
+        lvl = _level(30030)
+        traces = {d: 1 for d in lvl.divisors()}
+        assert pm.newform_trace(traces, lvl) == (1 - 2) ** 6
+        assert factorize.call_count == 1
 
 
 class TestTraceSplit:
