@@ -217,7 +217,7 @@ def _beta_quantiles(group, n, u):
     approximation.  Each value depends on its own uniform only.
     """
     t, s, coef, active, rem, ln_c, ln_b, at_half = _beta_table(group, n)
-    u = u.T.copy()  # (K, rows): a column's draws are contiguous
+    u = np.ascontiguousarray(u.T)  # (K, rows): a column's draws are contiguous
     upper = u > at_half
     v = np.where(upper, 1.0 - u, u)
     a = np.where(upper, s, t)

@@ -29,6 +29,10 @@ package computes.
 
 `cli_env` builds the environment for `python -m lowlying` subprocesses.
 
+`philox4x32` runs the package's Philox rounds on broadcast counter words;
+it is the known-answer harness and the per-address oracle for
+`rng.uniforms`.
+
 `reference_family_csv` writes a family one `csv.writer` row at a time;
 the block-wise `family.write_family_csv` must match its bytes.
 """
@@ -45,7 +49,7 @@ import numpy as np
 import lowlying
 from lowlying import rmt
 from lowlying.kernels import _halved_ends, _pair_integral
-from lowlying.rng import normals
+from lowlying.rng import _philox_rounds, normals
 
 # absolute directory holding the imported `lowlying` package (`src/`
 # when it is not installed), so children find it from any working dir
@@ -67,6 +71,19 @@ def cli_env(threads):
     env["OPENBLAS_NUM_THREADS"] = threads
     env["OMP_NUM_THREADS"] = threads
     return env
+
+
+def philox4x32(key, ctr):
+    """Apply the 10-round Philox-4x32 block function.
+
+    `key` is a pair of 32-bit ints and `ctr` four array_like counter
+    words (32-bit payloads), broadcastable to a common shape.  Returns a
+    tuple of four uint64 arrays of that shape holding the output words.
+    """
+    words = np.stack(np.broadcast_arrays(
+        *(np.asarray(c, dtype=np.uint64) for c in ctr)))
+    _philox_rounds(key, words.reshape(4, -1))
+    return tuple(words)
 
 
 def reference_family_csv(family, fh):
