@@ -234,6 +234,10 @@ def _cmd_moments(args):
     if args.nmax < 1:
         raise UsageError("nmax must be at least 1")
     target = args.tol / 10.0
+    if not target >= measures._TOL_FLOOR:
+        raise UsageError("tol must be at least %g (the quadrature runs at "
+                         "tol/10), got %r"
+                         % (10.0 * measures._TOL_FLOOR, args.tol))
     if len(set(args.primes)) != len(args.primes):
         raise UsageError("primes must be distinct, got %s" % (args.primes,))
     args.primes = sorted(args.primes)

@@ -27,11 +27,6 @@ __all__ = [
 ]
 
 
-def omega(m: int) -> int:
-    """Number of distinct prime factors."""
-    return len(_factorize(m))
-
-
 @dataclass(frozen=True)
 class LevelData:
     """A square-free level and its increasing prime factors, factored

@@ -34,15 +34,16 @@ arccos(cos theta) in [0, pi], one per eigenvalue.
 
 An ensemble is held as arrays: per concrete group, one (samples, m) array
 of scaled angles and the group's period.  Only the latest ensemble stays
-cached.  The n-level statistic of every n sums a term list built from
-masked outer products of the test-function values, a block of spectra
-at a time, by `summary._column_sums`: a TwoSum cascade whose rounding is
-certified exact spectrum by spectrum, with fsum for the spectra it
-cannot certify, so every value has fsum's bits.
+cached.  The n-level statistic of every n sums one term per ordered
+tuple of distinct points, a block of spectra at a time, by
+`summary._column_sums`: a TwoSum cascade whose rounding is certified
+exact spectrum by spectrum, with fsum for the spectra it cannot
+certify, so every value has fsum's bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -435,21 +436,9 @@ def periodized_value(phi, period, x):
     return vals.reshape(xs.shape)
 
 
-@lru_cache(maxsize=8)
-def _distinct(size, n):
-    """Mask of the n-tuples over range(size) with pairwise distinct entries."""
-    axes = np.ix_(*[np.arange(size)] * n)
-    keep = np.ones((size,) * n, dtype=bool)
-    for a in range(n):
-        for b in range(a):
-            keep &= axes[a] != axes[b]
-    keep.flags.writeable = False  # every cache hit shares it
-    return keep
-
-
-# the n-level statistic takes blocks of spectra whose outer products hold
-# at most this many terms, and one spectrum at least; no result depends
-# on it
+# the n-level statistic takes blocks of spectra with at most this many
+# terms, one per ordered tuple of distinct points, and one spectrum at
+# least; no result depends on it
 _TERMS = 2 ** 15
 
 
@@ -458,13 +447,13 @@ def _statistics(group, period, rows, phis, include_zero):
     concrete group, as a list.
 
     A block of spectra is one array of term lists, a column per
-    spectrum: slot-ordered outer products of the test-function values,
-    masked to distinct points (`_distinct`) and summed by
-    `_column_sums`.  Scaling by 2 when each point stands for a conjugate
-    pair is exact, so it counts both signed indices at once.  The
-    structural zero, when it takes part, is one more point, unscaled.
-    Each term is a product in slot order over distinct points, hence
-    the same float as its brute-force counterpart times a power of 2.
+    spectrum: one term per ordered tuple of distinct points, summed by
+    `_column_sums`.  Each term is the product of the test-function
+    values at its points in slot order, hence the same float as its
+    brute-force counterpart times a power of 2: scaling by 2 when each
+    point stands for a conjugate pair is exact, so it counts both signed
+    indices at once.  The structural zero, when it takes part, is one
+    more point, unscaled.
     """
     with_zero = include_zero and group == "SOodd"
     mult = 1.0 if group == "U" else 2.0
@@ -472,8 +461,11 @@ def _statistics(group, period, rows, phis, include_zero):
     distinct = list(dict.fromkeys(phis))
     zeros = [periodized_value(phi, period, 0.0) for phi in distinct]
     slots = [distinct.index(phi) for phi in phis]
-    keep = _distinct(rows.shape[1] + with_zero, len(phis))
-    step = max(1, _TERMS // max(1, keep.size))
+    # one row per slot; (n, 0), summing to 0.0, with fewer than n points
+    index = np.fromiter(itertools.chain.from_iterable(itertools.permutations(
+        range(rows.shape[1] + with_zero), len(phis))), np.intp).reshape(
+            -1, len(phis)).T
+    step = max(1, _TERMS // max(1, index.shape[1]))
     out = []
     for start in range(0, len(rows), step):
         block = rows[start:start + step].T
@@ -481,10 +473,10 @@ def _statistics(group, period, rows, phis, include_zero):
         if with_zero:
             cols = [np.vstack([c, np.full((1, block.shape[1]), z)])
                     for c, z in zip(cols, zeros)]
-        prod = cols[slots[0]]
-        for slot in slots[1:]:
-            prod = prod[..., None, :] * cols[slot]
-        out.extend(_column_sums(prod[keep]))
+        terms = cols[slots[0]][index[0]]
+        for slot, points in zip(slots[1:], index[1:]):
+            terms = terms * cols[slot][points]
+        out.extend(_column_sums(terms))
     return out
 
 
@@ -590,7 +582,7 @@ def ensemble_average(spec: EnsembleSpec, phis,
                      include_zero: bool) -> EnsembleReport:
     """Mean, standard error, and z-score of the n-level statistic."""
     phis = list(phis)
-    if len(phis) > 3:  # `_distinct` masks all size^n index tuples
+    if len(phis) > 3:  # N!/(N - n)! terms per spectrum of N points
         raise ValueError("the ensemble statistic takes at most 3 test "
                          "functions, got %d" % len(phis))
 

@@ -537,6 +537,19 @@ class TestMoments:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("tol", ["5e-15", "1e-15", "2e-16"])
+    def test_tol_below_the_floor_names_itself_and_the_floor(
+            self, tol, tmp_path, monkeypatch, capsys):
+        def integrated(*args, **kwargs):
+            raise AssertionError("quadrature ran before validation")
+        monkeypatch.setattr("lowlying.measures.adaptive_tensor", integrated)
+        code = cli.main(["moments", "--primes", "2", "--nmax", "1",
+                         "--tol", tol, "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: tol must be at least 1e-14 (the quadrature runs at "
+            "tol/10), got %s\n" % tol)
+
     def test_an_eighteen_digit_prime_runs_at_once(self, tmp_path):
         # primality is a Miller-Rabin test, not trial division to 1e9
         proc = run_subprocess(["moments", "--primes", str(10 ** 18 + 3),

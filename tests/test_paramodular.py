@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lowlying import paramodular as pm
+from lowlying import summary
 
 
 def _level(n):
@@ -19,26 +20,15 @@ def _level(n):
 def oldform_table(new_traces, level):
     """Full-space traces from new-subspace ones: for every divisor d of
     the level, the sum over M | d of 2^omega(M) * new_traces[d/M]."""
-    return {d: sum(2 ** pm.omega(m) * new_traces[d // m]
+    return {d: sum(2 ** len(summary._factorize(m)) * new_traces[d // m]
                    for m in _level(d).divisors())
             for d in level.divisors()}
-
-
-class TestOmega:
-    def test_examples(self):
-        assert pm.omega(1) == 0
-        assert pm.omega(30) == 3
-        assert pm.omega(12) == 2
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            pm.omega(0)
 
 
 class TestLevelData:
     def test_unit_level(self):
         lvl = _level(1)
-        assert (lvl.n, lvl.factorization, pm.omega(lvl.n)) == (1, (), 0)
+        assert (lvl.n, lvl.factorization, len(lvl.factorization)) == (1, (), 0)
         assert lvl.divisors() == (1,)
 
     def test_composite_levels(self):
@@ -62,9 +52,8 @@ class TestLevelData:
 
 @pytest.mark.parametrize("call", [
     lambda: pm.LevelData(6.0), lambda: pm.LevelData(6.5),
-    lambda: pm.omega(6.5), lambda: pm.pm_trace_split(3, 1, 10.5)],
-    ids=["level_integral_float", "level_fraction", "omega",
-         "trace_split_k2"])
+    lambda: pm.pm_trace_split(3, 1, 10.5)],
+    ids=["level_integral_float", "level_fraction", "trace_split_k2"])
 def test_rejects_every_float(call):
     with pytest.raises(ValueError, match="integer"):
         call()

@@ -613,9 +613,8 @@ class TestPeriodizedValue:
         assert out[1, 0] == rmt.periodized_value(phi, 10.0, 0.3)
 
 
-@pytest.mark.parametrize("cached", [lambda: rmt._beta_table("USp", 9),
-                                    lambda: (rmt._distinct(5, 3),)],
-                         ids=["_beta_table", "_distinct"])
+@pytest.mark.parametrize("cached", [lambda: rmt._beta_table("USp", 9)],
+                         ids=["_beta_table"])
 def test_cached_arrays_are_read_only(cached):
     # every cache hit shares them, so a write in place would reach the
     # next caller

@@ -23,6 +23,14 @@ def exports(tree):
     return set()
 
 
+def public_definitions(tree):
+    """The public names a parsed module binds with a top-level def or
+    class."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
 def unused_imports(source):
     """Names a module imports, never reads, and does not list in __all__."""
     tree = ast.parse(source)
@@ -402,10 +410,11 @@ def package_reads(source):
     return reads
 
 
-def unread_exports(modules, outside_reads):
-    """"module.name" for each name in a module's __all__ that is not in
-    `outside_reads` and that no module of `modules` (short name -> source)
-    reads: its own module by name, another one through an import."""
+def unread_exports(modules, outside_reads, names=exports):
+    """"module.name" for each name `names` finds in a parsed module (its
+    __all__ by default) that is not in `outside_reads` and that no module
+    of `modules` (short name -> source) reads: its own module by name,
+    another one through an import."""
     readers = set(outside_reads)
     for mod, source in modules.items():
         readers |= package_reads(source)
@@ -413,7 +422,7 @@ def unread_exports(modules, outside_reads):
                     if isinstance(node, ast.Name)
                     and isinstance(node.ctx, ast.Load)}
     return sorted("%s.%s" % (mod, name) for mod, source in modules.items()
-                  for name in exports(ast.parse(source))
+                  for name in names(ast.parse(source))
                   if (mod, name) not in readers)
 
 
@@ -442,19 +451,45 @@ def test_export_scan_finds_a_planted_name():
     assert "kernels.ghost" not in unread_exports(planted, set())
 
 
-# public names that nothing but tests reads; this list may only shrink
-UNREAD_EXPORTS = []
+def test_definition_scan_finds_a_planted_function():
+    planted = dict(_MODULES, kernels=_MODULES["kernels"]
+                   + "\n\ndef ghost():\n    pass\n\n\nclass _Shade:\n"
+                   "    pass\n")
+    assert "kernels.ghost" not in unread_exports(planted, set())
+    found = unread_exports(planted, set(), public_definitions)
+    assert "kernels.ghost" in found and "kernels._Shade" not in found
+    assert "kernels.ghost" not in unread_exports(
+        planted, {("kernels", "ghost")}, public_definitions)
 
 
-def test_every_export_has_a_reader_outside_tests():
-    # readers: the package's own code, the benchmark scripts and their
-    # hooks, and the acceptance criteria
+def _outside_reads():
+    """(module, name) pairs read outside the package and its tests: by the
+    benchmark scripts and their hooks, and by the acceptance criteria."""
     outside = {(modname.rsplit(".", 1)[1], func)
                for modname, func in _bench_hooks()}
     for path in sorted(BENCH.glob("*.py")) + [
             pathlib.Path(__file__).parent / "test_acceptance.py"]:
         outside |= package_reads(path.read_text())
-    assert unread_exports(_MODULES, outside) == UNREAD_EXPORTS
+    return outside
+
+
+# public names that nothing but tests reads; this list may only shrink
+UNREAD_EXPORTS = []
+
+
+def test_every_export_has_a_reader_outside_tests():
+    # readers: the package's own code and `_outside_reads`
+    assert unread_exports(_MODULES, _outside_reads()) == UNREAD_EXPORTS
+
+
+# public module-level functions and classes, in __all__ or not, that
+# nothing but tests reads; this list may only shrink
+UNREAD_DEFINITIONS = []
+
+
+def test_every_public_definition_has_a_reader_outside_tests():
+    assert unread_exports(_MODULES, _outside_reads(),
+                          public_definitions) == UNREAD_DEFINITIONS
 
 
 def unread_fields(modules, outside_sources):
